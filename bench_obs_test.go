@@ -71,7 +71,7 @@ func BenchmarkHeldKarpTelemetry(b *testing.B) {
 	opt := tsp.HeldKarpOptions{Iterations: 100}
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tsp.HeldKarpDirected(m, opt)
+			tsp.HeldKarpBound(m, opt)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
@@ -81,7 +81,7 @@ func BenchmarkHeldKarpTelemetry(b *testing.B) {
 		o.Obs = root
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tsp.HeldKarpDirected(m, o)
+			tsp.HeldKarpBound(m, o)
 		}
 		b.StopTimer()
 		root.End()

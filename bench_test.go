@@ -178,7 +178,7 @@ func BenchmarkHeldKarp(b *testing.B) {
 	mat, _ := synthInstance(b, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tsp.HeldKarpDirected(mat, tsp.HeldKarpOptions{Iterations: 500})
+		tsp.HeldKarpBound(mat, tsp.HeldKarpOptions{Iterations: 500})
 	}
 }
 

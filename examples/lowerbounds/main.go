@@ -46,13 +46,13 @@ func main() {
 		mat := align.BuildMatrixForFunc(f, prof.Funcs[fi], model)
 		ap := tsp.AssignmentBound(mat)
 		res := tsp.Solve(mat, tsp.PaperSolveOptions(1))
-		hk := tsp.HeldKarpDirected(mat, tsp.HeldKarpOptions{UpperBound: res.Cost, Iterations: 2000})
+		hk := tsp.HeldKarpBound(mat, tsp.HeldKarpOptions{UpperBound: res.Cost, Iterations: 2000})
 		exact := "-"
 		if n <= 12 {
 			_, opt := tsp.SolveExact(mat)
 			exact = fmt.Sprintf("%d", opt)
 		}
-		fmt.Printf("%-14s %7d %10d %10.0f %10d %10s\n", f.Name, n, ap, hk, res.Cost, exact)
+		fmt.Printf("%-14s %7d %10d %10.0f %10d %10s\n", f.Name, n, ap, hk.Bound, res.Cost, exact)
 	}
 
 	fmt.Println()

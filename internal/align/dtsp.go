@@ -272,7 +272,7 @@ func eachFuncBound(mod *ir.Module, bound func(fi int, f *ir.Func) layout.Cost) l
 // the sequential loop exactly).
 func HeldKarpLowerBound(mod *ir.Module, prof *interp.Profile, m machine.Model, opts tsp.HeldKarpOptions) layout.Cost {
 	return eachFuncBound(mod, func(fi int, f *ir.Func) layout.Cost {
-		return FuncHeldKarpBound(f, prof.Funcs[fi], m, opts)
+		return FuncHeldKarpBound(f, prof.Funcs[fi], m, opts).Bound
 	})
 }
 
@@ -301,17 +301,11 @@ type FuncBoundResult struct {
 }
 
 // FuncHeldKarpBound computes the Held-Karp bound for a single function's
-// DTSP instance. Functions small enough for exact solving are bounded by
-// their true optimum. When opts.Obs is set, the bound computation is
-// recorded as an "align.hk" span (with the subgradient trajectory
-// nested under it).
-func FuncHeldKarpBound(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.HeldKarpOptions) layout.Cost {
-	return FuncHeldKarpBoundResult(f, fp, m, opts).Bound
-}
-
-// FuncHeldKarpBoundResult is FuncHeldKarpBound with the full anytime
-// result (truncation flag, iterate count), used by budgeted callers.
-func FuncHeldKarpBoundResult(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.HeldKarpOptions) FuncBoundResult {
+// DTSP instance, with its anytime diagnostics. Functions small enough for
+// exact solving are bounded by their true optimum. When opts.Obs is set,
+// the bound computation is recorded as an "align.hk" span (with the
+// subgradient trajectory nested under it).
+func FuncHeldKarpBound(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.HeldKarpOptions) FuncBoundResult {
 	n := len(f.Blocks)
 	sp := opts.Obs.Child("align.hk", obs.String("func", f.Name), obs.Int("cities", int64(n)))
 	opts.Obs = sp

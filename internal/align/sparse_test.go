@@ -80,7 +80,7 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 			return false
 		}
 		hkOpts := tsp.HeldKarpOptions{Iterations: 50}
-		if tsp.HeldKarpDirected(sp, hkOpts) != tsp.HeldKarpDirected(dense, hkOpts) {
+		if tsp.HeldKarpBound(sp, hkOpts) != tsp.HeldKarpBound(dense, hkOpts) {
 			return false
 		}
 		return tsp.AssignmentBound(sp) == tsp.AssignmentBound(dense)
@@ -107,7 +107,7 @@ func TestQuickBoundChainOnSparsePath(t *testing.T) {
 		res := aligner.SolveFunc(fn, fp, m, tsp.PaperSolveOptions(7), 0)
 		sp := BuildSparseMatrixForFunc(fn, fp, m)
 		tour := tsp.CycleCost(sp, tsp.Tour(res.Order))
-		hk := FuncHeldKarpBound(fn, fp, m, tsp.HeldKarpOptions{Iterations: 200})
+		hk := FuncHeldKarpBound(fn, fp, m, tsp.HeldKarpOptions{Iterations: 200}).Bound
 		ap := tsp.AssignmentBound(sp)
 		if hk > tour {
 			t.Logf("blocks=%d seed=%d: HK %d > tour %d", blocks, seedRaw, hk, tour)
@@ -132,7 +132,7 @@ func TestParallelBoundsMatchSequential(t *testing.T) {
 	hkOpts := tsp.HeldKarpOptions{Iterations: 100}
 	var seqHK, seqAP layout.Cost
 	for fi, f := range mod.Funcs {
-		seqHK += FuncHeldKarpBound(f, prof.Funcs[fi], m, hkOpts)
+		seqHK += FuncHeldKarpBound(f, prof.Funcs[fi], m, hkOpts).Bound
 		if len(f.Blocks) > 1 {
 			seqAP += tsp.AssignmentBound(BuildSparseMatrixForFunc(f, prof.Funcs[fi], m))
 		}

@@ -94,7 +94,7 @@ func Bounds(mod *ir.Module, prof *interp.Profile, l *layout.Layout, m machine.Mo
 		hk := align.FuncHeldKarpBound(f, fp, m, tsp.HeldKarpOptions{
 			Iterations:  opts.HKIterations,
 			StallWindow: opts.HKStallWindow,
-		})
+		}).Bound
 		tour := tsp.CycleCost(mat, tsp.Tour(l.Funcs[fi].Order))
 		per[k] = BoundChain(f.Name, ap, hk, tour, opts.Epsilon)
 	})

@@ -82,7 +82,7 @@ func (s *Suite) Appendix() (*AppendixStats, error) {
 				Exact:      res.Exact,
 				Runs:       res.Runs,
 				RunsAtBest: res.RunsAtBest,
-				HKBound:    align.FuncHeldKarpBound(f, prof.Funcs[fi], s.Model, hkOpts),
+				HKBound:    align.FuncHeldKarpBound(f, prof.Funcs[fi], s.Model, hkOpts).Bound,
 			}
 			mat := align.BuildSparseMatrixForFunc(f, prof.Funcs[fi], s.Model)
 			inst.APBound = tsp.AssignmentBound(mat)
@@ -116,7 +116,7 @@ func (s *Suite) AppendixSynthetic(count, blocks int) (*AppendixStats, error) {
 			Exact:      res.Exact,
 			Runs:       res.Runs,
 			RunsAtBest: res.RunsAtBest,
-			HKBound:    align.FuncHeldKarpBound(f, prof.Funcs[0], s.Model, hkOpts),
+			HKBound:    align.FuncHeldKarpBound(f, prof.Funcs[0], s.Model, hkOpts).Bound,
 		}
 		mat := align.BuildSparseMatrixForFunc(f, prof.Funcs[0], s.Model)
 		inst.APBound = tsp.AssignmentBound(mat)

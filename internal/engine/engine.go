@@ -462,7 +462,7 @@ func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
 			if warm != nil {
 				ho.Warm = warm[fi]
 			}
-			bounds[fi] = align.FuncHeldKarpBoundResult(mod.Funcs[fi], prof.Funcs[fi], req.Model, ho)
+			bounds[fi] = align.FuncHeldKarpBound(mod.Funcs[fi], prof.Funcs[fi], req.Model, ho)
 		}
 	}
 

@@ -116,7 +116,7 @@ func TestSolveExactPathIgnoresBudget(t *testing.T) {
 
 func TestHeldKarpBoundPlumbingBitIdentical(t *testing.T) {
 	m := randMatrix(20, 500, 13)
-	plain := HeldKarpDirected(m, HeldKarpOptions{Iterations: 200})
+	plain := HeldKarpBound(m, HeldKarpOptions{Iterations: 200}).Bound
 	opt := HeldKarpOptions{Iterations: 200, Context: context.Background(), Budget: unlimited()}
 	got := HeldKarpBound(m, opt)
 	if got.Truncated {

@@ -28,9 +28,9 @@ func ExampleSolve() {
 	// Output: [0 1 2 3] 4 true
 }
 
-// ExampleHeldKarpDirected bounds a directed instance from below; on this
+// ExampleHeldKarpBound bounds a directed instance from below; on this
 // ring the bound is tight.
-func ExampleHeldKarpDirected() {
+func ExampleHeldKarpBound() {
 	m := tsp.NewMatrix(5)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
@@ -42,8 +42,8 @@ func ExampleHeldKarpDirected() {
 	for i := 0; i < 5; i++ {
 		m.Set(i, (i+1)%5, 2)
 	}
-	bound := tsp.HeldKarpDirected(m, tsp.HeldKarpOptions{UpperBound: 10})
-	fmt.Printf("%.0f\n", bound)
+	res := tsp.HeldKarpBound(m, tsp.HeldKarpOptions{UpperBound: 10})
+	fmt.Printf("%.0f\n", res.Bound)
 	// Output: 10
 }
 

@@ -12,12 +12,10 @@ import (
 type HeldKarpOptions struct {
 	// Iterations of subgradient ascent; <= 0 selects a size-based default.
 	Iterations int
-	// UpperBound is a known tour cost used to scale step sizes. If zero, a
-	// quick nearest-neighbor tour is computed internally. Negative values
-	// are legitimate bounds for shifted instances.
+	// UpperBound is a known tour cost used to scale step sizes. Directed
+	// tour costs are non-negative, so zero or a negative value means
+	// unset: a quick nearest-neighbor tour is computed internally.
 	UpperBound Cost
-	// InitialAlpha is the initial step-size multiplier (default 2).
-	InitialAlpha float64
 	// Obs, when non-nil, is the parent span the subgradient ascent
 	// records its telemetry under: a "tsp.heldkarp" child span carrying
 	// the bound trajectory ("hk_bound", one point per improving iterate)
@@ -40,24 +38,17 @@ type HeldKarpOptions struct {
 	// overwritten, so a stale state is never worse than no state. Every
 	// pi vector yields a valid lower bound, so warm-starting can only
 	// change how quickly the ascent reaches a tight bound — never the
-	// validity of what it returns.
+	// validity of what it returns. Instances under three cities run no
+	// ascent and leave the state untouched.
 	Warm *HKWarmState
 	// StallWindow, when positive, ends the ascent early once the best
 	// bound has gone StallWindow consecutive iterates without improving
-	// by more than StallEpsilon times the instance's upper-bound
+	// by more than hkStallEpsilon times the instance's upper-bound
 	// magnitude. Zero disables early termination (the default): the
 	// full iteration schedule runs. Early termination only truncates
 	// the maximization, so the returned bound remains a valid lower
 	// bound — merely as tight as the ascent had gotten.
 	StallWindow int
-	// StallEpsilon is the relative improvement threshold for
-	// StallWindow; <= 0 selects 1e-6.
-	StallEpsilon float64
-	// stallFloor arms the stall window only once the best bound exceeds
-	// it (in the kernel's raw value space). Used by the dense directed
-	// path to tell the symmetric kernel where the shifted instance's
-	// useful range begins; the sparse directed kernel derives its own.
-	stallFloor float64
 }
 
 // HKWarmState carries the dual state of a Held-Karp ascent so a later
@@ -67,11 +58,10 @@ type HeldKarpOptions struct {
 // different instance is detected only when the node counts differ.
 type HKWarmState struct {
 	// Pi is the node-potential vector of the best iterate seen, in the
-	// node space of the computation that produced it (the 2n-node
-	// symmetric transformation for directed instances). Re-evaluating
-	// the 1-tree at this vector reproduces the previous call's best
-	// bound exactly, so a warm-started ascent never reports a weaker
-	// bound than the state it resumed from.
+	// 2n-node space of the symmetric transformation. Re-evaluating the
+	// 1-tree at this vector reproduces the previous call's best bound
+	// exactly, so a warm-started ascent never reports a weaker bound
+	// than the state it resumed from.
 	Pi []float64
 }
 
@@ -94,9 +84,16 @@ type BoundResult struct {
 	Stalled bool
 }
 
-// hkSchedule returns the iteration count and step-halving period shared
-// by every subgradient driver, from the node count of the instance being
-// relaxed.
+const (
+	// hkInitialAlpha is the initial step-size multiplier.
+	hkInitialAlpha = 2.0
+	// hkStallEpsilon is the relative improvement threshold of the
+	// StallWindow rule.
+	hkStallEpsilon = 1e-6
+)
+
+// hkSchedule returns the iteration count and step-halving period of the
+// ascent, from the node count of the instance being relaxed.
 func hkSchedule(nodes, iterations int) (iters, period int) {
 	iters = iterations
 	if iters <= 0 {
@@ -113,15 +110,14 @@ func hkSchedule(nodes, iterations int) (iters, period int) {
 }
 
 // stallTracker implements the epsilon-over-window early-termination
-// rule shared by the subgradient drivers: stop once the best bound has
-// gone a full window of iterates without improving by more than an
-// epsilon fraction of the instance's cost scale. The scale is fixed up
-// front (the upper bound's magnitude) rather than derived from the
-// current bound: early iterates of shifted instances sit far below
-// zero, and a threshold keyed to the moving bound would inflate exactly
-// while the ascent makes its fastest progress. Tracking the *best*
-// bound (not the per-iterate bound) makes the rule robust to the
-// oscillation inherent in subgradient steps.
+// rule: stop once the best bound has gone a full window of iterates
+// without improving by more than an epsilon fraction of the instance's
+// cost scale. The scale is fixed up front (the upper bound's magnitude)
+// rather than derived from the current bound: early iterates of shifted
+// instances sit far below zero, and a threshold keyed to the moving
+// bound would inflate exactly while the ascent makes its fastest
+// progress. Tracking the *best* bound (not the per-iterate bound) makes
+// the rule robust to the oscillation inherent in subgradient steps.
 //
 // Counting is armed only once the best bound has cleared the floor —
 // the raw-space value below which the bound is trivially useless (a
@@ -140,12 +136,9 @@ type stallTracker struct {
 // period: the ascent routinely plateaus for most of a period before a
 // halving unlocks further progress, so a smaller window cannot tell
 // "converged" from "waiting for alpha to decay".
-func newStallTracker(window, period int, eps, scale, floor float64) stallTracker {
+func newStallTracker(window, period int, scale, floor float64) stallTracker {
 	if window > 0 && window < period {
 		window = period
-	}
-	if eps <= 0 {
-		eps = 1e-6
 	}
 	if scale < 0 {
 		scale = -scale
@@ -153,7 +146,7 @@ func newStallTracker(window, period int, eps, scale, floor float64) stallTracker
 	if scale < 1 {
 		scale = 1
 	}
-	return stallTracker{window: window, thresh: eps * scale, floor: floor}
+	return stallTracker{window: window, thresh: hkStallEpsilon * scale, floor: floor}
 }
 
 // observe records one iterate's improvement of the best bound (gain;
@@ -173,57 +166,72 @@ func (s *stallTracker) observe(best, gain float64) bool {
 	return s.count >= s.window
 }
 
-// HeldKarpSym computes the Held-Karp lower bound for a symmetric instance
-// via 1-tree Lagrangian relaxation with subgradient ascent (Held & Karp
-// 1970, 1971). The returned value is a valid lower bound on the optimal
-// tour cost for every iteration count: each iterate evaluates
-// L(pi) = w(min 1-tree under reduced costs) - 2*sum(pi), and max over
-// visited pi of L(pi) <= OPT.
+// HeldKarpBound computes the Held-Karp lower bound on the optimal tour of
+// a directed instance by relaxing its 2-city symmetric transformation,
+// exactly as the paper does: 1-tree Lagrangian relaxation with
+// subgradient ascent (Held & Karp 1970, 1971). Each iterate evaluates
+// L(pi) = w(min 1-tree under reduced costs) - 2*sum(pi), and the maximum
+// over visited pi is a valid lower bound for any number of completed
+// iterates.
 //
-// m must be symmetric; the function panics otherwise (catching accidental
-// use on a raw DTSP matrix, for which HeldKarpDirected exists).
-func HeldKarpSym(m *Matrix, opt HeldKarpOptions) float64 {
-	return HeldKarpSymBound(m, opt).Bound
+// The 2n×2n symmetric matrix is never materialized. The instance is first
+// converted to canonical sparse form (Sparsify), which makes the result a
+// pure function of the cost values: dense and sparse representations of
+// the same instance yield identical bounds. Each iterate builds the
+// implicit 1-tree in O(E + n log n) instead of Θ(n²) (see sparseOneTree),
+// which is what makes the bound affordable on multi-thousand-block
+// functions. Instances under three cities have a single tour, whose cost
+// is returned as a converged bound without any ascent.
+func HeldKarpBound(c Costs, opt HeldKarpOptions) BoundResult {
+	n := c.Len()
+	if n < 3 {
+		var tour Cost
+		if n == 2 {
+			tour = c.At(0, 1) + c.At(1, 0)
+		}
+		return BoundResult{Bound: float64(tour), Converged: true}
+	}
+	sp := Sparsify(c)
+	ot := newSparseOneTree(sp)
+	defer ot.release()
+	// The symmetric instance carries -L on its n locked edges, so its
+	// optimum is the directed optimum shifted down by n·L.
+	shift := float64(n) * float64(ot.L)
+	dirUB := opt.UpperBound
+	if dirUB <= 0 {
+		dirUB = CycleCost(sp, NearestNeighbor(sp, 0, nil))
+	}
+	hsp := opt.Obs.Child("tsp.heldkarp",
+		obs.Int("cities", int64(n)), obs.Int("nodes", int64(ot.N)), obs.Float("shift", shift))
+	return ascend(hsp, ot.pi, ot.deg, ot.run, opt, dirUB, shift)
 }
 
-// HeldKarpSymBound is HeldKarpSym with the full anytime result: the
-// bound plus how many iterates ran and whether the ascent was truncated
-// by its context or budget.
-func HeldKarpSymBound(m *Matrix, opt HeldKarpOptions) BoundResult {
-	if !m.IsSymmetric() {
-		panic("tsp: HeldKarpSym: matrix is not symmetric")
-	}
-	n := m.Len()
-	if n < 3 {
-		return BoundResult{Bound: float64(CycleCost(m, IdentityTour(n))), Converged: true}
-	}
-	iters, period := hkSchedule(n, opt.Iterations)
-	ub := opt.UpperBound
-	if ub == 0 {
-		// Unset; negative upper bounds are legitimate for shifted
-		// instances (see HeldKarpDirectedDense).
-		ub = CycleCost(m, NearestNeighbor(m, 0, nil))
-	}
-	alpha := opt.InitialAlpha
-	if alpha <= 0 {
-		alpha = 2
-	}
-
-	sp := opt.Obs.Child("tsp.heldkarp_sym", obs.Int("nodes", int64(n)))
-	boundSeries := sp.Series("hk_bound")
-	stepSeries := sp.Series("hk_step")
-
-	pi := make([]float64, n)
-	if opt.Warm != nil && len(opt.Warm.Pi) == n {
+// ascend is the subgradient ascent behind HeldKarpBound. oneTree builds
+// the minimum 1-tree under the current pi, fills deg with its node
+// degrees and returns its reduced-cost weight; the ascent owns pi
+// between calls. The relaxed instance's optimum is the directed optimum
+// minus shift, so dirUB - shift scales the steps and shift converts the
+// best raw bound (and every recorded trajectory point) back into
+// directed terms. sp is the "tsp.heldkarp" span, which ascend ends.
+func ascend(sp *obs.Span, pi []float64, deg []int, oneTree func() float64, opt HeldKarpOptions, dirUB Cost, shift float64) BoundResult {
+	if opt.Warm != nil && len(opt.Warm.Pi) == len(pi) {
 		copy(pi, opt.Warm.Pi)
 	}
-	deg := make([]int, n)
-	ws := newOneTreeWorkspace(n)
+	boundSeries := sp.Series("hk_bound")
+	stepSeries := sp.Series("hk_step")
+	iters, period := hkSchedule(len(pi), opt.Iterations)
+	ub := float64(dirUB) - shift
+	alpha := hkInitialAlpha
 	best := math.Inf(-1)
 	res := BoundResult{}
 	cc := newCancelCheck(opt.Context, opt.Budget)
 	maxIt := opt.Budget.MaxHKIterations
-	st := newStallTracker(opt.StallWindow, period, opt.StallEpsilon, float64(ub), opt.stallFloor)
+	// The stall threshold is scaled by the directed upper bound — the
+	// instance's true cost magnitude. The raw ascent values sit near
+	// -shift and would swamp any relative epsilon. The arming floor is
+	// -shift: raw best above it means the directed bound is positive,
+	// i.e. actually worth stopping at.
+	st := newStallTracker(opt.StallWindow, period, float64(dirUB), -shift)
 	for it := 0; it < iters; it++ {
 		// Iterate-boundary budget check. The first iterate always runs
 		// (it is cheap and guarantees a real bound); later iterates stop
@@ -237,7 +245,7 @@ func HeldKarpSymBound(m *Matrix, opt HeldKarpOptions) BoundResult {
 			break
 		}
 		res.Iterations = it + 1
-		w := oneTree(m, pi, deg, ws)
+		w := oneTree()
 		var piSum float64
 		for _, p := range pi {
 			piSum += p
@@ -249,15 +257,9 @@ func HeldKarpSymBound(m *Matrix, opt HeldKarpOptions) BoundResult {
 			if opt.Warm != nil {
 				opt.Warm.Pi = append(opt.Warm.Pi[:0], pi...)
 			}
-			boundSeries.Add(int64(it), bound)
+			boundSeries.Add(int64(it), bound+shift)
 		}
-		// Subgradient: degree deviation from 2.
-		var norm float64
-		for i := 0; i < n; i++ {
-			d := float64(deg[i] - 2)
-			norm += d * d
-		}
-		if norm == 0 {
+		if isTour(deg) {
 			// The 1-tree is a tour: the bound is exact.
 			res.Converged = true
 			sp.SetAttrs(obs.Bool("converged", true))
@@ -267,260 +269,54 @@ func HeldKarpSymBound(m *Matrix, opt HeldKarpOptions) BoundResult {
 			res.Stalled = true
 			break
 		}
-		step := alpha * (float64(ub) - bound) / norm
-		if step <= 0 {
+		step := subgradientStep(pi, deg, alpha, ub, bound)
+		if step == 0 {
 			break
 		}
 		if it%period == 0 {
 			stepSeries.Add(int64(it), step)
-		}
-		for i := 0; i < n; i++ {
-			pi[i] += step * float64(deg[i]-2)
-		}
-		if (it+1)%period == 0 {
-			alpha /= 2
-		}
-	}
-	res.Bound = best
-	sp.Count("hk.iterations", int64(res.Iterations))
-	sp.End(obs.Float("bound", best), obs.Int("iterations", int64(res.Iterations)),
-		obs.Bool("truncated", res.Truncated), obs.Bool("stalled", res.Stalled))
-	return res
-}
-
-// HeldKarpDirected computes the Held-Karp bound for an asymmetric
-// instance by relaxing its 2-city symmetric transformation, exactly as
-// the paper does — but without ever materializing the 2n×2n symmetric
-// matrix. The instance is first converted to canonical sparse form
-// (Sparsify), which makes the result a pure function of the cost values:
-// dense and sparse representations of the same instance yield identical
-// bounds. Each subgradient iteration builds the implicit 1-tree in
-// O(E + n log n) instead of Θ(n²) (see sparseOneTree), which is what
-// makes the bound affordable on multi-thousand-block functions.
-//
-// HeldKarpDirectedDense is the dense reference implementation; its bound
-// can differ in the last few percent (different 1-tree tie-breaking, and
-// the implicit path caps exception edges at their row default), but both
-// are valid lower bounds on the optimal directed tour.
-func HeldKarpDirected(c Costs, opt HeldKarpOptions) float64 {
-	return HeldKarpBound(c, opt).Bound
-}
-
-// HeldKarpBound is HeldKarpDirected with the full anytime result: the
-// bound plus iterate count, truncation and convergence flags. It is the
-// primary entry point for budgeted callers (the engine, balignd); the
-// float64-returning wrappers are kept for the batch pipeline.
-func HeldKarpBound(c Costs, opt HeldKarpOptions) BoundResult {
-	n := c.Len()
-	if n < 3 {
-		return heldKarpDenseBound(c, opt)
-	}
-	sp := Sparsify(c)
-	ot := newSparseOneTree(sp)
-	defer ot.release()
-	if opt.Warm != nil && len(opt.Warm.Pi) == ot.N {
-		copy(ot.pi, opt.Warm.Pi)
-	}
-	shift := float64(n) * float64(ot.L)
-	dirUB := opt.UpperBound
-	if dirUB <= 0 {
-		dirUB = CycleCost(sp, NearestNeighbor(sp, 0, nil))
-	}
-	ub := float64(dirUB) - shift
-
-	hsp := opt.Obs.Child("tsp.heldkarp",
-		obs.Int("cities", int64(n)), obs.Int("nodes", int64(ot.N)), obs.Float("shift", shift))
-	boundSeries := hsp.Series("hk_bound")
-	stepSeries := hsp.Series("hk_step")
-
-	iters, period := hkSchedule(ot.N, opt.Iterations)
-	alpha := opt.InitialAlpha
-	if alpha <= 0 {
-		alpha = 2
-	}
-	best := math.Inf(-1)
-	res := BoundResult{}
-	cc := newCancelCheck(opt.Context, opt.Budget)
-	maxIt := opt.Budget.MaxHKIterations
-	// The stall threshold is scaled by the directed upper bound — the
-	// instance's true cost magnitude. The raw ascent values sit at
-	// -n·L and would swamp any relative epsilon. The arming floor is
-	// -shift: raw best above it means the directed bound is positive,
-	// i.e. actually worth stopping at.
-	st := newStallTracker(opt.StallWindow, period, opt.StallEpsilon, float64(dirUB), -shift)
-	for it := 0; it < iters; it++ {
-		// Iterate-boundary budget check; see HeldKarpSymBound.
-		if maxIt > 0 && res.Iterations >= maxIt {
-			res.Truncated = true
-			break
-		}
-		if res.Iterations > 0 && cc.cancelled() {
-			res.Truncated = true
-			break
-		}
-		res.Iterations = it + 1
-		w := ot.run()
-		var piSum float64
-		for _, p := range ot.pi {
-			piSum += p
-		}
-		bound := w - 2*piSum
-		gain := bound - best
-		if bound > best {
-			best = bound
-			if opt.Warm != nil {
-				opt.Warm.Pi = append(opt.Warm.Pi[:0], ot.pi...)
-			}
-			// The trajectory is recorded in directed terms (shifted back),
-			// so it is directly comparable with tour costs.
-			boundSeries.Add(int64(it), bound+shift)
-		}
-		var norm float64
-		for i := 0; i < ot.N; i++ {
-			d := float64(ot.deg[i] - 2)
-			norm += d * d
-		}
-		if norm == 0 {
-			res.Converged = true
-			hsp.SetAttrs(obs.Bool("converged", true))
-			break
-		}
-		if st.observe(best, gain) {
-			res.Stalled = true
-			break
-		}
-		step := alpha * (ub - bound) / norm
-		if step <= 0 {
-			break
-		}
-		if it%period == 0 {
-			stepSeries.Add(int64(it), step)
-		}
-		for i := 0; i < ot.N; i++ {
-			ot.pi[i] += step * float64(ot.deg[i]-2)
 		}
 		if (it+1)%period == 0 {
 			alpha /= 2
 		}
 	}
 	res.Bound = best + shift
-	hsp.Count("hk.iterations", int64(res.Iterations))
-	hsp.End(obs.Float("bound", res.Bound), obs.Int("iterations", int64(res.Iterations)),
+	sp.Count("hk.iterations", int64(res.Iterations))
+	sp.End(obs.Float("bound", res.Bound), obs.Int("iterations", int64(res.Iterations)),
 		obs.Bool("truncated", res.Truncated), obs.Bool("stalled", res.Stalled))
 	return res
 }
 
-// HeldKarpDirectedDense is the dense reference path: materialize the
-// 2-city symmetric transformation (Sym.Matrix, with -LockCost on locked
-// edges, so its optimum is the directed optimum shifted down by
-// n*LockCost) and bound it with HeldKarpSym; the same shift converts the
-// symmetric bound back into a valid lower bound on the optimal directed
-// tour cost. Θ(n²) memory and Θ(n²) time per subgradient iteration —
-// kept as the oracle the sparse path is validated against.
-func HeldKarpDirectedDense(c Costs, opt HeldKarpOptions) float64 {
-	return heldKarpDenseBound(c, opt).Bound
-}
-
-func heldKarpDenseBound(c Costs, opt HeldKarpOptions) BoundResult {
-	s := Symmetrize(c)
-	symM := s.Matrix()
-	shift := float64(c.Len()) * float64(s.LockCost())
-	dirUB := opt.UpperBound
-	if dirUB <= 0 {
-		// A directed NN tour embeds into the symmetric space (shifted).
-		dirUB = CycleCost(c, NearestNeighbor(c, 0, nil))
-	}
-	symOpt := opt
-	symOpt.UpperBound = dirUB - Cost(c.Len())*s.LockCost()
-	// Raw symmetric values above -shift correspond to positive directed
-	// bounds — only there is stopping early worth anything.
-	symOpt.stallFloor = -shift
-	res := HeldKarpSymBound(symM, symOpt)
-	res.Bound += shift
-	return res
-}
-
-// oneTreeWorkspace holds the Prim scratch arrays for the dense oneTree,
-// hoisted out of the per-iteration path so that subgradient ascent does
-// not reallocate them on every iterate.
-type oneTreeWorkspace struct {
-	inTree []bool
-	dist   []float64
-	parent []int
-}
-
-func newOneTreeWorkspace(n int) *oneTreeWorkspace {
-	return &oneTreeWorkspace{
-		inTree: make([]bool, n),
-		dist:   make([]float64, n),
-		parent: make([]int, n),
-	}
-}
-
-// oneTree computes the minimum-weight 1-tree under reduced costs
-// c(i,j) + pi[i] + pi[j]: a minimum spanning tree over cities 1..n-1 plus
-// the two cheapest edges incident to city 0. deg receives the degree of
-// each city in the 1-tree. The returned weight is in reduced costs.
-func oneTree(m *Matrix, pi []float64, deg []int, ws *oneTreeWorkspace) float64 {
-	n := m.Len()
-	for i := range deg {
-		deg[i] = 0
-	}
-	red := func(i, j int) float64 {
-		return float64(m.At(i, j)) + pi[i] + pi[j]
-	}
-	// Prim over cities 1..n-1.
-	const unreached = math.MaxFloat64
-	inTree, dist, parent := ws.inTree, ws.dist, ws.parent
-	for i := 0; i < n; i++ {
-		inTree[i] = false
-		dist[i] = unreached
-		parent[i] = -1
-	}
-	total := 0.0
-	cur := 1
-	inTree[cur] = true
-	for count := 1; count < n-1; count++ {
-		for j := 2; j < n; j++ {
-			if inTree[j] {
-				continue
-			}
-			if d := red(cur, j); d < dist[j] {
-				dist[j] = d
-				parent[j] = cur
-			}
-		}
-		nxt, nd := -1, unreached
-		for j := 2; j < n; j++ {
-			if !inTree[j] && dist[j] < nd {
-				nxt, nd = j, dist[j]
-			}
-		}
-		if nxt < 0 {
-			break
-		}
-		inTree[nxt] = true
-		total += nd
-		deg[nxt]++
-		deg[parent[nxt]]++
-		cur = nxt
-	}
-	// Two cheapest edges from city 0.
-	best1, best2 := unreached, unreached
-	arg1, arg2 := -1, -1
-	for j := 1; j < n; j++ {
-		d := red(0, j)
-		switch {
-		case d < best1:
-			best2, arg2 = best1, arg1
-			best1, arg1 = d, j
-		case d < best2:
-			best2, arg2 = d, j
+// isTour reports whether every node of the 1-tree has degree 2, i.e. the
+// subgradient is zero.
+func isTour(deg []int) bool {
+	for _, d := range deg {
+		if d != 2 {
+			return false
 		}
 	}
-	total += best1 + best2
-	deg[0] += 2
-	deg[arg1]++
-	deg[arg2]++
-	return total
+	return true
+}
+
+// subgradientStep moves pi along the subgradient deg-2 by the step
+// alpha·(ub-bound)/|deg-2|² and returns the step. It returns 0 and
+// leaves pi unchanged when the subgradient is zero or the step is not
+// positive (the bound has reached the upper bound).
+func subgradientStep(pi []float64, deg []int, alpha, ub, bound float64) float64 {
+	var norm float64
+	for _, d := range deg {
+		x := float64(d - 2)
+		norm += x * x
+	}
+	if norm == 0 {
+		return 0
+	}
+	step := alpha * (ub - bound) / norm
+	if step <= 0 {
+		return 0
+	}
+	for i := range pi {
+		pi[i] += step * float64(deg[i]-2)
+	}
+	return step
 }

@@ -9,7 +9,7 @@ func TestHeldKarpSymNeverExceedsOptimum(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := randSymMatrix(9, 200, seed)
 		_, opt := SolveExact(m)
-		bound := HeldKarpSym(m, HeldKarpOptions{UpperBound: opt})
+		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt}).Bound
 		if bound > float64(opt)+1e-6 {
 			t.Fatalf("seed %d: HK bound %.3f exceeds optimum %d", seed, bound, opt)
 		}
@@ -33,7 +33,7 @@ func TestHeldKarpSymTightOnRing(t *testing.T) {
 		m.Set(i, j, 1)
 		m.Set(j, i, 1)
 	}
-	bound := HeldKarpSym(m, HeldKarpOptions{})
+	bound := heldKarpSym(m, HeldKarpOptions{}).Bound
 	if math.Abs(bound-float64(n)) > 1e-6 {
 		t.Fatalf("HK bound on ring = %.6f, want %d", bound, n)
 	}
@@ -46,7 +46,7 @@ func TestHeldKarpSymReasonablyTightOnRandomMetric(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		m := randSymMatrix(10, 500, seed+50)
 		_, opt := SolveExact(m)
-		bound := HeldKarpSym(m, HeldKarpOptions{UpperBound: opt})
+		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt}).Bound
 		if bound < 0.8*float64(opt) {
 			t.Errorf("seed %d: HK bound %.1f is below 80%% of optimum %d", seed, bound, opt)
 		}
@@ -57,27 +57,37 @@ func TestHeldKarpDirectedBoundsDTSPOptimum(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		m := randMatrix(8, 300, seed+70)
 		_, opt := SolveExact(m)
-		bound := HeldKarpDirected(m, HeldKarpOptions{UpperBound: opt})
+		bound := HeldKarpBound(m, HeldKarpOptions{UpperBound: opt}).Bound
 		if bound > float64(opt)+1e-6 {
 			t.Fatalf("seed %d: directed HK bound %.3f exceeds optimum %d", seed, bound, opt)
 		}
 	}
 }
 
-func TestHeldKarpSymPanicsOnAsymmetric(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("HeldKarpSym should reject asymmetric matrices")
-		}
-	}()
-	m := randMatrix(5, 100, 1)
-	HeldKarpSym(m, HeldKarpOptions{})
-}
-
+// TestHeldKarpTinyInstances: under three cities there is exactly one
+// tour, so the bound is its cost, converged, with no ascent at all — and
+// a one-city instance costs nothing.
 func TestHeldKarpTinyInstances(t *testing.T) {
-	m := FromRows([][]Cost{{0, 2}, {2, 0}})
-	if got := HeldKarpSym(m, HeldKarpOptions{}); got != 4 {
-		t.Fatalf("2-city HK = %v, want 4", got)
+	for _, tc := range []struct {
+		name string
+		c    Costs
+		want float64
+	}{
+		{"one/dense", NewMatrix(1), 0},
+		{"one/sparse", Sparsify(NewMatrix(1)), 0},
+		{"two/symmetric", FromRows([][]Cost{{0, 2}, {2, 0}}), 4},
+		{"two/asymmetric", FromRows([][]Cost{{0, 3}, {9, 0}}), 12},
+		{"two/sparse", Sparsify(FromRows([][]Cost{{0, 3}, {9, 0}})), 12},
+	} {
+		warm := &HKWarmState{}
+		got := HeldKarpBound(tc.c, HeldKarpOptions{Warm: warm})
+		want := BoundResult{Bound: tc.want, Converged: true}
+		if got != want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, want)
+		}
+		if warm.Pi != nil {
+			t.Errorf("%s: no ascent ran, yet the warm state was written", tc.name)
+		}
 	}
 }
 

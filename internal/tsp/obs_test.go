@@ -121,13 +121,13 @@ func TestSolveTelemetryExact(t *testing.T) {
 func TestHeldKarpTelemetry(t *testing.T) {
 	m := obsInstance(20, 11)
 	opt := HeldKarpOptions{Iterations: 60}
-	plain := HeldKarpDirected(m, opt)
+	plain := HeldKarpBound(m, opt).Bound
 
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	root := tr.Start("test")
 	opt.Obs = root
-	traced := HeldKarpDirected(m, opt)
+	traced := HeldKarpBound(m, opt).Bound
 	root.End()
 	tr.Close()
 

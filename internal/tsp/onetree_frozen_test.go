@@ -281,28 +281,6 @@ func (t *frozenOneTree) run() float64 {
 	return total
 }
 
-// hkAscentStep applies the subgradient update HeldKarpBound performs,
-// shared by the lockstep drivers below so both kernels see the exact
-// float sequence the production ascent produces.
-func hkAscentStep(pi []float64, deg []int, alpha, ub, bound float64) (step float64) {
-	var norm float64
-	for i := range deg {
-		d := float64(deg[i] - 2)
-		norm += d * d
-	}
-	if norm == 0 {
-		return 0
-	}
-	step = alpha * (ub - bound) / norm
-	if step <= 0 {
-		return 0
-	}
-	for i := range pi {
-		pi[i] += step * float64(deg[i]-2)
-	}
-	return step
-}
-
 // TestSparseOneTreeMatchesFrozen drives the rewritten kernel and the
 // frozen reference through the production subgradient ascent in lockstep
 // on random sparse instances and requires bit-identical 1-tree weights
@@ -348,10 +326,10 @@ func TestSparseOneTreeMatchesFrozen(t *testing.T) {
 				piSum += p
 			}
 			bound := w - 2*piSum
-			if hkAscentStep(ot.pi, ot.deg, alpha, ub, bound) == 0 {
+			if subgradientStep(ot.pi, ot.deg, alpha, ub, bound) == 0 {
 				break
 			}
-			hkAscentStep(fr.pi, fr.deg, alpha, ub, bound)
+			subgradientStep(fr.pi, fr.deg, alpha, ub, bound)
 			for i := 0; i < ot.N; i++ {
 				if math.Float64bits(ot.pi[i]) != math.Float64bits(fr.pi[i]) {
 					t.Fatalf("n=%d seed=%d iterate %d: pi[%d] diverged", tc.n, tc.seed, it, i)
@@ -399,10 +377,10 @@ func TestSparseOneTreeDenseMatchesHeap(t *testing.T) {
 				piSum += p
 			}
 			bound := wa - 2*piSum
-			if hkAscentStep(a.pi, a.deg, alpha, ub, bound) == 0 {
+			if subgradientStep(a.pi, a.deg, alpha, ub, bound) == 0 {
 				break
 			}
-			hkAscentStep(b.pi, b.deg, alpha, ub, bound)
+			subgradientStep(b.pi, b.deg, alpha, ub, bound)
 			if (it+1)%8 == 0 {
 				alpha /= 2
 			}
@@ -500,14 +478,14 @@ func TestSparseOneTreeSteadyStateAllocs(t *testing.T) {
 		for _, p := range ot.pi {
 			piSum += p
 		}
-		hkAscentStep(ot.pi, ot.deg, 2, ub, w-2*piSum)
+		subgradientStep(ot.pi, ot.deg, 2, ub, w-2*piSum)
 		allocs := testing.AllocsPerRun(20, func() {
 			w := ot.run()
 			var piSum float64
 			for _, p := range ot.pi {
 				piSum += p
 			}
-			hkAscentStep(ot.pi, ot.deg, 1, ub, w-2*piSum)
+			subgradientStep(ot.pi, ot.deg, 1, ub, w-2*piSum)
 		})
 		ot.release()
 		if allocs != 0 {

@@ -7,8 +7,8 @@ import (
 
 // sparseOneTree computes minimum 1-trees of the 2-city symmetric
 // transformation of a sparse DTSP instance without materializing the
-// 2n×2n matrix (compare Sym.Matrix, which HeldKarpDirectedDense feeds to
-// the dense Prim in oneTree).
+// 2n×2n matrix. It is the only 1-tree HeldKarpBound's ascent uses; the
+// dense Prim over the materialized matrix survives as a test oracle.
 //
 // The symmetric instance over N = 2n nodes (in_i = 2i, out_i = 2i+1) has
 // three edge classes: locked intra-city edges at -L, directed edges

@@ -66,7 +66,7 @@ func TestQuickBoundSandwich(t *testing.T) {
 		if AssignmentBound(m) > opt {
 			return false
 		}
-		if HeldKarpDirected(m, HeldKarpOptions{UpperBound: opt, Iterations: 120}) > float64(opt)+1e-6 {
+		if HeldKarpBound(m, HeldKarpOptions{UpperBound: opt, Iterations: 120}).Bound > float64(opt)+1e-6 {
 			return false
 		}
 		rng := rand.New(rand.NewSource(int64(seedRaw)))

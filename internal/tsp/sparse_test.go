@@ -123,7 +123,7 @@ func TestQuickHeldKarpDirectedIdenticalOnSparseAndDense(t *testing.T) {
 		sp := randSparse(n, 120, 0.3, int64(seedRaw)+29)
 		d := sp.Dense()
 		opt := HeldKarpOptions{Iterations: 60}
-		if HeldKarpDirected(sp, opt) != HeldKarpDirected(d, opt) {
+		if HeldKarpBound(sp, opt) != HeldKarpBound(d, opt) {
 			return false
 		}
 		return AssignmentBound(sp) == AssignmentBound(d)
@@ -144,7 +144,7 @@ func TestQuickSparseHeldKarpIsValidBound(t *testing.T) {
 		if AssignmentBound(sp) > opt {
 			return false
 		}
-		b := HeldKarpDirected(sp, HeldKarpOptions{UpperBound: opt, Iterations: 120})
+		b := HeldKarpBound(sp, HeldKarpOptions{UpperBound: opt, Iterations: 120}).Bound
 		return b <= float64(opt)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -10,12 +10,12 @@
 //     matching, both with optional randomization),
 //   - a reversal-free directed 3-opt local search, which is exactly the
 //     move set that symmetric 3-opt induces on the standard 2-city
-//     DTSP-to-STSP transformation when the intra-city edges are locked
-//     (see Sym); this is the engine behind IteratedThreeOpt,
+//     DTSP-to-STSP transformation when the intra-city edges are locked;
+//     this is the engine behind IteratedThreeOpt,
 //   - the iterated local search protocol from the paper (double-bridge
 //     kicks, multiple randomized starts),
 //   - the Held-Karp lower bound computed on the symmetrized instance via
-//     Lagrangian (1-tree) subgradient ascent,
+//     Lagrangian (1-tree) subgradient ascent (HeldKarpBound),
 //   - the assignment-problem lower bound (Hungarian algorithm), and
 //   - exact solvers (dynamic programming) for small instances, used both
 //     in tests and to solve small procedures outright.
