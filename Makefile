@@ -55,10 +55,17 @@ bench:
 # exactly once so CI catches one that panics, hangs or stops compiling.
 # The second pass names the Held-Karp kernel explicitly with -benchmem so
 # its allocation profile shows up in CI logs (scripts/ci.sh additionally
-# enforces an allocs/op ceiling on it).
+# enforces an allocs/op ceiling on it). The third is the cached engine
+# dispatch gate, as in scripts/ci.sh: at most 64 allocs/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 20m .
 	$(GO) test -run '^$$' -bench 'BenchmarkHeldKarpBound/synth5000' -benchtime 1x -benchmem -timeout 10m .
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEngineDispatch/cached' -benchtime 100x -benchmem -timeout 10m .); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/BenchmarkEngineDispatch\/cached/ {print $$(NF-1)}'); \
+	if [ -z "$$allocs" ] || [ "$$allocs" -gt 64 ]; then \
+		echo "engine dispatch allocation regression ($${allocs:-no result} allocs/op, ceiling 64)"; exit 1; \
+	fi
 
 # Record a benchmark snapshot to results/BENCH_<LABEL>.json; restrict
 # with BENCH=<regex>. Example (the dense-vs-sparse kernel comparison):

@@ -5,27 +5,40 @@ import (
 	"testing"
 
 	"branchalign/internal/engine"
+	"branchalign/internal/interp"
+	"branchalign/internal/ir"
 	"branchalign/internal/machine"
+	"branchalign/internal/obs"
 	"branchalign/internal/testutil"
 )
 
 // BenchmarkEngineDispatch measures the alignment engine's request
-// overhead around the solver:
+// overhead around the solver, on a request built the way balignd builds
+// one: Inputs carrying the program text, and a Load that hands back the
+// compiled module and profile (precompiled here, so cold prices the
+// engine round trip rather than the front end):
 //
 //   - cold: every request is a full solve (cache disabled) — the price
 //     of one uncached engine round trip, dominated by the TSP solves;
 //   - cached: every request after the first is served from the keyed
-//     result cache — the pure dispatch overhead (request hashing, LRU
-//     lookup, result copy), which is what a balignd hot path pays.
+//     result cache — the pure dispatch overhead (hashing Inputs, LRU
+//     lookup, result copy), which is what a balignd hit pays in the
+//     engine. scripts/ci.sh gates its allocs/op.
 //
-// Snapshot with: scripts/bench.sh engine 'BenchmarkEngineDispatch'
+// Snapshot with: scripts/bench.sh engine
 func BenchmarkEngineDispatch(b *testing.B) {
 	mod, prof, _, err := testutil.CompileAndProfile(testutil.BranchySource, testutil.BranchyInput(400, 7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := machine.Alpha21164()
-	req := engine.Request{Module: mod, Profile: prof, Model: model, Seed: 1}
+	req := engine.Request{
+		Inputs: []byte(testutil.BranchySource),
+		Load: func(*obs.Span) (*ir.Module, *interp.Profile, error) {
+			return mod, prof, nil
+		},
+		Model: machine.Alpha21164(),
+		Seed:  1,
+	}
 
 	b.Run("cold", func(b *testing.B) {
 		e := engine.New(engine.Options{CacheEntries: -1})

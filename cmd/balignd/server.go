@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -261,9 +262,7 @@ func errKind(code int, err error) string {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -374,32 +373,12 @@ func (s *server) fail(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error(), Kind: errKind(code, err)})
 }
 
-// align resolves the request into a module+profile and runs it through
-// the engine. The int return is the HTTP status to use when err != nil.
+// align runs the request through the engine. The int return is the HTTP
+// status to use when err != nil.
 func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, int, error) {
-	static, err := pickProfileMode(req)
+	ereq, err := engineRequest(req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
-	}
-	mod, inputs, err := buildModule(req)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	model, err := pickModel(req.Model)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	var prof *interp.Profile
-	if !static {
-		prof, err = buildProfile(mod, inputs, req.Profile)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	}
-
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = "tsp"
 	}
 
 	var (
@@ -410,32 +389,18 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 	if req.Trace {
 		sink = &obs.MemorySink{}
 		tr = obs.New(sink)
-		root = tr.Start("balignd.align", obs.String("model", model.Name),
-			obs.String("algorithm", algorithm), obs.Int("seed", req.Seed))
+		root = tr.Start("balignd.align", obs.String("model", ereq.Model.Name),
+			obs.String("algorithm", ereq.Algorithm), obs.Int("seed", req.Seed))
 		// Stamp the middleware-assigned request ID on the root span, so
 		// an access-log line leads straight to the solver trace that
 		// served it (`balign report -in` prints it back in its header).
 		if id := requestID(ctx); id != "" {
 			root.SetAttrs(obs.String("request_id", id))
 		}
+		ereq.Obs = root
 	}
 
-	eres, err := s.eng.Align(ctx, engine.Request{
-		Module:        mod,
-		Profile:       prof,
-		StaticProfile: static,
-		Model:         model,
-		Algorithm:     algorithm,
-		Seed:          req.Seed,
-		Budget: tsp.Budget{
-			MaxKicks:        req.MaxKicks,
-			MaxHKIterations: 0, // the iterate count is HKIterations itself
-		},
-		Bound:        req.Bound,
-		HKIterations: req.HKIterations,
-		Parallelism:  req.Parallelism,
-		Obs:          root,
-	})
+	eres, err := s.eng.Align(ctx, ereq)
 	if err != nil {
 		// Distinguish "the request's own deadline consumed before
 		// solving began" from malformed input.
@@ -454,14 +419,21 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 		CacheHit:        eres.CacheHit,
 		Coalesced:       eres.Coalesced,
 		ProfileSource:   "measured",
-		Algorithm:       algorithm,
+		Algorithm:       ereq.Algorithm,
 		Funcs:           eres.Funcs,
 	}
 	if eres.ProfileEstimated {
 		resp.ProfileSource = "static"
 	}
 	if req.Trace {
-		root.End(obs.Bool("truncated", eres.Truncated))
+		cache := "miss"
+		switch {
+		case eres.CacheHit:
+			cache = "hit"
+		case eres.Coalesced:
+			cache = "coalesced"
+		}
+		root.End(obs.Bool("truncated", eres.Truncated), obs.String("cache", cache))
 		if err := tr.Close(); err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
@@ -489,16 +461,70 @@ func pickProfileMode(req alignRequest) (bool, error) {
 	return false, fmt.Errorf("unknown profile_mode %q (want \"measured\" or \"static\")", req.ProfileMode)
 }
 
-// buildModule compiles the requested program — inline Mini-C source or
-// a bundled benchmark — and shapes its training input.
-func buildModule(req alignRequest) (*ir.Module, []interp.Input, error) {
+// engineRequest makes the cheap checks (profile mode, model, source vs
+// bench, bench and data set names) and turns req into an engine request
+// keyed on its own inputs. Nothing is compiled or profiled here: that is
+// the request's Load, which the engine runs only on a miss.
+func engineRequest(req alignRequest) (engine.Request, error) {
+	static, err := pickProfileMode(req)
+	if err != nil {
+		return engine.Request{}, err
+	}
+	model, err := pickModel(req.Model)
+	if err != nil {
+		return engine.Request{}, err
+	}
+	p, err := resolveProgram(req, static)
+	if err != nil {
+		return engine.Request{}, err
+	}
+	algorithm := req.Algorithm
+	if algorithm == "" {
+		algorithm = "tsp"
+	}
+	return engine.Request{
+		Inputs:        p.inputs(),
+		Load:          p.load,
+		StaticProfile: static,
+		Model:         model,
+		Algorithm:     algorithm,
+		Seed:          req.Seed,
+		Budget: tsp.Budget{
+			MaxKicks:        req.MaxKicks,
+			MaxHKIterations: 0, // the iterate count is HKIterations itself
+		},
+		Bound:        req.Bound,
+		HKIterations: req.HKIterations,
+		Parallelism:  req.Parallelism,
+	}, nil
+}
+
+// program is a request's program as the cheap checks resolve it, before
+// anything is compiled: a bundled benchmark, or inline source with its
+// data and n. It holds exactly what its load reads.
+type program struct {
+	bench *bench.Benchmark
+	// dataset is the bench's training input; nil when load runs none
+	// (static requests and shipped profiles).
+	dataset *bench.DataSet
+	source  string
+	data    []int64
+	n       *int64
+	profile json.RawMessage // the shipped profile, if any
+	static  bool
+}
+
+// resolveProgram checks the request's program fields without compiling
+// anything: exactly one of source and bench, a known bench and data set.
+func resolveProgram(req alignRequest, static bool) (*program, error) {
+	p := &program{profile: req.Profile, static: static}
 	switch {
 	case req.Bench != "" && req.Source != "":
-		return nil, nil, fmt.Errorf("request has both source and bench; pick one")
+		return nil, fmt.Errorf("request has both source and bench; pick one")
 	case req.Bench != "":
 		b, err := bench.ByName(req.Bench)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		name := req.DataSet
 		if name == "" {
@@ -506,33 +532,116 @@ func buildModule(req alignRequest) (*ir.Module, []interp.Input, error) {
 		}
 		ds, err := b.DataSet(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		mod, err := b.Compile()
-		if err != nil {
-			return nil, nil, err
+		p.bench = b
+		if !static && len(req.Profile) == 0 {
+			p.dataset = ds
 		}
-		return mod, ds.Make(), nil
+		return p, nil
 	case req.Source != "":
-		prog, err := minic.Parse(req.Source)
-		if err != nil {
-			return nil, nil, fmt.Errorf("parsing source: %w", err)
-		}
-		info, err := minic.Check(prog)
-		if err != nil {
-			return nil, nil, fmt.Errorf("checking source: %w", err)
-		}
-		mod, err := lower.Program(info)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lowering source: %w", err)
-		}
-		inputs, err := shapeInputs(mod, req.Data, req.N)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mod, inputs, nil
+		p.source, p.data, p.n = req.Source, req.Data, req.N
+		return p, nil
 	}
-	return nil, nil, fmt.Errorf("request needs source or bench")
+	return nil, fmt.Errorf("request needs source or bench")
+}
+
+// inputs returns the program's canonical binary image, the engine's key
+// material: a kind byte, then length-prefixed fields, so bytes moved
+// from one field to another always change the image. A bench is named
+// by its canonical name and resolved data set, so an abbreviation or an
+// omitted default data set keys like the spelled-out request.
+func (p *program) inputs() []byte {
+	b := make([]byte, 0, 64+len(p.source)+8*len(p.data)+len(p.profile))
+	if p.bench != nil {
+		b = append(b, 'b')
+		b = appendString(b, p.bench.Name)
+		ds := ""
+		if p.dataset != nil {
+			ds = p.dataset.Name
+		}
+		b = appendString(b, ds)
+	} else {
+		b = append(b, 's')
+		b = appendString(b, p.source)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(p.data)))
+		for _, v := range p.data {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		if p.n != nil {
+			b = append(b, 1)
+			b = binary.LittleEndian.AppendUint64(b, uint64(*p.n))
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.profile)))
+	return append(b, p.profile...)
+}
+
+// appendString appends s with its length prefix.
+func appendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// load is the request's engine Load: compile the program, then profile
+// it by running the training input or reading the shipped profile. A
+// static request stops after compiling; the engine estimates its
+// profile. It annotates the engine.load span sp with the input kind
+// (bench or source), the profile's origin (run, shipped or static) and
+// the interpreter steps a run took.
+func (p *program) load(sp *obs.Span) (*ir.Module, *interp.Profile, error) {
+	kind, origin := "source", "run"
+	if p.bench != nil {
+		kind = "bench"
+	}
+	switch {
+	case p.static:
+		origin = "static"
+	case len(p.profile) > 0:
+		origin = "shipped"
+	}
+	sp.SetAttrs(obs.String("input", kind), obs.String("profile", origin))
+	mod, inputs, err := buildModule(p)
+	if err != nil || p.static {
+		return mod, nil, err
+	}
+	prof, steps, err := buildProfile(mod, inputs, p.profile)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp.SetAttrs(obs.Int("steps", steps))
+	return mod, prof, nil
+}
+
+// buildModule compiles the program — inline Mini-C source or a bundled
+// benchmark — and shapes its training input.
+func buildModule(p *program) (*ir.Module, []interp.Input, error) {
+	if p.bench != nil {
+		mod, err := p.bench.Compile()
+		if err != nil || p.dataset == nil {
+			return mod, nil, err
+		}
+		return mod, p.dataset.Make(), nil
+	}
+	prog, err := minic.Parse(p.source)
+	if err != nil {
+		return nil, nil, fmt.Errorf("parsing source: %w", err)
+	}
+	info, err := minic.Check(prog)
+	if err != nil {
+		return nil, nil, fmt.Errorf("checking source: %w", err)
+	}
+	mod, err := lower.Program(info)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lowering source: %w", err)
+	}
+	inputs, err := shapeInputs(mod, p.data, p.n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mod, inputs, nil
 }
 
 // shapeInputs matches the program entry signature against the provided
@@ -554,21 +663,23 @@ func shapeInputs(mod *ir.Module, data []int64, scalarN *int64) ([]interp.Input, 
 	return nil, fmt.Errorf("entry main must have signature (), (n) or (input[], n)")
 }
 
-// buildProfile returns the training profile: parsed from the request
-// when supplied, collected by running the program otherwise.
-func buildProfile(mod *ir.Module, inputs []interp.Input, raw json.RawMessage) (*interp.Profile, error) {
+// buildProfile returns the training profile, with the interpreter steps
+// it took: parsed from the request when supplied (0 steps), collected by
+// running the program otherwise.
+func buildProfile(mod *ir.Module, inputs []interp.Input, raw json.RawMessage) (*interp.Profile, int64, error) {
 	if len(raw) > 0 {
 		prof, err := interp.ReadProfileJSON(bytes.NewReader(raw), mod)
 		if err != nil {
-			return nil, fmt.Errorf("reading profile: %w", err)
+			return nil, 0, fmt.Errorf("reading profile: %w", err)
 		}
-		return prof, nil
+		return prof, 0, nil
 	}
 	prof := interp.NewProfile(mod)
-	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
-		return nil, fmt.Errorf("profiling run failed: %w", err)
+	res, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31})
+	if err != nil {
+		return nil, 0, fmt.Errorf("profiling run failed: %w", err)
 	}
-	return prof, nil
+	return prof, res.Steps, nil
 }
 
 func pickModel(name string) (machine.Model, error) {

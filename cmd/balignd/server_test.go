@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"branchalign/internal/obs"
 	"branchalign/internal/testutil"
 )
 
@@ -117,14 +118,41 @@ func TestAlignTraceEvents(t *testing.T) {
 	if len(res.TraceEvents) == 0 {
 		t.Fatal("trace:true returned no events")
 	}
-	found := false
+	spans := map[string]obs.Event{}
 	for _, e := range res.TraceEvents {
-		if e.Type == "span" && e.Name == "align.func" {
-			found = true
+		if e.Type == "span" {
+			spans[e.Name] = e
 		}
 	}
-	if !found {
+	if _, ok := spans["align.func"]; !ok {
 		t.Fatal("trace has no align.func span")
+	}
+	root, load := spans["balignd.align"], spans["engine.load"]
+	if root.Str("cache") != "miss" {
+		t.Errorf("root span cache=%q, want miss", root.Str("cache"))
+	}
+	if load.Parent != root.ID || load.Str("input") != "source" || load.Str("profile") != "run" || load.Int("steps") <= 0 {
+		t.Errorf("engine.load span %+v: want a child of balignd.align with input=source, profile=run, steps>0", load)
+	}
+
+	// The repeat is a hit: the root says so, and nothing was loaded or
+	// solved under it.
+	res, code = postAlign(t, ts, req)
+	if code != http.StatusOK {
+		t.Fatalf("repeat status %d", code)
+	}
+	hit := false
+	for _, e := range res.TraceEvents {
+		switch {
+		case e.Type != "span":
+		case e.Name == "balignd.align":
+			hit = e.Str("cache") == "hit"
+		case e.Name == "engine.load", e.Name == "align.func":
+			t.Errorf("cache hit recorded a %s span", e.Name)
+		}
+	}
+	if !hit {
+		t.Error("repeat's root span lacks cache=hit")
 	}
 }
 

@@ -25,7 +25,7 @@ func TestEngineAlgorithmSelection(t *testing.T) {
 		}
 		direct := a.Align(context.Background(), mod, prof, model)
 		res, err := e.Align(context.Background(), Request{
-			Module: mod, Profile: prof, Model: model, Seed: 5, Algorithm: name,
+			Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 5, Algorithm: name,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -40,7 +40,7 @@ func TestEngineUnknownAlgorithm(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
 	_, err := e.Align(context.Background(), Request{
-		Module: mod, Profile: prof, Model: machine.Alpha21164(), Algorithm: "simulated-annealing",
+		Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Algorithm: "simulated-annealing",
 	})
 	if !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
@@ -62,7 +62,7 @@ func TestEngineAlgorithmCacheSeparation(t *testing.T) {
 	model := machine.Alpha21164()
 	e := New(Options{})
 	for _, name := range []string{"tsp", "exttsp"} {
-		res, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: model, Algorithm: name})
+		res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Algorithm: name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestEngineAlgorithmCacheSeparation(t *testing.T) {
 	}
 	layouts := map[string]int{}
 	for _, name := range []string{"tsp", "exttsp"} {
-		res, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: model, Algorithm: name})
+		res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Algorithm: name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestEngineAlgorithmCacheSeparation(t *testing.T) {
 		t.Errorf("stats %+v, want 2 solves and 2 hits", st)
 	}
 	// An empty algorithm is the tsp default: same cache entry.
-	res, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: model})
+	res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestEngineAlgorithmNoCrossTalk(t *testing.T) {
 			wg.Add(1)
 			go func(i int, name string) {
 				defer wg.Done()
-				res, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: model, Algorithm: name})
+				res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Algorithm: name})
 				if err != nil {
 					t.Error(err)
 					return

@@ -9,12 +9,15 @@
 //     derives only from the request (seed + function index), never from
 //     shared mutable state, so identical requests give identical
 //     layouts regardless of interleaving;
-//   - a keyed result cache with single-flight deduplication: identical
-//     in-flight requests are coalesced onto one computation, and
-//     completed untruncated results are reused. Truncated (deadline- or
-//     budget-cut) results are never cached and never shared with
-//     concurrent duplicates, because a duplicate may carry a more
-//     generous budget and deserves the full-quality answer.
+//   - a keyed result cache with single-flight deduplication: requests
+//     are keyed on their own inputs, identical in-flight requests are
+//     coalesced onto one computation, and completed untruncated results
+//     are reused. Compiling and profiling is the request's lazy Load
+//     step, run only by the leader of a miss, so a cache hit or a
+//     coalesced duplicate never compiles or profiles anything.
+//     Truncated (deadline- or budget-cut) results are never cached and
+//     never shared with concurrent duplicates, because a duplicate may
+//     carry a more generous budget and deserves the full-quality answer.
 //
 // Cancellation follows the anytime contract of the underlying solvers:
 // a cancelled context truncates each in-flight per-function solve at
@@ -47,15 +50,16 @@ import (
 // tell the user precisely what to fix instead of parsing a blanket
 // message.
 var (
-	// ErrNoModule: the request carries no module at all.
-	ErrNoModule = errors.New("engine: request needs a Module")
-	// ErrNoProfile: the request carries no profile and did not opt into
-	// static estimation (set StaticProfile to run profile-less).
-	ErrNoProfile = errors.New("engine: request needs a Profile (or StaticProfile to estimate one)")
-	// ErrProfileConflict: the request supplied a measured profile and
-	// asked for static estimation at the same time; the engine refuses to
-	// guess which one the caller meant.
-	ErrProfileConflict = errors.New("engine: request sets both Profile and StaticProfile")
+	// ErrNoModule: the request has no Load, or its Load returned no
+	// module.
+	ErrNoModule = errors.New("engine: request needs a Load that returns a module")
+	// ErrNoProfile: Load returned no profile and the request did not opt
+	// into static estimation (set StaticProfile to run profile-less).
+	ErrNoProfile = errors.New("engine: Load returned no profile (set StaticProfile to estimate one)")
+	// ErrProfileConflict: Load returned a measured profile for a request
+	// that asked for static estimation; the engine refuses to guess which
+	// one the caller meant.
+	ErrProfileConflict = errors.New("engine: Load returned a profile for a StaticProfile request")
 	// ErrUnknownAlgorithm: Request.Algorithm names no registered aligner.
 	// The returned error wraps this sentinel and lists the known names.
 	ErrUnknownAlgorithm = errors.New("engine: unknown algorithm")
@@ -86,17 +90,30 @@ type Options struct {
 	Registry *obs.Registry
 }
 
-// Request describes one alignment job. Module and Profile are borrowed
-// for the duration of the call and must not be mutated concurrently.
+// Request describes one alignment job. The engine keys it on Inputs and
+// the fields below, and calls Load only when it has to solve.
 type Request struct {
-	Module  *ir.Module
-	Profile *interp.Profile
-	Model   machine.Model
+	// Inputs is a canonical encoding of everything Load reads. The engine
+	// never interprets it: it hashes it, once, into the cache and
+	// single-flight key, so requests with equal Inputs (and equal mode,
+	// model, algorithm, seed and work caps) are one computation. Borrowed
+	// for the duration of the call.
+	Inputs []byte
+	// Load compiles the program and profiles it; it must be a pure
+	// function of Inputs. The engine calls it only on a miss, from the
+	// single-flight leader: cache hits and coalesced duplicates never
+	// compile or profile. sp is the engine.load span (nil when untraced)
+	// for Load to annotate. The returned module and profile are borrowed
+	// for the solve and must not be mutated concurrently. Load errors
+	// reach the caller and every coalesced duplicate, and are never
+	// cached.
+	Load  func(sp *obs.Span) (*ir.Module, *interp.Profile, error)
+	Model machine.Model
 
-	// StaticProfile runs the request profile-less: the engine estimates a
-	// synthetic profile from CFG structure (staticprof.Estimate) and
-	// aligns against it. Mutually exclusive with Profile. Estimated and
-	// measured requests can never collide in the result cache — the
+	// StaticProfile runs the request profile-less: Load returns only the
+	// module, and the engine estimates a synthetic profile from CFG
+	// structure (staticprof.Estimate) and aligns against it. Estimated
+	// and measured requests can never collide in the result cache — the
 	// profile mode is a structural component of the cache key.
 	StaticProfile bool
 
@@ -122,10 +139,10 @@ type Request struct {
 	// Bound additionally computes the per-function Held-Karp lower
 	// bounds (HKIterations subgradient iterates, default 1000). The
 	// ascents warm-start from the engine's per-instance dual-state
-	// cache, so a later request on the same module/profile/model —
-	// even with a different seed, algorithm or iteration budget — may
-	// report tighter (never weaker, never invalid) bounds than a cold
-	// engine would.
+	// cache, so a later request on the same Inputs, profile mode and
+	// model — even with a different seed, algorithm or iteration
+	// budget — may report tighter (never weaker, never invalid) bounds
+	// than a cold engine would.
 	Bound        bool
 	HKIterations int
 
@@ -204,16 +221,16 @@ type Engine struct {
 
 	mu       sync.Mutex
 	cache    *lru[*Result]
-	inflight map[string]*call
-	// warm caches Held-Karp warm-start states per instance (boundKey):
-	// one dual vector per function, from the best iterate of the last
-	// bound computation on that (module, profile, model). A later
-	// request on the same instance — different seed, algorithm or
-	// iteration budget — resumes its ascents from these states instead
-	// of re-climbing from zero, so its bounds converge in fewer
-	// iterates and are never weaker than the cached state's. Entries
-	// are immutable once stored (requests copy on read and replace on
-	// write), so readers never race writers.
+	inflight map[Key]*call
+	// warm caches Held-Karp warm-start states per instance
+	// (instanceKey): one dual vector per function, from the best iterate
+	// of the last bound computation on that (Inputs, profile mode,
+	// model). A later request on the same instance — different seed,
+	// algorithm or iteration budget — resumes its ascents from these
+	// states instead of re-climbing from zero, so its bounds converge
+	// in fewer iterates and are never weaker than the cached state's.
+	// Entries are immutable once stored (requests copy on read and
+	// replace on write), so readers never race writers.
 	warm *lru[[]*tsp.HKWarmState]
 }
 
@@ -243,7 +260,7 @@ func New(o Options) *Engine {
 		parallelism: o.Parallelism,
 		cache:       newLRU[*Result](entries),
 		warm:        newLRU[[]*tsp.HKWarmState](entries),
-		inflight:    map[string]*call{},
+		inflight:    map[Key]*call{},
 	}
 	e.cache.onEvict = func() { e.met.evictions.Inc() }
 	e.met = newMetrics(reg, e.pool, func() float64 {
@@ -271,22 +288,12 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Align runs one alignment request. It returns an error only for
-// malformed requests; cancellation and deadline expiry yield a valid
-// truncated Result, never an error (the anytime contract).
+// Align runs one alignment request. It returns an error only for a
+// malformed request or a failed Load; cancellation and deadline expiry
+// yield a valid truncated Result, never an error (the anytime contract).
 func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
-	if req.Module == nil {
+	if req.Load == nil {
 		return nil, ErrNoModule
-	}
-	if req.Profile == nil && !req.StaticProfile {
-		return nil, ErrNoProfile
-	}
-	if req.Profile != nil && req.StaticProfile {
-		return nil, ErrProfileConflict
-	}
-	if req.Profile != nil && len(req.Profile.Funcs) != len(req.Module.Funcs) {
-		return nil, fmt.Errorf("engine: profile has %d functions, module has %d",
-			len(req.Profile.Funcs), len(req.Module.Funcs))
 	}
 	if req.Algorithm == "" {
 		req.Algorithm = "tsp"
@@ -297,10 +304,8 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key, err := requestKey(req)
-	if err != nil {
-		return nil, err
-	}
+	inst := instanceKey(&req)
+	key := resultKey(inst, &req)
 	start := time.Now()
 	e.met.requests.Inc()
 
@@ -325,24 +330,29 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 		case <-c.done:
 		case <-ctx.Done():
 			// This request's deadline expired while waiting on a peer.
-			// The anytime contract still applies: solve directly with
-			// the expired context, which truncates at the first budget
-			// check and yields a valid best-effort layout.
+			// The anytime contract still applies: load and solve
+			// directly with the expired context, which truncates at the
+			// first budget check and yields a valid best-effort layout.
 			e.met.cacheMisses.Inc()
-			res, err := e.solve(ctx, req)
+			res, err := e.solve(ctx, req, inst)
 			e.finishSolve(res, err)
 			e.met.observe(start, req.StaticProfile, "miss", req.Algorithm)
 			return res, err
 		}
-		if c.err == nil && !c.res.Truncated {
+		if c.err != nil || !c.res.Truncated {
+			// A failed leader's error is shared too: Load is a pure
+			// function of Inputs, so this request would fail the same way.
 			e.met.coalesced.Inc()
 			e.met.observe(start, req.StaticProfile, "coalesced", req.Algorithm)
+			if c.err != nil {
+				return nil, c.err
+			}
 			shared := *c.res
 			shared.Coalesced = true
 			return &shared, nil
 		}
-		// The leader was truncated under its own deadline (or failed);
-		// this request may have a longer one — retry from the top.
+		// The leader was truncated under its own deadline; this request
+		// may have a longer one — retry from the top.
 		e.mu.Lock()
 	}
 	c := &call{done: make(chan struct{})}
@@ -351,7 +361,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.met.cacheMisses.Inc()
 	e.met.inFlight.Add(1)
 
-	res, err := e.solve(ctx, req)
+	res, err := e.solve(ctx, req, inst)
 
 	e.met.inFlight.Add(-1)
 	e.finishSolve(res, err)
@@ -371,7 +381,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 // fan-out: deep copies of the cached per-function states under key (or
 // zero states on a miss), so the request's ascents can mutate them
 // freely while the cached entry stays immutable for concurrent readers.
-func (e *Engine) warmStates(key string, n int) []*tsp.HKWarmState {
+func (e *Engine) warmStates(key Key, n int) []*tsp.HKWarmState {
 	e.mu.Lock()
 	cached, _ := e.warm.get(key)
 	e.mu.Unlock()
@@ -398,15 +408,41 @@ func (e *Engine) finishSolve(res *Result, err error) {
 	}
 }
 
-// solve performs the actual per-function fan-out under the shared
-// worker pool.
-func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
-	mod, prof := req.Module, req.Profile
-	if req.StaticProfile {
-		// Profile-less request: estimate one from CFG structure. The
-		// estimate is a pure function of the module, so the cache key's
-		// profile-mode tag plus the module digest fully determine it.
+// load runs the request's Load under an engine.load span and checks
+// what it returned. A StaticProfile request's profile is estimated here,
+// inside the span, so solve aligns against one profile source either
+// way.
+func load(req *Request) (*ir.Module, *interp.Profile, error) {
+	sp := req.Obs.Child("engine.load")
+	defer sp.End()
+	mod, prof, err := req.Load(sp)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case mod == nil:
+		return nil, nil, ErrNoModule
+	case req.StaticProfile && prof != nil:
+		return nil, nil, ErrProfileConflict
+	case req.StaticProfile:
+		// The estimate is a pure function of the module, so the key's
+		// profile-mode tag plus Inputs fully determine it.
 		prof, _ = staticprof.Estimate(mod)
+	case prof == nil:
+		return nil, nil, ErrNoProfile
+	case len(prof.Funcs) != len(mod.Funcs):
+		return nil, nil, fmt.Errorf("engine: profile has %d functions, module has %d",
+			len(prof.Funcs), len(mod.Funcs))
+	}
+	return mod, prof, nil
+}
+
+// solve loads the request's module and profile, then performs the
+// per-function fan-out under the shared worker pool. inst is the
+// request's instance key, under which its Held-Karp warm states live.
+func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, error) {
+	mod, prof, err := load(&req)
+	if err != nil {
+		return nil, err
 	}
 	opts := tsp.PaperSolveOptions(req.Seed)
 	opts.Context = ctx
@@ -439,17 +475,13 @@ func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
 	bounds := make([]align.FuncBoundResult, n)
 
 	// Warm-start states for the bound computations: per-function dual
-	// vectors cached by instance identity (boundKey — module, profile,
+	// vectors cached by instance identity (inst — Inputs, profile mode,
 	// model; not seed/algorithm/budget). Each request works on private
 	// copies and publishes them back after the fan-out, so concurrent
 	// requests on the same instance never share mutable state.
 	var warm []*tsp.HKWarmState
-	var warmKey string
 	if req.Bound {
-		if bk, err := boundKey(req); err == nil {
-			warmKey = bk
-			warm = e.warmStates(bk, n)
-		}
+		warm = e.warmStates(inst, n)
 	}
 
 	// The Held-Karp bound is on the control penalty of ANY layout of the
@@ -526,7 +558,7 @@ func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
 		// instance. Concurrent requests race benignly: whichever slice
 		// lands last is a complete, valid set of states.
 		e.mu.Lock()
-		e.warm.put(warmKey, warm)
+		e.warm.put(inst, warm)
 		e.mu.Unlock()
 	}
 

@@ -11,6 +11,7 @@ import (
 	"branchalign/internal/ir"
 	"branchalign/internal/layout"
 	"branchalign/internal/machine"
+	"branchalign/internal/obs"
 	"branchalign/internal/testutil"
 	"branchalign/internal/tsp"
 )
@@ -22,6 +23,14 @@ func branchy(t *testing.T) (*ir.Module, *interp.Profile) {
 		t.Fatal(err)
 	}
 	return mod, prof
+}
+
+// branchyInputs is the label engine tests key the branchy program on;
+// loaded hands its module and profile back as the request's Load.
+var branchyInputs = []byte("branchy")
+
+func loaded(mod *ir.Module, prof *interp.Profile) func(*obs.Span) (*ir.Module, *interp.Profile, error) {
+	return func(*obs.Span) (*ir.Module, *interp.Profile, error) { return mod, prof, nil }
 }
 
 func sameLayout(t *testing.T, a, b *layout.Layout) {
@@ -52,7 +61,7 @@ func TestEngineMatchesAligner(t *testing.T) {
 	direct := align.NewTSP(3).Align(context.Background(), mod, prof, model)
 
 	e := New(Options{})
-	res, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: model, Seed: 3})
+	res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +77,7 @@ func TestEngineMatchesAligner(t *testing.T) {
 func TestEngineCacheHit(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
-	req := Request{Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 1}
+	req := Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1}
 
 	first, err := e.Align(context.Background(), req)
 	if err != nil {
@@ -106,7 +115,7 @@ func TestEngineCacheHit(t *testing.T) {
 func TestEngineDeadlineExcludedFromKey(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
-	req := Request{Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 1}
+	req := Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1}
 	if _, err := e.Align(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestEngineTruncatedNotCached(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
 	req := Request{
-		Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 1,
+		Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1,
 		Budget: tsp.Budget{Deadline: time.Now().Add(-time.Second)},
 	}
 	res, err := e.Align(context.Background(), req)
@@ -157,7 +166,7 @@ func TestEngineBounds(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
 	res, err := e.Align(context.Background(), Request{
-		Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 1,
+		Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1,
 		Bound: true, HKIterations: 300,
 	})
 	if err != nil {
@@ -183,7 +192,7 @@ func TestEngineWarmStartTightensBounds(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{Workers: 2})
 	req := Request{
-		Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 1,
+		Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1,
 		Bound: true, HKIterations: 60,
 	}
 	first, err := e.Align(context.Background(), req)
@@ -223,7 +232,7 @@ func TestEngineConcurrentIdenticalCoalesce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			res, err := e.Align(context.Background(), Request{
-				Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 5,
+				Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 5,
 			})
 			if err != nil {
 				t.Error(err)
@@ -262,7 +271,7 @@ func TestEngineConcurrentMixed(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := Request{
-				Module: mod, Profile: prof, Model: machine.Alpha21164(),
+				Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(),
 				Seed: int64(i % 6), Bound: i%3 == 0, HKIterations: 100,
 			}
 			if i%4 == 0 {
@@ -284,13 +293,13 @@ func TestEngineConcurrentMixed(t *testing.T) {
 func TestEngineRejectsMalformedRequest(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
-	if _, err := e.Align(context.Background(), Request{Profile: prof}); err == nil {
+	if _, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(nil, prof)}); err == nil {
 		t.Fatal("nil module accepted")
 	}
-	if _, err := e.Align(context.Background(), Request{Module: mod}); err == nil {
+	if _, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, nil)}); err == nil {
 		t.Fatal("nil profile accepted")
 	}
-	if _, err := e.Align(context.Background(), Request{Module: mod, Profile: &interp.Profile{}}); err == nil {
+	if _, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, &interp.Profile{})}); err == nil {
 		t.Fatal("mismatched profile accepted")
 	}
 }

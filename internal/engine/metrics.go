@@ -49,7 +49,7 @@ func newMetrics(reg *obs.Registry, pool *work.Pool, entries func() float64) metr
 		coalesced:   reg.Counter("engine_coalesced_total", "Requests deduplicated onto an identical in-flight solve (single-flight)."),
 		solves:      reg.Counter("engine_solves_total", "Solves that ran to completion (including truncated ones)."),
 		truncated:   reg.Counter("engine_truncated_total", "Completed solves cut short by a deadline or work budget."),
-		errors:      reg.Counter("engine_errors_total", "Solves that failed (malformed requests are rejected before counting)."),
+		errors:      reg.Counter("engine_errors_total", "Solves that failed, a failed Load included (malformed requests are rejected before counting)."),
 		inFlight:    reg.Gauge("engine_in_flight", "Leader solves executing right now."),
 		solveDur: reg.HistogramVec("engine_solve_duration_seconds",
 			"Engine request latency by profile mode, cache outcome and algorithm.",

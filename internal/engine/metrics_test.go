@@ -20,7 +20,7 @@ func TestEngineMetricsPlane(t *testing.T) {
 	e := New(Options{Registry: reg, CacheEntries: 1})
 
 	ctx := context.Background()
-	req := Request{Module: mod, Profile: prof, Model: model, Seed: 1}
+	req := Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 1}
 	if _, err := e.Align(ctx, req); err != nil { // miss + solve
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestEngineMetricsPlane(t *testing.T) {
 func TestEngineWithoutRegistry(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
-	if _, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 9}); err != nil {
+	if _, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()

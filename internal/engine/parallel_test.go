@@ -15,7 +15,7 @@ import (
 func TestCacheKeyIgnoresParallelism(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{Workers: 4})
-	base := Request{Module: mod, Profile: prof, Model: machine.Alpha21164(), Seed: 1}
+	base := Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1}
 
 	seq := base // Parallelism 0: runs solved sequentially
 	first, err := e.Align(context.Background(), seq)
@@ -62,7 +62,7 @@ func TestEngineParallelMatchesAligner(t *testing.T) {
 	direct := align.NewTSP(3).Align(context.Background(), mod, prof, model)
 
 	e := New(Options{Workers: 3, Parallelism: 8})
-	res, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: model, Seed: 3})
+	res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,17 +17,20 @@ func TestEngineValidationErrors(t *testing.T) {
 	e := New(Options{})
 	ctx := context.Background()
 
-	if _, err := e.Align(ctx, Request{Profile: prof}); !errors.Is(err, ErrNoModule) {
+	if _, err := e.Align(ctx, Request{Inputs: branchyInputs}); !errors.Is(err, ErrNoModule) {
+		t.Errorf("no Load: got %v, want ErrNoModule", err)
+	}
+	if _, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: loaded(nil, prof)}); !errors.Is(err, ErrNoModule) {
 		t.Errorf("nil module: got %v, want ErrNoModule", err)
 	}
-	if _, err := e.Align(ctx, Request{Module: mod}); !errors.Is(err, ErrNoProfile) {
+	if _, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: loaded(mod, nil)}); !errors.Is(err, ErrNoProfile) {
 		t.Errorf("nil profile: got %v, want ErrNoProfile", err)
 	}
-	if _, err := e.Align(ctx, Request{Module: mod, Profile: prof, StaticProfile: true}); !errors.Is(err, ErrProfileConflict) {
+	if _, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: loaded(mod, prof), StaticProfile: true}); !errors.Is(err, ErrProfileConflict) {
 		t.Errorf("profile + static: got %v, want ErrProfileConflict", err)
 	}
 	// Shape mismatch stays a plain (non-sentinel) error.
-	if _, err := e.Align(ctx, Request{Module: mod, Profile: &interp.Profile{}}); err == nil {
+	if _, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: loaded(mod, &interp.Profile{})}); err == nil {
 		t.Error("mismatched profile accepted")
 	} else if errors.Is(err, ErrNoProfile) || errors.Is(err, ErrNoModule) {
 		t.Errorf("shape mismatch mapped onto wrong sentinel: %v", err)
@@ -42,7 +45,7 @@ func TestEngineStaticProfile(t *testing.T) {
 	model := machine.Alpha21164()
 	e := New(Options{})
 
-	res, err := e.Align(context.Background(), Request{Module: mod, StaticProfile: true, Model: model, Seed: 3})
+	res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, nil), StaticProfile: true, Model: model, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestEngineStaticProfile(t *testing.T) {
 	}
 
 	est, _ := staticprof.Estimate(mod)
-	direct, err := e.Align(context.Background(), Request{Module: mod, Profile: est, Model: model, Seed: 3})
+	direct, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, est), Model: model, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +69,15 @@ func TestEngineStaticProfile(t *testing.T) {
 
 // TestEngineStaticMeasuredNeverCollide is the acceptance criterion: an
 // estimated-profile result must never be served to a measured-profile
-// request or vice versa, even when the measured profile is byte-identical
-// to the estimate.
+// request or vice versa, even when both carry the same Inputs and the
+// measured profile is byte-identical to the estimate.
 func TestEngineStaticMeasuredNeverCollide(t *testing.T) {
 	mod, _ := branchy(t)
 	model := machine.Alpha21164()
 	e := New(Options{})
 	ctx := context.Background()
 
-	static, err := e.Align(ctx, Request{Module: mod, StaticProfile: true, Model: model, Seed: 1})
+	static, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: loaded(mod, nil), StaticProfile: true, Model: model, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestEngineStaticMeasuredNeverCollide(t *testing.T) {
 	}
 
 	// Same static request again: cache hit, still flagged estimated.
-	again, err := e.Align(ctx, Request{Module: mod, StaticProfile: true, Model: model, Seed: 1})
+	again, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: loaded(mod, nil), StaticProfile: true, Model: model, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestEngineStaticMeasuredNeverCollide(t *testing.T) {
 	// The worst case for key collision: a *measured* request whose
 	// profile is the estimator's output bit for bit. It must miss.
 	est, _ := staticprof.Estimate(mod)
-	measured, err := e.Align(ctx, Request{Module: mod, Profile: est, Model: model, Seed: 1})
+	measured, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: loaded(mod, est), Model: model, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

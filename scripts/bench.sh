@@ -14,6 +14,7 @@
 # before/after pair is always measured on the same benchmark set:
 #
 #   scripts/bench.sh threeopt        # BenchmarkLargeSolve (vs threeopt_pre)
+#   scripts/bench.sh engine          # BenchmarkEngineDispatch
 #
 # BENCHTIME overrides -benchtime (default 20x: the sparse/dense kernel
 # benchmarks are deterministic per iteration, so a fixed iteration count
@@ -28,6 +29,7 @@ threeopt*) default_regex='BenchmarkLargeSolve' ;;
 parallel*) default_regex='BenchmarkSolveParallel|BenchmarkBoundParallel' ;;
 exttsp*) default_regex='BenchmarkExtTSP' ;;
 heldkarp*) default_regex='BenchmarkHeldKarpBound' ;;
+engine*) default_regex='BenchmarkEngineDispatch' ;;
 *) default_regex='.' ;;
 esac
 regex=${2:-$default_regex}

@@ -56,6 +56,18 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 1000 ]; then
 	exit 1
 fi
 
+echo "== dispatch-alloc gate (a cache hit is a hash and a lookup)"
+# A cached engine request hashes its Inputs, finds the LRU entry and
+# copies the result in ~5 allocs/op. The ceiling is generous, but a hit
+# path that prints, serializes or loads its module lands far above it.
+out=$(go test -run '^$' -bench 'BenchmarkEngineDispatch/cached' -benchtime 100x -benchmem -timeout 10m .)
+echo "$out"
+allocs=$(echo "$out" | awk '/BenchmarkEngineDispatch\/cached/ {print $(NF-1)}')
+if [ -z "$allocs" ] || [ "$allocs" -gt 64 ]; then
+	echo "ci: engine dispatch allocation regression (${allocs:-no result} allocs/op, ceiling 64)"
+	exit 1
+fi
+
 echo "== metrics-smoke (boot balignd, align once, scrape /metrics)"
 # Black-box gate on the metrics plane: the exposition must be
 # scrapeable from a real process with the core families present and

@@ -47,7 +47,7 @@ echo "$resp"
 echo "$resp" | grep -q '"penalty":' || { echo "no penalty in response" >&2; exit 1; }
 echo "$resp" | grep -q '"bound":' || { echo "no bound in response" >&2; exit 1; }
 echo "$resp" | grep -q '"funcs":' || { echo "no per-function stats" >&2; exit 1; }
-echo "$resp" | grep -q '"truncated": false' || { echo "demo request was truncated" >&2; exit 1; }
+echo "$resp" | grep -q '"truncated":false' || { echo "demo request was truncated" >&2; exit 1; }
 
 echo "== server stats"
 curl -sf "http://$addr/v1/stats"
