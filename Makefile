@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-obs race-engine vet-benchmarks vet-static bench bench-smoke bench-snapshot metrics-smoke trace-demo serve-demo clean
+.PHONY: ci fmt vet build test race race-obs race-engine vet-benchmarks vet-static bench bench-smoke bench-snapshot examples-smoke metrics-smoke trace-demo serve-demo clean
 
-ci: fmt vet build race-obs race-engine race bench-smoke metrics-smoke vet-static
+ci: fmt vet build race-obs race-engine race bench-smoke examples-smoke metrics-smoke vet-static
 
 # gofmt -l prints offending files; fail if any.
 fmt:
@@ -75,6 +75,14 @@ LABEL ?= local
 BENCH ?= .
 bench-snapshot:
 	scripts/bench.sh $(LABEL) '$(BENCH)'
+
+# Run every examples/* program to completion (go build only compiles
+# them), as in scripts/ci.sh.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # Boot balignd, serve one align request, and verify /metrics exposes
 # live HTTP/engine/pool families (and that readiness flips on drain).

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"branchalign/internal/align"
-	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 	"branchalign/internal/obs"
 	"branchalign/internal/tsp"
@@ -27,7 +26,7 @@ func solveInstance(b *testing.B) (*tsp.SparseMatrix, tsp.SolveOptions) {
 	b.Helper()
 	f, fp := largestBundledFunc(b)
 	m := machine.Alpha21164()
-	mat := align.BuildSparseMatrix(f, fp, layout.Predictions(f, fp), m)
+	mat := align.BuildSparseMatrix(f, fp, m, nil)
 	return mat, tsp.PaperSolveOptions(1)
 }
 

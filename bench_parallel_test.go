@@ -30,7 +30,7 @@ import (
 func BenchmarkSolveParallel(b *testing.B) {
 	m := machine.Alpha21164()
 	f, fp := largestBundledFunc(b)
-	sp := align.BuildSparseMatrixForFunc(f, fp, m)
+	sp := align.BuildSparseMatrix(f, fp, m, nil)
 	for _, workers := range []int{1, 2, 4, 8} {
 		opts := tsp.PaperSolveOptions(1)
 		opts.ExactThreshold = 0 // force the multi-start path being measured
@@ -58,7 +58,7 @@ func BenchmarkBoundParallel(b *testing.B) {
 	mats := make([]*tsp.SparseMatrix, instances)
 	for i := range mats {
 		f, fp := synthFuncSeeded(b, 300, int64(i+1))
-		mats[i] = align.BuildSparseMatrixForFunc(f, fp, m)
+		mats[i] = align.BuildSparseMatrix(f, fp, m, nil)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		pool := work.NewPool(workers)

@@ -150,21 +150,19 @@ func BenchmarkAppendixBounds(b *testing.B) {
 
 // --- Core algorithm micro-benchmarks ---
 
-func synthInstance(b *testing.B, blocks int) (*tsp.Matrix, *core.Suite) {
+func synthInstance(b *testing.B, blocks int) *tsp.SparseMatrix {
 	b.Helper()
 	mod, prof, err := bench.Synthesize(bench.DefaultSynth(blocks, 7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := machine.Alpha21164()
-	mat := align.BuildMatrixForFunc(mod.Funcs[0], prof.Funcs[0], m)
-	return mat, nil
+	return align.BuildSparseMatrix(mod.Funcs[0], prof.Funcs[0], machine.Alpha21164(), nil)
 }
 
 // BenchmarkIteratedThreeOpt measures the paper's solver protocol on a
 // 60-block synthetic procedure.
 func BenchmarkIteratedThreeOpt(b *testing.B) {
-	mat, _ := synthInstance(b, 60)
+	mat := synthInstance(b, 60)
 	opts := tsp.PaperSolveOptions(1)
 	opts.ExactThreshold = 0
 	b.ResetTimer()
@@ -175,7 +173,7 @@ func BenchmarkIteratedThreeOpt(b *testing.B) {
 
 // BenchmarkHeldKarp measures the 1-tree subgradient bound.
 func BenchmarkHeldKarp(b *testing.B) {
-	mat, _ := synthInstance(b, 60)
+	mat := synthInstance(b, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tsp.HeldKarpBound(mat, tsp.HeldKarpOptions{Iterations: 500})
@@ -184,7 +182,7 @@ func BenchmarkHeldKarp(b *testing.B) {
 
 // BenchmarkHungarian measures the assignment-problem bound.
 func BenchmarkHungarian(b *testing.B) {
-	mat, _ := synthInstance(b, 120)
+	mat := synthInstance(b, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tsp.AssignmentBound(mat)
@@ -194,7 +192,7 @@ func BenchmarkHungarian(b *testing.B) {
 // BenchmarkExactDP measures the Held-Karp dynamic program on the largest
 // instance the TSP aligner solves exactly.
 func BenchmarkExactDP(b *testing.B) {
-	mat, _ := synthInstance(b, 12)
+	mat := synthInstance(b, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tsp.SolveExact(mat)

@@ -156,6 +156,39 @@ func TestAlignTraceEvents(t *testing.T) {
 	}
 }
 
+// TestAlignBuildsEachMatrixOnce: a traced bound request builds each
+// function's DTSP matrix exactly once, shared by the solve and the bound
+// under tsp, and traced on the bound path under exttsp.
+func TestAlignBuildsEachMatrixOnce(t *testing.T) {
+	ts := httptest.NewServer(newServer(serverConfig{}))
+	defer ts.Close()
+	for _, alg := range []string{"tsp", "exttsp"} {
+		req := alignRequest{Bench: "compress", Algorithm: alg, Bound: true, HKIterations: 50, Trace: true}
+		res, code := postAlign(t, ts, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d", alg, code)
+		}
+		if len(res.Funcs) < 2 {
+			t.Fatalf("%s: %d functions, want a multi-function program", alg, len(res.Funcs))
+		}
+		builds := map[string]int{}
+		for _, e := range res.TraceEvents {
+			if e.Type == "span" && e.Name == "align.build_matrix" {
+				builds[e.Str("func")]++
+			}
+		}
+		for _, f := range res.Funcs {
+			if builds[f.Name] != 1 {
+				t.Errorf("%s: func %s has %d align.build_matrix spans, want 1", alg, f.Name, builds[f.Name])
+			}
+			delete(builds, f.Name)
+		}
+		for name, n := range builds {
+			t.Errorf("%s: %d align.build_matrix spans for unknown func %q", alg, n, name)
+		}
+	}
+}
+
 func TestAlignRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(newServer(serverConfig{}))
 	defer ts.Close()

@@ -43,7 +43,7 @@ func main() {
 		if n < 3 {
 			continue
 		}
-		mat := align.BuildMatrixForFunc(f, prof.Funcs[fi], model)
+		mat := align.BuildSparseMatrix(f, prof.Funcs[fi], model, nil)
 		ap := tsp.AssignmentBound(mat)
 		res := tsp.Solve(mat, tsp.PaperSolveOptions(1))
 		hk := tsp.HeldKarpBound(mat, tsp.HeldKarpOptions{UpperBound: res.Cost, Iterations: 2000})

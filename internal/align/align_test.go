@@ -32,8 +32,7 @@ func TestMatrixWalkCostEqualsLayoutPenalty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for fi, f := range mod.Funcs {
 		fp := prof.Funcs[fi]
-		pred := layout.Predictions(f, fp)
-		mat := BuildMatrix(f, fp, pred, m)
+		mat := BuildSparseMatrix(f, fp, m, nil)
 		for trial := 0; trial < 30; trial++ {
 			tour := tsp.IdentityTour(len(f.Blocks))
 			rest := tour[1:]
@@ -101,8 +100,7 @@ func TestTSPMatchesExactOnSmallFunctions(t *testing.T) {
 			continue
 		}
 		fp := prof.Funcs[fi]
-		pred := layout.Predictions(f, fp)
-		mat := BuildMatrix(f, fp, pred, m)
+		mat := BuildSparseMatrix(f, fp, m, nil)
 		_, opt := tsp.SolveExact(mat)
 		pen := layout.Penalty(f, l.Funcs[fi], fp, m)
 		if pen != opt {
@@ -117,7 +115,12 @@ func TestBoundsSandwich(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
 	hk := HeldKarpLowerBound(mod, prof, m, tsp.HeldKarpOptions{})
-	ap := AssignmentLowerBound(mod, prof, m)
+	var ap layout.Cost
+	for fi, f := range mod.Funcs {
+		if len(f.Blocks) > 1 {
+			ap += tsp.AssignmentBound(BuildSparseMatrix(f, prof.Funcs[fi], m, nil))
+		}
+	}
 	tspPen := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
 	origPen := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
 	if ap > tspPen {
@@ -212,7 +215,7 @@ func TestSolveFuncDiagnostics(t *testing.T) {
 	m := machine.Alpha21164()
 	a := NewTSP(1)
 	for fi, f := range mod.Funcs {
-		res := a.SolveFunc(f, prof.Funcs[fi], m, tsp.PaperSolveOptions(1), int64(fi))
+		res := a.SolveFunc(f, BuildSparseMatrix(f, prof.Funcs[fi], m, nil), tsp.PaperSolveOptions(1), int64(fi))
 		if res.Cities != len(f.Blocks) {
 			t.Errorf("func %d: Cities = %d, want %d", fi, res.Cities, len(f.Blocks))
 		}

@@ -12,11 +12,12 @@ import (
 	"branchalign/internal/work"
 )
 
-// BuildMatrix constructs the DTSP instance for one function, per Section
-// 2.2 of the paper: a complete directed graph over the function's blocks
-// where the cost of edge (B, X) is the penalty accrued at the end of B
-// when X succeeds it in the layout (including the cost of any fixup
-// branches the placement forces).
+// BuildSparseMatrix constructs the DTSP instance for one function, per
+// Section 2.2 of the paper: a complete directed graph over the function's
+// blocks where the cost of edge (B, X) is the penalty accrued at the end
+// of B when X succeeds it in the layout (including the cost of any fixup
+// branches the placement forces). It is the only builder; the solve, both
+// bounds and any tour-cost check of one function share its result.
 //
 // The paper adds "a dummy block representing the end of the layout"; here
 // the dummy is merged with the entry block into city 0 (the entry must be
@@ -26,35 +27,22 @@ import (
 // forbidden-edge constants are needed, which also tightens the Held-Karp
 // bound. City k corresponds to block k; a tour rotated to start at city 0
 // is exactly a block order.
-func BuildMatrix(f *ir.Func, fp *interp.FuncProfile, pred []int, m machine.Model) *tsp.Matrix {
-	n := len(f.Blocks)
-	mat := tsp.NewMatrix(n)
-	for b := 0; b < n; b++ {
-		for x := 0; x < n; x++ {
-			if b == x {
-				continue
-			}
-			if x == 0 {
-				// Closing the cycle into city 0 means "b is the last
-				// block of the layout".
-				mat.Set(b, x, layout.SuccessorCost(f, fp, pred, b, -1, m))
-				continue
-			}
-			mat.Set(b, x, layout.SuccessorCost(f, fp, pred, b, x, m))
-		}
-	}
-	return mat
-}
-
-// BuildSparseMatrix constructs the same DTSP instance as BuildMatrix in
-// sparse form, in O(V+E) time and memory instead of Θ(V²). Each row of
-// the instance takes at most outdegree(B)+1 distinct values — one per CFG
+//
+// The instance is built in O(V+E) time and memory instead of Θ(V²). Each
+// row takes at most outdegree(B)+1 distinct values — one per CFG
 // successor plus a row-constant "displaced" cost that also covers the
 // end-of-layout column 0 (layout.SuccessorCostRow) — so the whole matrix
 // is a per-row default plus an exception list the size of the CFG edge
-// set. tsp.SparseMatrix.At agrees with the dense matrix entry-for-entry;
-// the sparse solver kernels exploit the structure directly.
-func BuildSparseMatrix(f *ir.Func, fp *interp.FuncProfile, pred []int, m machine.Model) *tsp.SparseMatrix {
+// set. At(b, x) equals layout.SuccessorCost(f, fp, pred, b, x, m), with
+// x = -1 for column 0 and pred = layout.Predictions(f, fp).
+//
+// The build is recorded as an "align.build_matrix" span under sp, tagged
+// with the function name and exception count, and each row's exception
+// count goes to the "align.row_exceptions" histogram. A nil sp records
+// nothing.
+func BuildSparseMatrix(f *ir.Func, fp *interp.FuncProfile, m machine.Model, sp *obs.Span) *tsp.SparseMatrix {
+	bm := sp.Child("align.build_matrix", obs.String("func", f.Name))
+	pred := layout.Predictions(f, fp)
 	n := len(f.Blocks)
 	sb := tsp.NewSparseBuilder(n)
 	var succs []int
@@ -96,7 +84,15 @@ func BuildSparseMatrix(f *ir.Func, fp *interp.FuncProfile, pred []int, m machine
 		}
 		sb.AddRow(def, cols, vals) // AddRow copies, so the scratch is reusable
 	}
-	return sb.Finish()
+	mat := sb.Finish()
+	if bm != nil {
+		bm.End(obs.Int("exceptions", int64(mat.Exceptions())))
+		for b := 0; b < n; b++ {
+			cols, _ := mat.Row(b)
+			sp.Observe("align.row_exceptions", float64(len(cols)))
+		}
+	}
+	return mat
 }
 
 // TSP is the paper's aligner: reduce each function to a DTSP and solve it
@@ -113,10 +109,11 @@ type TSP struct {
 	// so enabling both never oversubscribes the machine.
 	Parallel bool
 	// Obs, when non-nil, is the parent span per-function solver telemetry
-	// is recorded under: one "align.func" span per function (matrix
-	// build, per-row exception histogram, tsp.solve sub-spans with
-	// convergence series). Safe with Parallel — spans are created
-	// concurrently under the shared parent. Nil records nothing.
+	// is recorded under: per function, one "align.build_matrix" span
+	// (with the per-row exception histogram) and one "align.func" span
+	// (tsp.solve sub-spans with convergence series). Safe with Parallel —
+	// spans are created concurrently under the shared parent. Nil records
+	// nothing.
 	Obs *obs.Span
 }
 
@@ -145,7 +142,7 @@ func (t *TSP) Align(ctx context.Context, mod *ir.Module, prof *interp.Profile, m
 	}
 	orders := make([][]int, len(mod.Funcs))
 	forEachFunc(mod, t.Parallel, func(fi int, f *ir.Func) {
-		orders[fi] = t.alignFunc(f, prof.Funcs[fi], m, opts, int64(fi))
+		orders[fi] = t.SolveFunc(f, BuildSparseMatrix(f, prof.Funcs[fi], m, t.Obs), opts, int64(fi)).Order
 	})
 	return finalizeOrders(mod, prof, m, orders)
 }
@@ -193,15 +190,10 @@ type AlignFuncResult struct {
 	Truncated bool
 }
 
-func (t *TSP) alignFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.SolveOptions, seedOffset int64) []int {
-	res := t.SolveFunc(f, fp, m, opts, seedOffset)
-	return res.Order
-}
-
-// SolveFunc runs the solver on one function's DTSP and returns the block
-// order plus diagnostics.
-func (t *TSP) SolveFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.SolveOptions, seedOffset int64) AlignFuncResult {
-	n := len(f.Blocks)
+// SolveFunc runs the solver on f's DTSP instance mat (built by
+// BuildSparseMatrix) and returns the block order plus diagnostics.
+func (t *TSP) SolveFunc(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.SolveOptions, seedOffset int64) AlignFuncResult {
+	n := mat.Len()
 	out := AlignFuncResult{Cities: n}
 	sp := t.Obs.Child("align.func", obs.String("func", f.Name), obs.Int("cities", int64(n)),
 		obs.String("algorithm", "tsp"))
@@ -212,16 +204,6 @@ func (t *TSP) SolveFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opt
 		out.RunsAtBest = 1
 		sp.End(obs.Int("cost", 0), obs.Bool("exact", true))
 		return out
-	}
-	pred := layout.Predictions(f, fp)
-	bm := sp.Child("align.build_matrix")
-	mat := BuildSparseMatrix(f, fp, pred, m)
-	if bm != nil {
-		bm.End(obs.Int("exceptions", int64(mat.Exceptions())))
-		for b := 0; b < n; b++ {
-			cols, _ := mat.Row(b)
-			sp.Observe("align.row_exceptions", float64(len(cols)))
-		}
 	}
 	opts.Seed += seedOffset
 	opts.Obs = sp
@@ -247,22 +229,6 @@ func (t *TSP) SolveFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opt
 	return out
 }
 
-// eachFuncBound evaluates bound(fi, f) for every function of the module
-// on all CPUs and returns the sum over functions in index order. Each
-// function's bound is independent and the summation order is fixed, so
-// the result is identical to the sequential loop.
-func eachFuncBound(mod *ir.Module, bound func(fi int, f *ir.Func) layout.Cost) layout.Cost {
-	per := make([]layout.Cost, len(mod.Funcs))
-	forEachFunc(mod, true, func(fi int, f *ir.Func) {
-		per[fi] = bound(fi, f)
-	})
-	var total layout.Cost
-	for _, c := range per {
-		total += c
-	}
-	return total
-}
-
 // HeldKarpLowerBound computes the per-function Held-Karp lower bounds on
 // control penalty and returns their sum (in cycles, rounded up to the
 // next integer per function since penalties are integral). No layout can
@@ -271,9 +237,15 @@ func eachFuncBound(mod *ir.Module, bound func(fi int, f *ir.Func) layout.Cost) l
 // per-function bounds are summed in index order, so the result matches
 // the sequential loop exactly).
 func HeldKarpLowerBound(mod *ir.Module, prof *interp.Profile, m machine.Model, opts tsp.HeldKarpOptions) layout.Cost {
-	return eachFuncBound(mod, func(fi int, f *ir.Func) layout.Cost {
-		return FuncHeldKarpBound(f, prof.Funcs[fi], m, opts).Bound
+	per := make([]layout.Cost, len(mod.Funcs))
+	forEachFunc(mod, true, func(fi int, f *ir.Func) {
+		per[fi] = FuncHeldKarpBound(f, BuildSparseMatrix(f, prof.Funcs[fi], m, opts.Obs), opts).Bound
 	})
+	var total layout.Cost
+	for _, c := range per {
+		total += c
+	}
+	return total
 }
 
 // FuncBoundResult carries one function's Held-Karp bound with its
@@ -300,21 +272,19 @@ type FuncBoundResult struct {
 	Stalled bool
 }
 
-// FuncHeldKarpBound computes the Held-Karp bound for a single function's
-// DTSP instance, with its anytime diagnostics. Functions small enough for
-// exact solving are bounded by their true optimum. When opts.Obs is set,
-// the bound computation is recorded as an "align.hk" span (with the
-// subgradient trajectory nested under it).
-func FuncHeldKarpBound(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.HeldKarpOptions) FuncBoundResult {
-	n := len(f.Blocks)
+// FuncHeldKarpBound computes the Held-Karp bound on f's DTSP instance mat
+// (built by BuildSparseMatrix), with its anytime diagnostics. Functions
+// small enough for exact solving are bounded by their true optimum. When
+// opts.Obs is set, the bound computation is recorded as an "align.hk"
+// span (with the subgradient trajectory nested under it).
+func FuncHeldKarpBound(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.HeldKarpOptions) FuncBoundResult {
+	n := mat.Len()
 	sp := opts.Obs.Child("align.hk", obs.String("func", f.Name), obs.Int("cities", int64(n)))
 	opts.Obs = sp
 	if n == 1 {
 		sp.End(obs.Int("bound", 0), obs.Bool("exact", true), obs.Bool("converged", true))
 		return FuncBoundResult{Exact: true, Converged: true}
 	}
-	pred := layout.Predictions(f, fp)
-	mat := BuildSparseMatrix(f, fp, pred, m)
 	if n <= 12 {
 		_, opt := tsp.SolveExact(mat)
 		sp.End(obs.Int("bound", opt), obs.Bool("exact", true), obs.Bool("converged", true))
@@ -336,31 +306,4 @@ func FuncHeldKarpBound(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts
 		obs.Bool("stalled", hk.Stalled))
 	return FuncBoundResult{Bound: c, Truncated: hk.Truncated, Iterations: hk.Iterations,
 		Converged: hk.Converged, Stalled: hk.Stalled}
-}
-
-// BuildMatrixForFunc is BuildMatrix with predictions derived internally,
-// a convenience for per-instance analyses (the appendix experiment).
-func BuildMatrixForFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model) *tsp.Matrix {
-	return BuildMatrix(f, fp, layout.Predictions(f, fp), m)
-}
-
-// BuildSparseMatrixForFunc is BuildSparseMatrix with predictions derived
-// internally.
-func BuildSparseMatrixForFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model) *tsp.SparseMatrix {
-	return BuildSparseMatrix(f, fp, layout.Predictions(f, fp), m)
-}
-
-// AssignmentLowerBound computes the per-function assignment-problem
-// bounds and their sum. It is weaker than Held-Karp on most
-// branch-alignment instances (the paper's appendix measures exactly how
-// much weaker). Functions are bounded in parallel, like
-// HeldKarpLowerBound.
-func AssignmentLowerBound(mod *ir.Module, prof *interp.Profile, m machine.Model) layout.Cost {
-	return eachFuncBound(mod, func(fi int, f *ir.Func) layout.Cost {
-		if len(f.Blocks) == 1 {
-			return 0
-		}
-		mat := BuildSparseMatrixForFunc(f, prof.Funcs[fi], m)
-		return tsp.AssignmentBound(mat)
-	})
 }

@@ -30,8 +30,7 @@ func (APPatch) Align(_ context.Context, mod *ir.Module, prof *interp.Profile, m 
 			orders[fi] = []int{0}
 			continue
 		}
-		mat := BuildMatrixForFunc(f, prof.Funcs[fi], m)
-		tour, _ := tsp.SolvePatching(mat)
+		tour, _ := tsp.SolvePatching(BuildSparseMatrix(f, prof.Funcs[fi], m, nil))
 		tour.RotateTo(0)
 		orders[fi] = tour
 	}

@@ -27,8 +27,7 @@ func TestQuickWalkCostEqualsPenaltyOnSynthCFGs(t *testing.T) {
 		}
 		fn := mod.Funcs[0]
 		fp := prof.Funcs[0]
-		pred := layout.Predictions(fn, fp)
-		mat := BuildMatrix(fn, fp, pred, m)
+		mat := BuildSparseMatrix(fn, fp, m, nil)
 		tour := tsp.IdentityTour(blocks)
 		rest := tour[1:]
 		rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })

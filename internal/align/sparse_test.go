@@ -12,8 +12,10 @@ import (
 )
 
 // TestQuickSparseMatrixMatchesDenseOnSynthCFGs: the sparse DTSP instance
-// agrees entry-for-entry with the dense reference reduction on random
-// CFGs (switch-heavy functions, zero-count edges, degenerate shapes).
+// agrees entry-for-entry with its definition, the Section 2.2 reduction
+// c(B, X) = layout.SuccessorCost (X = -1, end of layout, for column 0),
+// on random CFGs (switch-heavy functions, zero-count edges, degenerate
+// shapes).
 func TestQuickSparseMatrixMatchesDenseOnSynthCFGs(t *testing.T) {
 	m := machine.Alpha21164()
 	f := func(blocksRaw, seedRaw uint16) bool {
@@ -25,16 +27,22 @@ func TestQuickSparseMatrixMatchesDenseOnSynthCFGs(t *testing.T) {
 		fn := mod.Funcs[0]
 		fp := prof.Funcs[0]
 		pred := layout.Predictions(fn, fp)
-		dense := BuildMatrix(fn, fp, pred, m)
-		sp := BuildSparseMatrix(fn, fp, pred, m)
-		if sp.Len() != dense.Len() {
+		sp := BuildSparseMatrix(fn, fp, m, nil)
+		if sp.Len() != blocks {
 			return false
 		}
 		for b := 0; b < blocks; b++ {
 			for x := 0; x < blocks; x++ {
-				if sp.At(b, x) != dense.At(b, x) {
-					t.Logf("blocks=%d seed=%d: At(%d,%d) sparse %d dense %d",
-						blocks, seedRaw, b, x, sp.At(b, x), dense.At(b, x))
+				if b == x {
+					continue
+				}
+				succ := x
+				if x == 0 {
+					succ = -1 // closing the cycle: b is the last block
+				}
+				if want := layout.SuccessorCost(fn, fp, pred, b, succ, m); sp.At(b, x) != want {
+					t.Logf("blocks=%d seed=%d: At(%d,%d) = %d, SuccessorCost %d",
+						blocks, seedRaw, b, x, sp.At(b, x), want)
 					return false
 				}
 			}
@@ -66,10 +74,8 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 			return false
 		}
 		fn := mod.Funcs[0]
-		fp := prof.Funcs[0]
-		pred := layout.Predictions(fn, fp)
-		dense := BuildMatrix(fn, fp, pred, m)
-		sp := BuildSparseMatrix(fn, fp, pred, m)
+		sp := BuildSparseMatrix(fn, prof.Funcs[0], m, nil)
+		dense := sp.Dense()
 
 		opts := tsp.PaperSolveOptions(int64(seedRaw))
 		rs := tsp.Solve(sp, opts)
@@ -103,11 +109,10 @@ func TestQuickBoundChainOnSparsePath(t *testing.T) {
 			return false
 		}
 		fn := mod.Funcs[0]
-		fp := prof.Funcs[0]
-		res := aligner.SolveFunc(fn, fp, m, tsp.PaperSolveOptions(7), 0)
-		sp := BuildSparseMatrixForFunc(fn, fp, m)
+		sp := BuildSparseMatrix(fn, prof.Funcs[0], m, nil)
+		res := aligner.SolveFunc(fn, sp, tsp.PaperSolveOptions(7), 0)
 		tour := tsp.CycleCost(sp, tsp.Tour(res.Order))
-		hk := FuncHeldKarpBound(fn, fp, m, tsp.HeldKarpOptions{Iterations: 200}).Bound
+		hk := FuncHeldKarpBound(fn, sp, tsp.HeldKarpOptions{Iterations: 200}).Bound
 		ap := tsp.AssignmentBound(sp)
 		if hk > tour {
 			t.Logf("blocks=%d seed=%d: HK %d > tour %d", blocks, seedRaw, hk, tour)
@@ -125,22 +130,16 @@ func TestQuickBoundChainOnSparsePath(t *testing.T) {
 }
 
 // TestParallelBoundsMatchSequential: the parallel per-function bound
-// loops are bit-identical to a sequential evaluation.
+// loop is bit-identical to a sequential evaluation.
 func TestParallelBoundsMatchSequential(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
 	hkOpts := tsp.HeldKarpOptions{Iterations: 100}
-	var seqHK, seqAP layout.Cost
+	var seqHK layout.Cost
 	for fi, f := range mod.Funcs {
-		seqHK += FuncHeldKarpBound(f, prof.Funcs[fi], m, hkOpts).Bound
-		if len(f.Blocks) > 1 {
-			seqAP += tsp.AssignmentBound(BuildSparseMatrixForFunc(f, prof.Funcs[fi], m))
-		}
+		seqHK += FuncHeldKarpBound(f, BuildSparseMatrix(f, prof.Funcs[fi], m, nil), hkOpts).Bound
 	}
 	if got := HeldKarpLowerBound(mod, prof, m, hkOpts); got != seqHK {
 		t.Errorf("parallel HK bound %d != sequential %d", got, seqHK)
-	}
-	if got := AssignmentLowerBound(mod, prof, m); got != seqAP {
-		t.Errorf("parallel AP bound %d != sequential %d", got, seqAP)
 	}
 }

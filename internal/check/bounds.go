@@ -67,10 +67,10 @@ func BoundChain(name string, ap, hk, tour, eps tsp.Cost) *Report {
 
 // Bounds verifies the AP ≤ HK ≤ tour chain for every function of mod
 // large enough to have a non-trivial layout, using the vetted layout's
-// block order as the tour. Both bounds are recomputed from the function's
-// DTSP matrix; the tour cost is the cycle cost of the layout order on
-// that same matrix, which by construction equals the layout's walk cost
-// plus the end-of-layout closing edge.
+// block order as the tour. The function's DTSP matrix is built once and
+// both bounds are recomputed from it; the tour cost is the cycle cost of
+// the layout order on that same matrix, which by construction equals the
+// layout's walk cost plus the end-of-layout closing edge.
 //
 // Functions are audited in parallel on the shared worker pool — each
 // function's chain is independent — and the per-function findings are
@@ -89,9 +89,9 @@ func Bounds(mod *ir.Module, prof *interp.Profile, l *layout.Layout, m machine.Mo
 		fi := eligible[k]
 		f := mod.Funcs[fi]
 		fp := prof.Funcs[fi]
-		mat := align.BuildSparseMatrixForFunc(f, fp, m)
+		mat := align.BuildSparseMatrix(f, fp, m, nil)
 		ap := tsp.AssignmentBound(mat)
-		hk := align.FuncHeldKarpBound(f, fp, m, tsp.HeldKarpOptions{
+		hk := align.FuncHeldKarpBound(f, mat, tsp.HeldKarpOptions{
 			Iterations:  opts.HKIterations,
 			StallWindow: opts.HKStallWindow,
 		}).Bound

@@ -5,6 +5,8 @@ import (
 
 	"branchalign/internal/align"
 	"branchalign/internal/bench"
+	"branchalign/internal/interp"
+	"branchalign/internal/ir"
 	"branchalign/internal/tsp"
 )
 
@@ -56,9 +58,6 @@ type AppendixStats struct {
 // excluded, as tours are forced there.
 func (s *Suite) Appendix() (*AppendixStats, error) {
 	out := &AppendixStats{}
-	tspAligner := align.NewTSP(s.Seed)
-	tspAligner.Obs = s.Obs
-	hkOpts := s.hkOpts()
 	for _, b := range s.benchmarks {
 		mod, err := s.Module(b)
 		if err != nil {
@@ -73,20 +72,7 @@ func (s *Suite) Appendix() (*AppendixStats, error) {
 			if len(f.Blocks) < 3 {
 				continue
 			}
-			res := tspAligner.SolveFunc(f, prof.Funcs[fi], s.Model, tsp.PaperSolveOptions(s.Seed), int64(fi))
-			inst := InstanceStats{
-				Bench:      b.Abbr,
-				Func:       f.Name,
-				Cities:     res.Cities,
-				TourCost:   res.Cost,
-				Exact:      res.Exact,
-				Runs:       res.Runs,
-				RunsAtBest: res.RunsAtBest,
-				HKBound:    align.FuncHeldKarpBound(f, prof.Funcs[fi], s.Model, hkOpts).Bound,
-			}
-			mat := align.BuildSparseMatrixForFunc(f, prof.Funcs[fi], s.Model)
-			inst.APBound = tsp.AssignmentBound(mat)
-			out.Instances = append(out.Instances, inst)
+			out.Instances = append(out.Instances, s.instance(b.Abbr, f, prof.Funcs[fi], int64(fi)))
 		}
 	}
 	finalizeAppendix(out)
@@ -98,32 +84,34 @@ func (s *Suite) Appendix() (*AppendixStats, error) {
 // instances restore a comparable sample size for the gap statistics).
 func (s *Suite) AppendixSynthetic(count, blocks int) (*AppendixStats, error) {
 	out := &AppendixStats{}
-	tspAligner := align.NewTSP(s.Seed)
-	tspAligner.Obs = s.Obs
-	hkOpts := s.hkOpts()
 	for i := 0; i < count; i++ {
 		mod, prof, err := bench.Synthesize(bench.DefaultSynth(blocks, s.Seed+int64(i)*977))
 		if err != nil {
 			return nil, err
 		}
-		f := mod.Funcs[0]
-		res := tspAligner.SolveFunc(f, prof.Funcs[0], s.Model, tsp.PaperSolveOptions(s.Seed), int64(i))
-		inst := InstanceStats{
-			Bench:      "synth",
-			Func:       f.Name,
-			Cities:     res.Cities,
-			TourCost:   res.Cost,
-			Exact:      res.Exact,
-			Runs:       res.Runs,
-			RunsAtBest: res.RunsAtBest,
-			HKBound:    align.FuncHeldKarpBound(f, prof.Funcs[0], s.Model, hkOpts).Bound,
-		}
-		mat := align.BuildSparseMatrixForFunc(f, prof.Funcs[0], s.Model)
-		inst.APBound = tsp.AssignmentBound(mat)
-		out.Instances = append(out.Instances, inst)
+		out.Instances = append(out.Instances, s.instance("synth", mod.Funcs[0], prof.Funcs[0], int64(i)))
 	}
 	finalizeAppendix(out)
 	return out, nil
+}
+
+// instance solves one procedure's DTSP with the paper's protocol (solver
+// seed s.Seed+seedOffset) and bounds it both ways. The solve, the
+// Held-Karp bound and the AP bound share one matrix.
+func (s *Suite) instance(benchName string, f *ir.Func, fp *interp.FuncProfile, seedOffset int64) InstanceStats {
+	mat := align.BuildSparseMatrix(f, fp, s.Model, s.Obs)
+	res := (&align.TSP{Obs: s.Obs}).SolveFunc(f, mat, tsp.PaperSolveOptions(s.Seed), seedOffset)
+	return InstanceStats{
+		Bench:      benchName,
+		Func:       f.Name,
+		Cities:     res.Cities,
+		TourCost:   res.Cost,
+		Exact:      res.Exact,
+		Runs:       res.Runs,
+		RunsAtBest: res.RunsAtBest,
+		HKBound:    align.FuncHeldKarpBound(f, mat, s.hkOpts()).Bound,
+		APBound:    tsp.AssignmentBound(mat),
+	}
 }
 
 // FinalizeAppendix recomputes the aggregate fields of an AppendixStats

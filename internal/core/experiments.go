@@ -92,8 +92,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		t0 = time.Now()
 		mats := make([]*tsp.SparseMatrix, len(mod.Funcs))
 		for fi, f := range mod.Funcs {
-			pred := layout.Predictions(f, prof.Funcs[fi])
-			mats[fi] = align.BuildSparseMatrix(f, prof.Funcs[fi], pred, s.Model)
+			mats[fi] = align.BuildSparseMatrix(f, prof.Funcs[fi], s.Model, nil)
 		}
 		row.MatrixMS = msSince(t0)
 

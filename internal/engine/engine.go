@@ -484,18 +484,21 @@ func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, err
 		warm = e.warmStates(inst, n)
 	}
 
+	// Each function's DTSP matrix is built once and shared by its solve
+	// and its bound.
+	matrix := func(fi int) *tsp.SparseMatrix {
+		return align.BuildSparseMatrix(mod.Funcs[fi], prof.Funcs[fi], req.Model, req.Obs)
+	}
 	// The Held-Karp bound is on the control penalty of ANY layout of the
 	// function, so it is meaningful (and identical up to ascent depth)
 	// under every algorithm.
-	funcBound := func(fi int) {
-		if req.Bound {
-			ho := hkOpts
-			ho.Obs = req.Obs
-			if warm != nil {
-				ho.Warm = warm[fi]
-			}
-			bounds[fi] = align.FuncHeldKarpBound(mod.Funcs[fi], prof.Funcs[fi], req.Model, ho)
+	funcBound := func(fi int, mat *tsp.SparseMatrix) {
+		ho := hkOpts
+		ho.Obs = req.Obs
+		if warm != nil {
+			ho.Warm = warm[fi]
 		}
+		bounds[fi] = align.FuncHeldKarpBound(mod.Funcs[fi], mat, ho)
 	}
 
 	// Blocking fan-out on the shared pool: at most Workers per-function
@@ -510,7 +513,8 @@ func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, err
 		t.Opts = opts
 		e.pool.Each(n, func(fi int) {
 			f := mod.Funcs[fi]
-			fr := t.SolveFunc(f, prof.Funcs[fi], req.Model, opts, int64(fi))
+			mat := matrix(fi)
+			fr := t.SolveFunc(f, mat, opts, int64(fi))
 			orders[fi] = fr.Order
 			stats[fi] = FuncStat{
 				Name:      f.Name,
@@ -521,7 +525,9 @@ func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, err
 				Truncated: fr.Truncated,
 				Kicks:     fr.Kicks,
 			}
-			funcBound(fi)
+			if req.Bound {
+				funcBound(fi, mat)
+			}
 		})
 	case *align.ExtTSP:
 		e.pool.Each(n, func(fi int) {
@@ -535,7 +541,9 @@ func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, err
 				Cost:      int64(fr.Cost),
 				Truncated: fr.Truncated,
 			}
-			funcBound(fi)
+			if req.Bound {
+				funcBound(fi, matrix(fi))
+			}
 		})
 	default:
 		al := a.Align(ctx, mod, prof, req.Model)
@@ -549,7 +557,7 @@ func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, err
 			}
 		}
 		if req.Bound {
-			e.pool.Each(n, funcBound)
+			e.pool.Each(n, func(fi int) { funcBound(fi, matrix(fi)) })
 		}
 	}
 

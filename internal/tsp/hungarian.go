@@ -38,13 +38,14 @@ func AssignmentSolve(m Costs) []int {
 	v := make([]Cost, n+1)
 	p := make([]int, n+1)   // p[j]: row matched to column j (0 = none)
 	way := make([]int, n+1) // way[j]: previous column on the augmenting path
+	minv := make([]Cost, n+1)
+	used := make([]bool, n+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]Cost, n+1)
-		used := make([]bool, n+1)
 		for j := 0; j <= n; j++ {
 			minv[j] = inf
+			used[j] = false
 		}
 		for {
 			used[j0] = true

@@ -333,6 +333,7 @@ func runSeed(seed int64, run int, kind startKind) int64 {
 // than one cache way, so array indexing beats the exception-list scan.
 // The sparse representation's wins (O(V+E) memory, exception-aware
 // neighbor lists, the implicit 1-tree) only pay off above this size.
+// DESIGN.md §7 records how the value was measured.
 const denseSolveCutover = 24
 
 // runOutcome is one run's contribution to the deterministic merge.

@@ -4,8 +4,10 @@
 //
 // The package provides:
 //
-//   - dense asymmetric cost matrices (the DTSP instances produced by the
-//     branch-alignment reduction),
+//   - asymmetric cost matrices behind the Costs interface: SparseMatrix,
+//     the form the branch-alignment reduction builds, and the dense
+//     Matrix, which Solve and SolveExact use for small instances and
+//     tests use as an oracle,
 //   - tour-construction heuristics (nearest neighbor and greedy edge
 //     matching, both with optional randomization),
 //   - a reversal-free directed 3-opt local search, which is exactly the

@@ -68,6 +68,14 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 64 ]; then
 	exit 1
 fi
 
+echo "== examples-smoke (every examples/* program runs to completion)"
+# go build only compiles the examples; running them catches one that
+# panics or exits non-zero against the current library API.
+for d in examples/*/; do
+	echo "go run ./$d"
+	go run "./$d" >/dev/null
+done
+
 echo "== metrics-smoke (boot balignd, align once, scrape /metrics)"
 # Black-box gate on the metrics plane: the exposition must be
 # scrapeable from a real process with the core families present and
