@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-obs race-engine vet-benchmarks vet-static bench bench-smoke bench-snapshot examples-smoke metrics-smoke trace-demo serve-demo clean
+.PHONY: ci fmt vet build test race race-obs race-engine vet-benchmarks vet-static bench bench-smoke bench-snapshot examples-smoke metrics-smoke trace-smoke trace-demo serve-demo clean
 
-ci: fmt vet build race-obs race-engine race bench-smoke examples-smoke metrics-smoke vet-static
+ci: fmt vet build race-obs race-engine race bench-smoke examples-smoke metrics-smoke trace-smoke vet-static
 
 # gofmt -l prints offending files; fail if any.
 fmt:
@@ -88,6 +88,11 @@ examples-smoke:
 # live HTTP/engine/pool families (and that readiness flips on drain).
 metrics-smoke:
 	scripts/metrics_smoke.sh
+
+# Record a trace of one benchmark run and check that its counter and
+# hist events were flushed and that `balign report` renders from it.
+trace-smoke:
+	scripts/trace_smoke.sh
 
 # Record a full telemetry trace of a benchmark run and render the
 # per-function convergence report from it.

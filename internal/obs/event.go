@@ -13,8 +13,7 @@ import (
 //	"span"     ID, Parent, StartUS, DurUS, Attrs
 //	"series"   Parent (owning span), Points
 //	"counter"  Count
-//	"gauge"    Value
-//	"hist"     Count, Buckets, Attrs (min/max/mean)
+//	"hist"     Count, Buckets (non-empty only), Attrs (mean)
 //
 // Events marshal to single-line JSON objects; a trace file is
 // newline-delimited JSON (NDJSON), one event per line.
@@ -26,7 +25,6 @@ type Event struct {
 	StartUS int64          `json:"start_us,omitempty"`
 	DurUS   int64          `json:"dur_us,omitempty"`
 	Count   int64          `json:"count,omitempty"`
-	Value   float64        `json:"value,omitempty"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
 	Points  [][2]float64   `json:"points,omitempty"`
 	Buckets []Bucket       `json:"buckets,omitempty"`

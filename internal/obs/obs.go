@@ -7,9 +7,11 @@
 //
 // The model is small and explicit:
 //
-//   - A Trace owns a Sink and a metrics registry. Spans, counters,
-//     gauges and histograms hang off it. Events are emitted to the sink
-//     as they complete; registry aggregates are flushed by Close.
+//   - A Trace owns a Sink and a private Registry (registry.go) that
+//     holds its counters and power-of-two histograms. Spans, counters
+//     and histograms hang off it. Events are emitted to the sink as
+//     they complete; the aggregates are flushed by Close as "counter"
+//     and "hist" events.
 //   - A Span is a timed, named region with typed attributes and a
 //     parent, forming a hierarchy (balign > align > align.func >
 //     tsp.solve > tsp.run). Ending a span emits one Event.
@@ -35,7 +37,8 @@
 package obs
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,11 +104,15 @@ type Trace struct {
 
 	ids atomic.Int64
 
-	mu       sync.Mutex
-	counters map[string]int64
-	gauges   map[string]float64
-	hists    map[string]*histogram
-	closed   bool
+	// The trace's aggregates live in a private Registry: one counter
+	// and one histogram family, each keyed by the dotted metric name
+	// ("tsp.kicks") as a label value, so names need no Prometheus
+	// grammar.
+	counters *CounterVec
+	hists    *HistogramVec
+
+	mu     sync.Mutex // serializes sink emission and Close
+	closed bool
 }
 
 // New returns a Trace emitting into sink. A nil sink returns the nil
@@ -115,19 +122,16 @@ func New(sink Sink) *Trace {
 	if sink == nil {
 		return nil
 	}
+	reg := NewRegistry()
 	t := &Trace{
 		sink:     sink,
 		now:      time.Now,
-		counters: map[string]int64{},
-		gauges:   map[string]float64{},
-		hists:    map[string]*histogram{},
+		counters: reg.CounterVec("trace_counter", "", "name"),
+		hists:    reg.HistogramVec("trace_hist", "", 0, 62, "name"),
 	}
 	t.start = t.now()
 	return t
 }
-
-// Enabled reports whether the trace records anything.
-func (t *Trace) Enabled() bool { return t != nil }
 
 func (t *Trace) emit(e Event) {
 	t.mu.Lock()
@@ -151,78 +155,44 @@ func (t *Trace) newSpan(name string, parent int64, attrs []Attr) *Span {
 	return s
 }
 
-// Count adds delta to the named counter. Concurrent adds from any
-// goroutine merge into one total, flushed as a single "counter" event
-// by Close.
+// Count adds delta (>= 0; counters are monotone) to the named counter.
+// Concurrent adds from any goroutine merge into one total, flushed as a
+// single "counter" event by Close.
 func (t *Trace) Count(name string, delta int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.counters[name] += delta
-	t.mu.Unlock()
-}
-
-// Gauge records the latest value of a named quantity.
-func (t *Trace) Gauge(name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.gauges[name] = v
-	t.mu.Unlock()
+	t.counters.With(name).Add(delta)
 }
 
 // Observe adds one sample to the named histogram (power-of-two
-// buckets), e.g. per-row sparse-matrix exception counts.
+// buckets, le 1 to 2^62), e.g. per-row sparse-matrix exception counts.
 func (t *Trace) Observe(name string, v float64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	h := t.hists[name]
-	if h == nil {
-		h = &histogram{buckets: map[int64]int64{}}
-		t.hists[name] = h
-	}
-	h.observe(v)
-	t.mu.Unlock()
+	t.hists.With(name).Observe(v)
 }
 
 // ObserveBatch merges a pre-bucketed power-of-two histogram into the
 // named trace histogram: counts[i] samples with value in (2^(i-1), 2^i]
-// (counts[0]: the value 1), totalling sum. Hot loops that cannot afford
-// a mutexed Observe per sample tally local buckets and flush once per
-// region — the 3-opt/Or-opt splice-length histogram flushes per
-// local-search run. Bucket counts and the mean merge exactly (the mean
-// via sum); min and max are tracked at bucket resolution, the tightest
-// bounds the pre-bucketed samples admit. An all-zero batch records
-// nothing.
+// (counts[0]: values up to 1), totalling sum. Hot loops tally local
+// buckets and flush once per region — the 3-opt/Or-opt splice-length
+// histogram flushes per local-search run — so concurrent runs pay a
+// handful of atomic adds instead of one per sample. Bucket counts and
+// the mean (via sum) merge exactly. An all-zero batch records nothing.
 func (t *Trace) ObserveBatch(name string, counts []int64, sum float64) {
-	if t == nil {
+	if t == nil || !slices.ContainsFunc(counts, func(c int64) bool { return c != 0 }) {
 		return
 	}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return
-	}
-	t.mu.Lock()
-	h := t.hists[name]
-	if h == nil {
-		h = &histogram{buckets: map[int64]int64{}}
-		t.hists[name] = h
-	}
-	h.observeBatch(counts, sum)
-	t.mu.Unlock()
+	t.hists.With(name).observeBatch(counts, sum)
 }
 
-// Close flushes the metrics registry (counters, gauges, histograms) as
-// events — in sorted name order, so output is deterministic — and
-// closes the sink if it implements io.Closer. Close is idempotent; a
-// nil trace closes successfully.
+// Close flushes the trace's aggregates as events — "counter" events,
+// then "hist" events (count, non-empty buckets, mean), each in sorted
+// name order so output is deterministic — and closes the sink if it
+// implements io.Closer. Close is idempotent; a nil trace closes
+// successfully.
 func (t *Trace) Close() error {
 	if t == nil {
 		return nil
@@ -232,14 +202,23 @@ func (t *Trace) Close() error {
 		t.mu.Unlock()
 		return nil
 	}
-	for _, name := range sortedKeys(t.counters) {
-		t.sink.Emit(Event{Type: "counter", Name: name, Count: t.counters[name]})
+	for _, s := range t.counters.f.sorted() {
+		t.sink.Emit(Event{Type: "counter", Name: s.values[0], Count: s.n.Load()})
 	}
-	for _, name := range sortedKeys(t.gauges) {
-		t.sink.Emit(Event{Type: "gauge", Name: name, Value: t.gauges[name]})
-	}
-	for _, name := range sortedKeys(t.hists) {
-		t.sink.Emit(t.hists[name].event(name))
+	for _, s := range t.hists.f.sorted() {
+		n := s.n.Load()
+		e := Event{
+			Type:  "hist",
+			Name:  s.values[0],
+			Count: n,
+			Attrs: map[string]any{"mean": math.Float64frombits(s.bits.Load()) / float64(n)},
+		}
+		for i := range s.buckets {
+			if c := s.buckets[i].Load(); c > 0 { // minExp 0: bucket i is le 2^i
+				e.Buckets = append(e.Buckets, Bucket{Le: 1 << i, N: c})
+			}
+		}
+		t.sink.Emit(e)
 	}
 	t.closed = true
 	t.mu.Unlock()
@@ -247,15 +226,6 @@ func (t *Trace) Close() error {
 		return c.Close()
 	}
 	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Span is a timed region of the pipeline. The nil *Span is valid and
@@ -387,83 +357,4 @@ func attrsMap(m map[string]any, attrs []Attr) map[string]any {
 		m[a.Key] = a.value()
 	}
 	return m
-}
-
-// histogram is a power-of-two-bucketed sample distribution.
-type histogram struct {
-	n        int64
-	sum      float64
-	min, max float64
-	buckets  map[int64]int64 // upper bound (inclusive) -> count
-}
-
-func (h *histogram) observe(v float64) {
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
-	h.n++
-	h.sum += v
-	h.buckets[bucketLe(v)]++
-}
-
-// observeBatch merges pre-bucketed counts (counts[i] samples in
-// (2^(i-1), 2^i], counts[0]: the value 1) totalling sum. Min and max
-// tighten to the narrowest bounds the buckets admit: the smallest value
-// the lowest occupied bucket can hold and the upper edge of the highest.
-func (h *histogram) observeBatch(counts []int64, sum float64) {
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		le := int64(1) << i
-		lo := float64(le)
-		if i > 0 {
-			lo = float64(le>>1 + 1)
-		}
-		if h.n == 0 || lo < h.min {
-			h.min = lo
-		}
-		if h.n == 0 || float64(le) > h.max {
-			h.max = float64(le)
-		}
-		h.n += c
-		h.buckets[le] += c
-	}
-	h.sum += sum
-}
-
-// bucketLe returns the histogram bucket for v: the smallest power of
-// two >= v (minimum 1; every v <= 1, including negatives, lands in the
-// first bucket).
-func bucketLe(v float64) int64 {
-	le := int64(1)
-	for float64(le) < v && le < 1<<62 {
-		le <<= 1
-	}
-	return le
-}
-
-func (h *histogram) event(name string) Event {
-	e := Event{
-		Type:  "hist",
-		Name:  name,
-		Count: h.n,
-		Attrs: map[string]any{"min": h.min, "max": h.max, "mean": h.sum / float64(h.n)},
-	}
-	for _, le := range sortedInt64Keys(h.buckets) {
-		e.Buckets = append(e.Buckets, Bucket{Le: le, N: h.buckets[le]})
-	}
-	return e
-}
-
-func sortedInt64Keys(m map[int64]int64) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

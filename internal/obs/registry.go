@@ -16,8 +16,9 @@ package obs
 //     labeled series, which callers cache and then update lock-free
 //     (counters and histogram buckets are atomics; gauges are
 //     atomically-stored float bits).
-//   - Histograms reuse the tracer's power-of-two bucketing, but over a
-//     fixed exponent range declared at registration so every series in
+//   - Histograms bucket by powers of two (bucketIndex, the repository's
+//     one bucketing — Trace histograms are registry series too) over a
+//     fixed exponent range declared at registration, so every series in
 //     a family exposes the same `le` schedule (Prometheus requires
 //     aggregatable buckets). Observations above the top bound count
 //     only toward `+Inf`, `_sum` and `_count`.
@@ -60,9 +61,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
 type familyKind uint8
 
 const (
@@ -98,8 +96,7 @@ type family struct {
 	fn func() float64
 
 	mu     sync.Mutex
-	series map[string]*series
-	order  []string // insertion order of keys; sorted at exposition
+	series map[string]*series // keyed by label values joined with \x00
 }
 
 // series is one labeled instance of a family. Which fields are live
@@ -111,6 +108,18 @@ type series struct {
 	n       atomic.Int64
 	bits    atomic.Uint64
 	buckets []atomic.Int64
+}
+
+// addFloat adds delta to the float64 stored in bits (a CAS loop, safe
+// from any goroutine): gauge values and histogram sums.
+func (s *series) addFloat(delta float64) {
+	for {
+		old := s.bits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + delta)
+		if s.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // register returns the named family, creating it on first use. A
@@ -188,7 +197,6 @@ func (f *family) with(values []string) *series {
 			s.buckets = make([]atomic.Int64, f.maxExp-f.minExp+1)
 		}
 		f.series[key] = s
-		f.order = append(f.order, key)
 	}
 	return s
 }
@@ -270,13 +278,7 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
-	for {
-		old := g.s.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.s.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	g.s.addFloat(delta)
 }
 
 // Value returns the current value (0 on nil).
@@ -294,25 +296,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}
 	f := r.register(name, help, kindGauge, nil, 0, 0)
 	return &Gauge{s: f.with(nil)}
-}
-
-// GaugeVec is a gauge family with labels; nil is inert.
-type GaugeVec struct{ f *family }
-
-// With resolves the series for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return &Gauge{s: v.f.with(values)}
-}
-
-// GaugeVec registers (or looks up) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.register(name, help, kindGauge, labels, 0, 0)}
 }
 
 // GaugeFunc registers a gauge whose value is read by calling fn at
@@ -346,13 +329,24 @@ func (h *Histogram) Observe(v float64) {
 		h.s.buckets[i].Add(1)
 	}
 	h.s.n.Add(1)
-	for {
-		old := h.s.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.s.bits.CompareAndSwap(old, next) {
-			return
+	h.s.addFloat(v)
+}
+
+// observeBatch merges pre-bucketed samples: counts[i] samples in bucket
+// i of h's schedule (upper bound 2^(minExp+i)), totalling sum. Counts
+// past the top bound count only toward +Inf, _sum and _count, as in
+// Observe. Buckets are added before the count, keeping the exposition's
+// le-monotonicity invariant under concurrent collection.
+func (h *Histogram) observeBatch(counts []int64, sum float64) {
+	var total int64
+	for i, c := range counts {
+		if i < len(h.s.buckets) {
+			h.s.buckets[i].Add(c)
 		}
+		total += c
 	}
+	h.s.n.Add(total)
+	h.s.addFloat(sum)
 }
 
 // Count returns the number of samples observed (0 on nil).
@@ -511,6 +505,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
+// sorted returns the family's series in label-value order — the one
+// series order of both the exposition and Trace.Close.
+func (f *family) sorted() []*series {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	keys := make([]string, 0, len(f.series))
+	for k := range f.series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	ordered := make([]*series, 0, len(keys))
+	for _, k := range keys {
+		ordered = append(ordered, f.series[k])
+	}
+	return ordered
+}
+
 func (f *family) write(b *strings.Builder) {
 	if f.help != "" {
 		b.WriteString("# HELP ")
@@ -537,16 +548,7 @@ func (f *family) write(b *strings.Builder) {
 		return
 	}
 
-	f.mu.Lock()
-	keys := append([]string(nil), f.order...)
-	sort.Strings(keys)
-	ordered := make([]*series, 0, len(keys))
-	for _, k := range keys {
-		ordered = append(ordered, f.series[k])
-	}
-	f.mu.Unlock()
-
-	for _, s := range ordered {
+	for _, s := range f.sorted() {
 		switch f.kind {
 		case kindCounter:
 			b.WriteString(f.name)

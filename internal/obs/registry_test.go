@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -237,14 +238,10 @@ func TestRegistryConcurrent(t *testing.T) {
 // heap allocations — the same contract as the nil *Trace.
 func TestRegistryNilIsFree(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry claims enabled")
-	}
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Counter("c", "").Inc()
 		r.CounterVec("cv", "", "a", "b").With("x", "y").Add(3)
 		r.Gauge("g", "").Set(1)
-		r.GaugeVec("gv", "", "a").With("x").Add(1)
 		r.GaugeFunc("gf", "", func() float64 { return 1 })
 		r.Histogram("h", "", -2, 2).Observe(0.5)
 		r.HistogramVec("hv", "", -2, 2, "a").With("x").Observe(2)
@@ -310,5 +307,50 @@ func TestSumMatching(t *testing.T) {
 	}
 	if got := r.Sum("missing_total", nil); got != 0 {
 		t.Errorf("unknown family %v, want 0", got)
+	}
+}
+
+// TestObserveBatchMatchesObserve pins the pre-bucketed path against the
+// per-sample one: one observeBatch of seeded random samples' bucket
+// counts and sum renders byte for byte the exposition of Observe on
+// each sample — buckets, +Inf, _sum and _count alike, including samples
+// past the top bound. An all-zero batch through a Trace creates no
+// series.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	const minExp, maxExp = -2, 4
+	rng := rand.New(rand.NewSource(7))
+	one, batch := NewRegistry(), NewRegistry()
+	h := one.HistogramVec("x", "", minExp, maxExp, "name").With("a.b")
+	counts := make([]int64, maxExp-minExp+2) // last slot: past the top bound
+	var sum float64
+	for i := 0; i < 500; i++ {
+		v := rng.ExpFloat64() * 4
+		h.Observe(v)
+		idx, ok := bucketIndex(v, minExp, maxExp)
+		if !ok {
+			idx = len(counts) - 1
+		}
+		counts[idx]++
+		sum += v
+	}
+	batch.HistogramVec("x", "", minExp, maxExp, "name").With("a.b").observeBatch(counts, sum)
+	var want, got strings.Builder
+	if err := one.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("batch exposition differs:\n--- batch ---\n%s--- per sample ---\n%s", got.String(), want.String())
+	}
+	if counts[len(counts)-1] == 0 {
+		t.Error("no sample exceeded the top bound; the +Inf-only path went untested")
+	}
+
+	tr := New(&MemorySink{})
+	tr.ObserveBatch("empty", make([]int64, 8), 0)
+	if n := len(tr.hists.f.sorted()); n != 0 {
+		t.Errorf("all-zero batch created %d series, want 0", n)
 	}
 }

@@ -58,13 +58,6 @@ func (m *MemorySink) Find(typ, name string) []Event {
 	return out
 }
 
-// Reset discards all collected events.
-func (m *MemorySink) Reset() {
-	m.mu.Lock()
-	m.events = nil
-	m.mu.Unlock()
-}
-
 // NDJSONSink streams events as newline-delimited JSON, one event per
 // line — the interchange format `balign --trace` writes and
 // `balign report -in` / ReadEvents consume. Writes are buffered; call

@@ -84,6 +84,12 @@ echo "== metrics-smoke (boot balignd, align once, scrape /metrics)"
 # with injected registries cannot.
 scripts/metrics_smoke.sh
 
+echo "== trace-smoke (record a trace, check the flushed aggregates)"
+# Black-box gate on Trace.Close: the counter and hist events that
+# `balign report` and the benchmark's trace reader consume must reach
+# the NDJSON file, and the report must render from it.
+scripts/trace_smoke.sh
+
 echo "== vet-static (balign vet -all + balignlint)"
 # Static gates over the repo's own artifacts: the CFG/profile invariant
 # checker across every bundled benchmark (now including the staticprof
