@@ -56,7 +56,8 @@ bench:
 # The second pass names the Held-Karp kernel explicitly with -benchmem so
 # its allocation profile shows up in CI logs (scripts/ci.sh additionally
 # enforces an allocs/op ceiling on it). The third is the cached engine
-# dispatch gate, as in scripts/ci.sh: at most 64 allocs/op.
+# dispatch gate, as in scripts/ci.sh: at most 64 allocs/op; the fourth
+# the interpreter gate: a doduc/re profiling run at most 4096.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 20m .
 	$(GO) test -run '^$$' -bench 'BenchmarkHeldKarpBound/synth5000' -benchtime 1x -benchmem -timeout 10m .
@@ -65,6 +66,12 @@ bench-smoke:
 	allocs=$$(echo "$$out" | awk '/BenchmarkEngineDispatch\/cached/ {print $$(NF-1)}'); \
 	if [ -z "$$allocs" ] || [ "$$allocs" -gt 64 ]; then \
 		echo "engine dispatch allocation regression ($${allocs:-no result} allocs/op, ceiling 64)"; exit 1; \
+	fi
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkInterpreter/doduc_re' -benchtime 1x -benchmem -timeout 10m .); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/BenchmarkInterpreter\/doduc_re/ {print $$(NF-1)}'); \
+	if [ -z "$$allocs" ] || [ "$$allocs" -gt 4096 ]; then \
+		echo "interpreter allocation regression ($${allocs:-no result} allocs/op, ceiling 4096)"; exit 1; \
 	fi
 
 # Record a benchmark snapshot to results/BENCH_<LABEL>.json; restrict

@@ -224,28 +224,44 @@ func benchAlign(b *testing.B, a align.Aligner) {
 func BenchmarkGreedyAlign(b *testing.B) { benchAlign(b, align.PettisHansen{}) }
 func BenchmarkTSPAlign(b *testing.B)    { benchAlign(b, align.NewTSP(1)) }
 
-// BenchmarkInterpreter measures raw IR interpretation speed (the
-// profiling substrate).
+// BenchmarkInterpreter measures the profiling interpreter the way
+// balignd runs it on a cache miss: a fresh edge profile, the daemon's
+// step budget. ns/step divides the run time by executed IR steps, so
+// rows for different programs compare per unit of work.
 func BenchmarkInterpreter(b *testing.B) {
-	bm, err := bench.ByName("su2cor")
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct{ name, bench, data string }{
+		{"doduc_re", "doduc", "re"},
+		{"eqntott_fx", "eqntott", "fx"},
+		{"su2cor_sh", "su2cor", "sh"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			bm, err := bench.ByName(c.bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mod, err := bm.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ds, err := bm.DataSet(c.data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inputs := ds.Make()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				res, err := interp.Run(mod, inputs, interp.Options{Profile: interp.NewProfile(mod), MaxSteps: 1 << 31})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
 	}
-	mod, err := bm.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := bm.DataSets[1].Make()
-	b.ResetTimer()
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		res, err := interp.Run(mod, inputs, interp.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/float64(b.Elapsed().Seconds())/1e6, "Minstr/s")
 }
 
 // BenchmarkSimulatorReplay measures trace replay through the pipeline +

@@ -23,7 +23,10 @@
 // is budgeted: its deadline (timeout_ms, clamped by -max-timeout)
 // truncates in-flight solves at their next kick boundary and returns
 // the best layout found so far, flagged "truncated" — never an error,
-// never an invalid layout. Excess concurrent requests beyond
+// never an invalid layout. A miss's profiling run is bounded by
+// -max-timeout itself; one that hits it, or the interpreter's step or
+// array-cell budget, fails with a typed 503, 422 or 413. Excess
+// concurrent requests beyond
 // -max-inflight are shed with 429. SIGTERM/SIGINT drain the server
 // gracefully: /v1/readyz flips to 503 immediately, in-flight requests
 // finish, new connections are refused. Lifecycle events are structured
@@ -59,7 +62,7 @@ func run(args []string) error {
 		cacheSize   = fs.Int("cache", 64, "result cache entries (negative disables)")
 		maxInflight = fs.Int("max-inflight", 8, "max concurrent align requests before shedding 429s")
 		defTimeout  = fs.Duration("default-timeout", 30*time.Second, "deadline for requests without timeout_ms")
-		maxTimeout  = fs.Duration("max-timeout", 2*time.Minute, "upper clamp on per-request deadlines")
+		maxTimeout  = fs.Duration("max-timeout", 2*time.Minute, "upper clamp on per-request deadlines and on each profiling run")
 		drain       = fs.Duration("drain", 30*time.Second, "grace period for in-flight requests on shutdown")
 		pprof       = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
 	)

@@ -146,6 +146,18 @@ func TestAlignErrorKinds(t *testing.T) {
 			wantCode: http.StatusBadRequest,
 			wantKind: "bad_request",
 		},
+		{
+			// Each array is within the parser's cap; together they
+			// exceed the interpreter's cell budget, which is checked
+			// before anything is allocated.
+			name: "arrays over the cell budget",
+			req: alignRequest{
+				Source: "global a[16777216]; global b[16777216]; global c[16777216];\nfunc main(n) { return n; }",
+				N:      new(int64),
+			},
+			wantCode: http.StatusRequestEntityTooLarge,
+			wantKind: "too_large",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

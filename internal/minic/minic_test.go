@@ -222,6 +222,21 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+func TestParseCapsArraySizes(t *testing.T) {
+	for _, c := range []struct{ src, pos string }{
+		{"global a[4611686018427387904];\nfunc main(x) { return x; }", "1:10"},
+		{"func main() {\n\tvar a[16777217];\n\treturn 0;\n}", "2:8"},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the maximum") || !strings.Contains(err.Error(), c.pos) {
+			t.Errorf("Parse(%q): err = %v, want a size error at %s", c.src, err, c.pos)
+		}
+	}
+	if _, err := Parse("global a[16777216]; func main() { var b[16777216]; return 0; }"); err != nil {
+		t.Errorf("arrays at MaxArraySize rejected: %v", err)
+	}
+}
+
 func mustCheck(t *testing.T, src string) *Info {
 	t.Helper()
 	prog, err := Parse(src)

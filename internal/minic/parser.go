@@ -64,6 +64,22 @@ func (p *Parser) parseProgram() (*Program, error) {
 	return prog, nil
 }
 
+// MaxArraySize caps a declared array's size, in cells. Storage is
+// allocated when the program runs, so the front end rejects a size no run
+// could hold instead of leaving it to the allocator; the interpreter's
+// default cell budget (globals plus live frames) is twice this.
+const MaxArraySize = 1 << 24
+
+func checkArraySize(size Token) error {
+	if size.Num <= 0 {
+		return errf(size.Pos, "array size must be positive, got %d", size.Num)
+	}
+	if size.Num > MaxArraySize {
+		return errf(size.Pos, "array size %d exceeds the maximum of %d", size.Num, MaxArraySize)
+	}
+	return nil
+}
+
 func (p *Parser) parseGlobal() (*GlobalDecl, error) {
 	kw, _ := p.expect(TokGlobal)
 	name, err := p.expect(TokIdent)
@@ -77,8 +93,8 @@ func (p *Parser) parseGlobal() (*GlobalDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		if size.Num <= 0 {
-			return nil, errf(size.Pos, "array size must be positive, got %d", size.Num)
+		if err := checkArraySize(size); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(TokRBracket); err != nil {
 			return nil, err
@@ -216,8 +232,8 @@ func (p *Parser) parseVarDecl() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if size.Num <= 0 {
-			return nil, errf(size.Pos, "array size must be positive, got %d", size.Num)
+		if err := checkArraySize(size); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(TokRBracket); err != nil {
 			return nil, err

@@ -68,6 +68,21 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 64 ]; then
 	exit 1
 fi
 
+echo "== interp-alloc gate (frames are pooled; a call allocates nothing)"
+# The decoded interpreter takes frames from per-function pools, so a
+# doduc/re profiling run allocates ~150 times: decode tables, each
+# function's first frames and the profile. The tree walker it replaced
+# allocated registers, arrays and call arguments on each of the run's
+# 2.1M calls, ~4.2M allocs/op. The ceiling leaves room for decode tables
+# growing with the module, not for a per-call allocation.
+out=$(go test -run '^$' -bench 'BenchmarkInterpreter/doduc_re' -benchtime 1x -benchmem -timeout 10m .)
+echo "$out"
+allocs=$(echo "$out" | awk '/BenchmarkInterpreter\/doduc_re/ {print $(NF-1)}')
+if [ -z "$allocs" ] || [ "$allocs" -gt 4096 ]; then
+	echo "ci: interpreter allocation regression (${allocs:-no result} allocs/op, ceiling 4096)"
+	exit 1
+fi
+
 echo "== examples-smoke (every examples/* program runs to completion)"
 # go build only compiles the examples; running them catches one that
 # panics or exits non-zero against the current library API.
