@@ -19,7 +19,7 @@ import (
 
 // BenchmarkExtTSPAlign measures whole-module chain-merging alignment of
 // the compress benchmark (compare BenchmarkGreedyAlign/BenchmarkTSPAlign).
-func BenchmarkExtTSPAlign(b *testing.B) { benchAlign(b, align.NewExtTSP()) }
+func BenchmarkExtTSPAlign(b *testing.B) { benchAlign(b, &align.ExtTSP{}) }
 
 // BenchmarkExtTSPScore measures the objective evaluator on a 200-block
 // synthetic module (compare BenchmarkLayoutPenalty, the control-penalty
@@ -47,7 +47,7 @@ func BenchmarkExtTSPScalability(b *testing.B) {
 			b.Fatal(err)
 		}
 		m := machine.Alpha21164()
-		a := align.NewExtTSP()
+		a := &align.ExtTSP{}
 		b.Run(sizeName(blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a.Align(context.Background(), mod, prof, m)

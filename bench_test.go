@@ -37,6 +37,20 @@ func experimentSuite(b *testing.B, names ...string) *core.Suite {
 	return s
 }
 
+// namedBenchmarks looks up bundled benchmarks by name.
+func namedBenchmarks(b *testing.B, names ...string) []*bench.Benchmark {
+	b.Helper()
+	out := make([]*bench.Benchmark, len(names))
+	for i, n := range names {
+		bm, err := bench.ByName(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = bm
+	}
+	return out
+}
+
 // BenchmarkTable1 regenerates the benchmark inventory (Table 1).
 func BenchmarkTable1(b *testing.B) {
 	s := experimentSuite(b)
@@ -73,11 +87,11 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkFig2Penalties regenerates the control-penalty panel of Figure
 // 2 (alignment + penalty evaluation + bounds; simulation excluded).
 func BenchmarkFig2Penalties(b *testing.B) {
-	s := experimentSuite(b, "compress", "espresso", "xli")
-	mods := map[string]bool{}
-	_ = mods
+	names := []string{"compress", "espresso", "xli"}
+	s := experimentSuite(b, names...)
+	benches := namedBenchmarks(b, names...)
 	for i := 0; i < b.N; i++ {
-		for _, bm := range s.Benchmarks() {
+		for _, bm := range benches {
 			mod, err := s.Module(bm)
 			if err != nil {
 				b.Fatal(err)
@@ -100,10 +114,12 @@ func BenchmarkFig2Penalties(b *testing.B) {
 // BenchmarkFig2Times regenerates the execution-time panel of Figure 2
 // (trace replays through the pipeline/I-cache simulator).
 func BenchmarkFig2Times(b *testing.B) {
-	s := experimentSuite(b, "compress", "xli")
+	names := []string{"compress", "xli"}
+	s := experimentSuite(b, names...)
+	benches := namedBenchmarks(b, names...)
 	var events int64
 	for i := 0; i < b.N; i++ {
-		for _, bm := range s.Benchmarks() {
+		for _, bm := range benches {
 			mod, err := s.Module(bm)
 			if err != nil {
 				b.Fatal(err)

@@ -51,10 +51,7 @@ func runVet(args []string) int {
 		fmt.Fprintln(os.Stderr, "balign vet:", err)
 		return 1
 	}
-	opts := check.Options{
-		Bounds:        *bounds,
-		BoundsOptions: check.BoundsOptions{HKIterations: *hkIters, HKStallWindow: *hkStall},
-	}
+	bo := check.BoundsOptions{HKIterations: *hkIters, HKStallWindow: *hkStall}
 
 	exit := 0
 	if *all {
@@ -67,7 +64,7 @@ func runVet(args []string) int {
 			// The smaller data set keeps -all fast; the audited invariants
 			// are input-independent.
 			ds := b.DataSets[len(b.DataSets)-1]
-			if !vetProgram(b.Name, mod, ds.Make(), aligners, model, opts, *verbose) {
+			if !vetProgram(b.Name, mod, ds.Make(), aligners, model, *bounds, bo, *verbose) {
 				exit = 1
 			}
 		}
@@ -82,15 +79,16 @@ func runVet(args []string) int {
 	if name == "" {
 		name = *srcPath
 	}
-	if !vetProgram(name, mod, inputs, aligners, model, opts, *verbose) {
+	if !vetProgram(name, mod, inputs, aligners, model, *bounds, bo, *verbose) {
 		exit = 1
 	}
 	return exit
 }
 
 // vetProgram profiles one module and audits it under every aligner's
-// layout, printing findings. It reports whether no invariant was broken.
-func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []align.Aligner, model machine.Model, opts check.Options, verbose bool) bool {
+// layout, printing findings; bounds adds the lower-bound chain, tuned by
+// bo. It reports whether no invariant was broken.
+func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []align.Aligner, model machine.Model, bounds bool, bo check.BoundsOptions, verbose bool) bool {
 	prof := interp.NewProfile(mod)
 	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
 		fmt.Fprintf(os.Stderr, "balign vet: %s: profiling run failed: %v\n", name, err)
@@ -112,8 +110,8 @@ func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []a
 	for _, a := range aligners {
 		l := a.Align(context.Background(), mod, prof, model)
 		r := check.Layouts(mod, prof, l, model)
-		if opts.Bounds {
-			r.Merge(check.Bounds(mod, prof, l, model, opts.BoundsOptions))
+		if bounds {
+			r.Merge(check.Bounds(mod, prof, l, model, bo))
 		}
 		ok = printVetReport(name+"/"+a.Name(), r, verbose) && ok
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"branchalign/internal/engine"
 	"branchalign/internal/interp"
 	"branchalign/internal/lower"
 	"branchalign/internal/minic"
@@ -117,6 +118,7 @@ func TestAlignStatusForInterpErrors(t *testing.T) {
 		{"step budget", run(interp.Options{MaxSteps: 1000}), http.StatusUnprocessableEntity, "budget_exceeded"},
 		{"cell budget", run(interp.Options{MaxCells: 99}), http.StatusRequestEntityTooLarge, "too_large"},
 		{"load deadline", run(interp.Options{Context: expired}), http.StatusServiceUnavailable, "timeout"},
+		{"engine panic", fmt.Errorf("%w: panic: boom", engine.ErrInternal), http.StatusInternalServerError, "internal"},
 		{"other", errors.New("parsing source: bad"), http.StatusBadRequest, "bad_request"},
 	} {
 		code := alignStatus(c.err)

@@ -247,6 +247,8 @@ func errKind(code int, err error) string {
 		return "profile_conflict"
 	case errors.Is(err, engine.ErrUnknownAlgorithm):
 		return "unknown_algorithm"
+	case errors.Is(err, engine.ErrInternal):
+		return "internal"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return "timeout"
 	}
@@ -445,9 +447,12 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 // whose arrays exceed the interpreter's cell budget is too large (413),
 // one whose profiling run exceeds its step budget is unprocessable
 // (422), a deadline consumed before the solve began (the request's own,
-// or the profiling run's) is 503, and anything else is malformed input.
+// or the profiling run's) is 503, a panic inside the engine is 500, and
+// anything else is malformed input.
 func alignStatus(err error) int {
 	switch {
+	case errors.Is(err, engine.ErrInternal):
+		return http.StatusInternalServerError
 	case errors.Is(err, interp.ErrCellBudget):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, interp.ErrStepBudget):

@@ -105,6 +105,12 @@ func TestAlignStaticBench(t *testing.T) {
 func TestAlignErrorKinds(t *testing.T) {
 	ts := httptest.NewServer(newServer(serverConfig{}))
 	defer ts.Close()
+	// A recorded profile whose edge counts would overflow the cost
+	// arithmetic (count × penalty wraps int64).
+	inflated, err := testutil.InflatedBranchyProfile(8, 1, 1<<61)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name     string
@@ -157,6 +163,12 @@ func TestAlignErrorKinds(t *testing.T) {
 			},
 			wantCode: http.StatusRequestEntityTooLarge,
 			wantKind: "too_large",
+		},
+		{
+			name:     "profile counts over the cap",
+			req:      alignRequest{Source: testutil.BranchySource, Data: testData(8, 1), Profile: inflated},
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
 		},
 	}
 	for _, tc := range cases {

@@ -150,6 +150,38 @@ func mapRangeFindings(fset *token.FileSet, files []*ast.File, info *types.Info) 
 	return out
 }
 
+// checkTestOnly flags every function and method declared in candidates
+// whose name occurs as an identifier nowhere in prod but at its own
+// declaration. prod holds every non-test file of the module, candidates
+// among them; identifiers come from the AST, so strings and comments
+// never count as uses.
+func checkTestOnly(fset *token.FileSet, prod, candidates []*ast.File) []finding {
+	uses := map[string]int{}
+	for _, f := range prod {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+	}
+	var out []finding
+	for _, f := range candidates {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" || uses[fd.Name.Name] > 1 {
+				continue
+			}
+			out = append(out, finding{
+				pos:   fset.Position(fd.Name.Pos()),
+				check: "test-only",
+				msg:   fmt.Sprintf("%s is named by no other non-test file; move it into a _test.go file or delete it", fd.Name.Name),
+			})
+		}
+	}
+	return out
+}
+
 // importName returns the local name under which path is imported in f
 // ("rand" by default, the alias if renamed, "." or "_" verbatim) and the
 // import spec, or ("", nil) when f does not import it.

@@ -13,6 +13,17 @@
 //     top-level rand functions are seeded per-process, so they cannot
 //     reproduce; every RNG here must be rand.New(rand.NewSource(seed)).
 //
+// A fourth rule keeps production code free of code only tests call.
+// When the whole module is linted (no directory arguments, as CI runs
+// it), test-only flags every function or method declared in a non-test
+// file under internal/ (internal/testutil, which only tests import,
+// aside) whose name occurs as an identifier nowhere else in the module's
+// non-test files. Identifiers are read from the AST, so names in
+// strings and comments do not count; a name shared with any other
+// identifier hides a candidate rather than inventing a finding.
+// Reference implementations belong in _test.go files, where they serve
+// as oracles.
+//
 // A finding is suppressed by a //balignlint:ignore comment on the same
 // line or the line directly above; the convention is to follow the
 // directive with the reason the site is deterministic anyway (e.g. the
@@ -41,6 +52,10 @@ import (
 	"sort"
 	"strings"
 )
+
+// testSupportDir holds the helpers shared by the test suites; only tests
+// import it, so the test-only rule does not apply to it.
+const testSupportDir = "internal/testutil"
 
 // kernelDirs are the module-relative package directories held to the
 // stricter solver-kernel rules (map ranges and wall-clock reads, in
@@ -89,6 +104,7 @@ func run(args []string, out, errw io.Writer) int {
 
 	fset := token.NewFileSet()
 	var findings []finding
+	var prod, internal []*ast.File
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil || strings.HasPrefix(rel, "..") {
@@ -122,6 +138,13 @@ func run(args []string, out, errw io.Writer) int {
 		}
 
 		findings = suppress(fset, pkg.all(), findings)
+		prod = append(prod, pkg.files...)
+		if strings.HasPrefix(rel, "internal/") && rel != testSupportDir {
+			internal = append(internal, pkg.files...)
+		}
+	}
+	if len(fl.Args()) == 0 {
+		findings = append(findings, suppress(fset, prod, checkTestOnly(fset, prod, internal))...)
 	}
 
 	sort.Slice(findings, func(i, j int) bool {

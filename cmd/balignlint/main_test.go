@@ -127,6 +127,60 @@ var c = rand.Intn(3)`
 	}
 }
 
+// TestCheckTestOnly lints a two-file module fixture: a library under
+// internal/ and a command that calls part of it. Only the library
+// functions no non-test file names are flagged; names in strings and
+// comments, and uses from test files, do not count as uses.
+func TestCheckTestOnly(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name, src string) *ast.File {
+		f, err := parser.ParseFile(fset, name, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	lib := parse("internal/p/p.go", `package p
+
+type T struct{}
+
+func Used() T { return T{} }
+
+func (T) Method() {}
+
+func TestOnly() int { return 1 }
+
+func (*T) Probe() int { return 2 }
+
+func init() {}
+`)
+	cmd := parse("cmd/c/main.go", `package main
+
+import "example/internal/p"
+
+// TestOnly and Probe are only mentioned here.
+var note = "TestOnly Probe"
+
+func main() { p.Used().Method() }
+`)
+	// A test file may call everything; it is not among the non-test files.
+	_ = parse("internal/p/p_test.go", `package p
+
+var _ = TestOnly() + (&T{}).Probe()
+`)
+	got := checkTestOnly(fset, []*ast.File{lib, cmd}, []*ast.File{lib})
+	var names []string
+	for _, f := range got {
+		if f.check != "test-only" {
+			t.Errorf("finding from check %q", f.check)
+		}
+		names = append(names, strings.Fields(f.msg)[0])
+	}
+	if want := []string{"TestOnly", "Probe"}; strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("flagged %v, want %v", names, want)
+	}
+}
+
 // TestRepoIsClean runs the full linter over the module, mirroring the
 // CI vet-static step: the repository must lint clean, with every
 // legitimate nondeterminism site carrying an ignore directive.

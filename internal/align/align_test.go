@@ -198,7 +198,7 @@ func main(input[], n) {
 		if blk.Term.Kind != ir.TermCondBr {
 			continue
 		}
-		hotIdx, hotCount := prof.HottestSuccessor(mod.EntryFunc, b)
+		hotIdx, hotCount := testutil.HottestSuccessor(prof.Funcs[mod.EntryFunc], b)
 		if hotCount < 100 {
 			continue
 		}

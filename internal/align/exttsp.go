@@ -51,10 +51,6 @@ type ExtTSP struct {
 	Obs *obs.Span
 }
 
-// NewExtTSP returns an ExtTSP aligner with the default objective
-// parameters.
-func NewExtTSP() *ExtTSP { return &ExtTSP{} }
-
 // Name implements Aligner.
 func (*ExtTSP) Name() string { return "exttsp" }
 
@@ -194,6 +190,8 @@ type extCand struct {
 type extCandHeap []extCand
 
 func (h extCandHeap) Len() int { return len(h) }
+
+//balignlint:ignore test-only: heap.Interface method, called through container/heap
 func (h extCandHeap) Less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
@@ -209,6 +207,8 @@ func (h extCandHeap) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx
 }
+
+//balignlint:ignore test-only: heap.Interface method, called through container/heap
 func (h extCandHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *extCandHeap) Push(x any)   { *h = append(*h, x.(extCand)) }
 func (h *extCandHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }

@@ -19,7 +19,7 @@ func TestExtTSPValidOnBenchmarks(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
 	p := layout.DefaultExtTSPParams()
-	a := NewExtTSP()
+	a := &ExtTSP{}
 	l := a.Align(context.Background(), mod, prof, m)
 	if err := l.Validate(mod); err != nil {
 		t.Fatalf("invalid layout: %v", err)
@@ -43,7 +43,7 @@ func TestQuickExtTSPValidOnSynthCFGs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		l := NewExtTSP().Align(context.Background(), mod, prof, m)
+		l := (&ExtTSP{}).Align(context.Background(), mod, prof, m)
 		if err := l.Validate(mod); err != nil {
 			t.Logf("blocks=%d seed=%d: %v", blocks, seedRaw, err)
 			return false
@@ -62,7 +62,7 @@ func TestQuickExtTSPValidOnSynthCFGs(t *testing.T) {
 func TestExtTSPDeterministic(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	seq := NewExtTSP().Align(context.Background(), mod, prof, m)
+	seq := (&ExtTSP{}).Align(context.Background(), mod, prof, m)
 	for trial := 0; trial < 4; trial++ {
 		par := (&ExtTSP{Parallel: true}).Align(context.Background(), mod, prof, m)
 		for fi := range mod.Funcs {
@@ -85,7 +85,7 @@ func TestExtTSPCancelledContextStillValid(t *testing.T) {
 	m := machine.Alpha21164()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a := NewExtTSP()
+	a := &ExtTSP{}
 	l := a.Align(ctx, mod, prof, m)
 	if err := l.Validate(mod); err != nil {
 		t.Fatalf("truncated layout invalid: %v", err)
@@ -102,7 +102,7 @@ func TestExtTSPCancelledContextStillValid(t *testing.T) {
 func TestExtTSPFuncResultScoreMatchesRecompute(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	a := NewExtTSP()
+	a := &ExtTSP{}
 	p := layout.DefaultExtTSPParams()
 	for fi, f := range mod.Funcs {
 		res := a.AlignFunc(context.Background(), f, prof.Funcs[fi], m)

@@ -78,16 +78,10 @@ func ComputeDominators(f *ir.Func) *Dominators {
 	return &Dominators{IDom: idom, rpo: rpo}
 }
 
-// ReversePostorder returns the reverse-postorder numbering of f's
-// reachable blocks starting from the entry. It is the canonical iteration
-// order for forward dataflow analyses (package check builds on it);
-// unreachable blocks do not appear.
-func ReversePostorder(f *ir.Func) []int {
-	return reversePostorder(f)
-}
-
 // ReversePostorder returns the reverse-postorder block sequence the
-// dominator computation used (a copy; reachable blocks only).
+// dominator computation used (a copy; reachable blocks only). It is the
+// canonical iteration order for forward dataflow analyses (package check
+// builds on it).
 func (d *Dominators) ReversePostorder() []int {
 	return append([]int(nil), d.rpo...)
 }

@@ -1,6 +1,7 @@
 package cfganal_test
 
 import (
+	"slices"
 	"testing"
 
 	"branchalign/internal/cfganal"
@@ -221,17 +222,38 @@ func TestDominatorsDeepChain(t *testing.T) {
 	if dom.IDom[n-1] != n-2 {
 		t.Fatalf("IDom[last] = %d, want %d", dom.IDom[n-1], n-2)
 	}
-	rpo := cfganal.ReversePostorder(f)
+	rpo := dom.ReversePostorder()
 	if len(rpo) != n || rpo[0] != 0 || rpo[n-1] != n-1 {
 		t.Fatalf("unexpected reverse postorder shape: len=%d first=%d last=%d", len(rpo), rpo[0], rpo[n-1])
 	}
+}
+
+// recursiveRPO is the textbook recursive depth-first reverse postorder,
+// successors in index order: the reference the dominator computation's
+// explicit-stack DFS must reproduce.
+func recursiveRPO(f *ir.Func) []int {
+	visited := make([]bool, len(f.Blocks))
+	var post []int
+	var visit func(b int)
+	visit = func(b int) {
+		visited[b] = true
+		for _, s := range f.Blocks[b].Term.Succs {
+			if !visited[s] {
+				visit(s)
+			}
+		}
+		post = append(post, b)
+	}
+	visit(0)
+	slices.Reverse(post)
+	return post
 }
 
 func TestReversePostorderMatchesDominatorOrder(t *testing.T) {
 	mod := compile(t, `func main(x) { var y = 0; while (x > 0) { if (x % 2) { y = y + 1; } x = x - 1; } return y; }`)
 	f := mod.Funcs[0]
 	dom := cfganal.ComputeDominators(f)
-	a, b := cfganal.ReversePostorder(f), dom.ReversePostorder()
+	a, b := recursiveRPO(f), dom.ReversePostorder()
 	if len(a) != len(b) {
 		t.Fatalf("length mismatch: %d vs %d", len(a), len(b))
 	}

@@ -81,12 +81,6 @@ func (n *LoopNest) Retreating(b, to int) bool {
 	return n.RPONum[to] <= n.RPONum[b]
 }
 
-// BackEdge reports whether the edge b -> to is a back edge (to dominates
-// b), i.e. the latch of a natural loop. Self-loops count.
-func (n *LoopNest) BackEdge(b, to int) bool {
-	return n.Dom.Dominates(to, b)
-}
-
 // AnalyzeLoops builds the merged loop nest of f: natural loops grouped
 // by header, nesting links, per-block depth, back-edge and exit-edge
 // classification, and irreducibility detection.

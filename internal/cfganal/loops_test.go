@@ -153,7 +153,7 @@ func TestAnalyzeLoopsPathological(t *testing.T) {
 					t.Fatalf("want 1 irreducible edge, got %v", nest.IrreducibleEdges)
 				}
 				e := nest.IrreducibleEdges[0]
-				if nest.BackEdge(e.From, e.To) {
+				if nest.Dom.Dominates(e.To, e.From) {
 					t.Errorf("irreducible edge %v classified as back edge", e)
 				}
 				if !nest.Retreating(e.From, e.To) {
@@ -189,7 +189,7 @@ func TestAnalyzeLoopsPathological(t *testing.T) {
 				if nest.Depth[s] != 1 || nest.LoopOf[s] != 0 {
 					t.Errorf("depth/loopOf wrong: depth=%d loopOf=%d", nest.Depth[s], nest.LoopOf[s])
 				}
-				if !nest.BackEdge(s, s) || !nest.Retreating(s, s) {
+				if !nest.Dom.Dominates(s, s) || !nest.Retreating(s, s) {
 					t.Error("self edge must be retreating and a back edge")
 				}
 			},

@@ -41,10 +41,10 @@ func TestVetAllBenchmarks(t *testing.T) {
 			}
 			for _, a := range aligners {
 				l := a.Align(context.Background(), mod, prof, model)
-				r := check.All(mod, prof, l, model, check.Options{
-					Bounds:        true,
-					BoundsOptions: check.BoundsOptions{HKIterations: 120},
-				})
+				r := check.Module(mod)
+				r.Merge(check.Flow(mod, prof))
+				r.Merge(check.Layouts(mod, prof, l, model))
+				r.Merge(check.Bounds(mod, prof, l, model, check.BoundsOptions{HKIterations: 120}))
 				if !r.OK() {
 					t.Errorf("%s/%s: %d invariant violations:\n%s", b.Name, a.Name(), r.Errors(), r.String())
 				}

@@ -28,7 +28,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -166,31 +165,6 @@ func (r *Report) Warnings() int { return len(r.Findings) - r.Errors() }
 
 // OK reports whether no invariant is broken (warnings allowed).
 func (r *Report) OK() bool { return r.Errors() == 0 }
-
-// ByClass returns the findings of one class.
-func (r *Report) ByClass(c Class) []Issue {
-	var out []Issue
-	for _, f := range r.Findings {
-		if f.Class == c {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Classes returns the distinct classes present, sorted.
-func (r *Report) Classes() []Class {
-	seen := map[Class]bool{}
-	for _, f := range r.Findings {
-		seen[f.Class] = true
-	}
-	out := make([]Class, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // String renders the report, one finding per line, errors first.
 func (r *Report) String() string {

@@ -104,9 +104,6 @@ func (s *Suite) WithBenchmarks(names ...string) (*Suite, error) {
 	return s, nil
 }
 
-// Benchmarks returns the active benchmark set.
-func (s *Suite) Benchmarks() []*bench.Benchmark { return s.benchmarks }
-
 // Module compiles (and caches) a benchmark.
 func (s *Suite) Module(b *bench.Benchmark) (*ir.Module, error) {
 	s.mu.Lock()

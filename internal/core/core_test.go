@@ -202,7 +202,7 @@ func TestAppendixSynthetic(t *testing.T) {
 
 func TestSuiteCaches(t *testing.T) {
 	s := fastSuite(t)
-	b := s.Benchmarks()[0]
+	b := s.benchmarks[0]
 	ds := &b.DataSets[0]
 	p1, _, err := s.ProfileOf(b, ds)
 	if err != nil {
@@ -251,7 +251,7 @@ func TestWithBenchmarksRejectsUnknown(t *testing.T) {
 // value twice — every goroutine must observe the same pointers.
 func TestSuiteConcurrentUse(t *testing.T) {
 	s := fastSuite(t)
-	benches := s.Benchmarks()
+	benches := s.benchmarks
 
 	type got struct {
 		prof    *interp.Profile

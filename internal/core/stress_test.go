@@ -77,7 +77,7 @@ func TestStressLargeModule(t *testing.T) {
 
 	// Placement must tile without overlap at scale.
 	pm := layout.PlaceModule(mod, l)
-	if pm.CodeSize() <= 0 {
+	if pm.Funcs[len(pm.Funcs)-1].End <= 0 {
 		t.Error("empty placement")
 	}
 }

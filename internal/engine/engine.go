@@ -63,6 +63,12 @@ var (
 	// ErrUnknownAlgorithm: Request.Algorithm names no registered aligner.
 	// The returned error wraps this sentinel and lists the known names.
 	ErrUnknownAlgorithm = errors.New("engine: unknown algorithm")
+	// ErrInternal: the solve panicked, in Load or in the per-function
+	// fan-out. The returned error wraps this sentinel and carries the
+	// panic value. It is a fault of the engine or of Load, not of the
+	// request; like any failure it is shared with coalesced requests and
+	// never cached.
+	ErrInternal = errors.New("engine: internal error")
 )
 
 // Options configures an Engine.
@@ -289,8 +295,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // Align runs one alignment request. It returns an error only for a
-// malformed request or a failed Load; cancellation and deadline expiry
-// yield a valid truncated Result, never an error (the anytime contract).
+// malformed request, a failed Load or a panic (ErrInternal); cancellation
+// and deadline expiry yield a valid truncated Result, never an error (the
+// anytime contract).
 func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	if req.Load == nil {
 		return nil, ErrNoModule
@@ -334,7 +341,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 			// directly with the expired context, which truncates at the
 			// first budget check and yields a valid best-effort layout.
 			e.met.cacheMisses.Inc()
-			res, err := e.solve(ctx, req, inst)
+			res, err := e.recoverSolve(ctx, req, inst)
 			e.finishSolve(res, err)
 			e.met.observe(start, req.StaticProfile, "miss", req.Algorithm)
 			return res, err
@@ -361,7 +368,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.met.cacheMisses.Inc()
 	e.met.inFlight.Add(1)
 
-	res, err := e.solve(ctx, req, inst)
+	res, err := e.recoverSolve(ctx, req, inst)
 
 	e.met.inFlight.Add(-1)
 	e.finishSolve(res, err)
@@ -375,6 +382,19 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	c.res, c.err = res, err
 	close(c.done)
 	return res, err
+}
+
+// recoverSolve is solve with a panic turned into an ErrInternal error:
+// one raised by Load, or by a per-function task and re-raised here by
+// work.Pool. A leader that unwound instead would leave its in-flight
+// entry unsettled, and every identical request would wait on it.
+func (e *Engine) recoverSolve(ctx context.Context, req Request, inst Key) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("%w: panic: %v", ErrInternal, p)
+		}
+	}()
+	return e.solve(ctx, req, inst)
 }
 
 // warmStates returns private warm-start states for one request's bound

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,5 +304,82 @@ func TestEngineRejectsMalformedRequest(t *testing.T) {
 	}
 	if _, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, &interp.Profile{})}); err == nil {
 		t.Fatal("mismatched profile accepted")
+	}
+}
+
+// TestEngineLeaderPanicSettles pins that a leader whose Load panics
+// settles its in-flight entry: the identical request waiting on it gets
+// ErrInternal instead of hanging, the error is counted and not cached,
+// and the in-flight gauge returns to zero.
+func TestEngineLeaderPanicSettles(t *testing.T) {
+	e := New(Options{Workers: 2})
+	var loads atomic.Int64
+	req := Request{
+		Inputs: []byte("panics"), Model: machine.Alpha21164(), Seed: 1,
+		Load: func(*obs.Span) (*ir.Module, *interp.Profile, error) {
+			loads.Add(1)
+			// Hold the lead until the second request has arrived, so it
+			// finds this call in flight and waits on it.
+			for e.Stats().Requests < 2 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			panic("load exploded")
+		},
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, errs[i] = e.Align(ctx, req)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "load exploded") {
+			t.Errorf("request %d: err = %v, want ErrInternal carrying the panic value", i, err)
+		}
+	}
+	st := e.Stats()
+	if st.InFlight != 0 {
+		t.Errorf("in_flight = %d after the leader panicked, want 0", st.InFlight)
+	}
+	// Normally the follower coalesces onto the failed leader; if it was
+	// scheduled late it leads (and fails) on its own. Either way every
+	// request is a failed load or a coalesced one.
+	if st.Errors != loads.Load() || st.Errors+st.Coalesced != 2 {
+		t.Errorf("errors %d, coalesced %d, loads %d: want errors == loads and errors+coalesced == 2",
+			st.Errors, st.Coalesced, loads.Load())
+	}
+	// Not cached: the same request loads again.
+	before := loads.Load()
+	if _, err := e.Align(context.Background(), req); !errors.Is(err, ErrInternal) {
+		t.Fatalf("retry: err = %v, want ErrInternal", err)
+	}
+	if loads.Load() != before+1 {
+		t.Error("a panicked solve was served from the cache")
+	}
+}
+
+// TestEngineFanOutPanicIsInternal pins the other panic path: a profile
+// whose shape does not match its module panics inside a per-function
+// task, which work.Pool re-raises in the leader.
+func TestEngineFanOutPanicIsInternal(t *testing.T) {
+	mod, prof := branchy(t)
+	bad := &interp.Profile{Funcs: make([]*interp.FuncProfile, len(prof.Funcs))}
+	for i := range bad.Funcs {
+		bad.Funcs[i] = &interp.FuncProfile{}
+	}
+	e := New(Options{Workers: 2})
+	_, err := e.Align(context.Background(), Request{Inputs: []byte("bad shape"), Load: loaded(mod, bad), Model: machine.Alpha21164()})
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("err = %v, want ErrInternal", err)
+	}
+	if st := e.Stats(); st.InFlight != 0 || st.Errors != 1 {
+		t.Fatalf("stats after a fan-out panic: %+v", st)
 	}
 }

@@ -112,6 +112,9 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("interp: %s (in %s, block b%d)", e.Msg, e.Func, e.Block)
 }
 
+// Unwrap exposes the typed budget error, if any, to errors.Is.
+//
+//balignlint:ignore test-only: errors.Unwrap interface method, called through errors.Is/As
 func (e *RuntimeError) Unwrap() error { return e.Err }
 
 // Run executes the module's entry function with the given inputs. It

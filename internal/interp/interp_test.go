@@ -3,6 +3,7 @@ package interp
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -582,17 +583,18 @@ func main(n) {
 		t.Fatal(err)
 	}
 	f := mod.Funcs[mod.EntryFunc]
+	fp := prof.Funcs[mod.EntryFunc]
 	for bi, b := range f.Blocks {
-		if b.Term.Kind != ir.TermCondBr {
-			continue
+		switch edges := fp.EdgeCounts[bi]; b.Term.Kind {
+		case ir.TermCondBr:
+			if hot := slices.Max(edges); hot < 100 {
+				t.Errorf("loop-head b%d hottest successor count %d, want the 100-count edge", bi, hot)
+			}
+		case ir.TermRet:
+			if len(edges) != 0 {
+				t.Errorf("ret block b%d has successor counts %v", bi, edges)
+			}
 		}
-		idx, count := prof.HottestSuccessor(mod.EntryFunc, bi)
-		if idx < 0 || count < 100 {
-			t.Errorf("loop-head hottest successor = (%d, %d), want the 100-count edge", idx, count)
-		}
-	}
-	if idx, count := prof.HottestSuccessor(mod.EntryFunc, len(f.Blocks)-1); f.Blocks[len(f.Blocks)-1].Term.Kind == ir.TermRet && (idx != -1 || count != 0) {
-		t.Errorf("ret block hottest successor = (%d,%d), want (-1,0)", idx, count)
 	}
 }
 

@@ -113,21 +113,3 @@ func BranchSitesStatic(mod *ir.Module) int {
 	}
 	return n
 }
-
-// HottestSuccessor returns, for block b of function fn, the successor
-// index with the highest execution count (ties break toward the lower
-// index, matching a deterministic static predictor) and that count. For
-// blocks with no successors it returns (-1, 0).
-func (p *Profile) HottestSuccessor(fn, b int) (int, int64) {
-	edges := p.Funcs[fn].EdgeCounts[b]
-	if len(edges) == 0 {
-		return -1, 0
-	}
-	best, bestCount := 0, edges[0]
-	for i := 1; i < len(edges); i++ {
-		if edges[i] > bestCount {
-			best, bestCount = i, edges[i]
-		}
-	}
-	return best, bestCount
-}

@@ -47,9 +47,6 @@ func (b *FuncBuilder) SetInsert(id int) {
 	b.cur = b.f.Blocks[id]
 }
 
-// Current returns the ID of the insertion block.
-func (b *FuncBuilder) Current() int { return b.cur.ID }
-
 // NewReg allocates a fresh virtual register.
 func (b *FuncBuilder) NewReg() Reg {
 	r := Reg(b.f.NumRegs)
@@ -66,19 +63,11 @@ func (b *FuncBuilder) ReserveRegs(n int) {
 	}
 }
 
-// SetLocalArraySizes installs the per-call array sizes wholesale, for
-// callers that pre-assign frame slots. It replaces any arrays created via
-// NewLocalArray.
+// SetLocalArraySizes installs the per-call array sizes, a copy of
+// sizes, for callers that pre-assign frame slots: local array i is
+// ArrayRef{Index: NumArrayParams()+i}.
 func (b *FuncBuilder) SetLocalArraySizes(sizes []int) {
 	b.f.LocalArraySizes = append([]int(nil), sizes...)
-}
-
-// NewLocalArray allocates a per-call array of the given size and returns
-// its frame reference.
-func (b *FuncBuilder) NewLocalArray(size int) ArrayRef {
-	idx := b.f.NumArrayParams() + len(b.f.LocalArraySizes)
-	b.f.LocalArraySizes = append(b.f.LocalArraySizes, size)
-	return ArrayRef{Index: idx}
 }
 
 func (b *FuncBuilder) emit(in Instr) {

@@ -14,8 +14,8 @@ func buildKitchenSink(t *testing.T) *Module {
 
 	b := NewFuncBuilder("sink", []ParamKind{ParamScalar})
 	b.ReserveRegs(8)
-	arr := b.NewLocalArray(4)
 	b.SetLocalArraySizes([]int{4, 8})
+	arr := ArrayRef{Index: 0}
 	x := Reg(1)
 	y := Reg(2)
 	b.EmitConst(x, 42)
@@ -39,9 +39,6 @@ func buildKitchenSink(t *testing.T) *Module {
 	}
 	b.CondBr(RegVal(y), join, last)
 	b.SetInsert(swB)
-	if got := b.Current(); got != swB {
-		t.Fatalf("Current = %d, want %d", got, swB)
-	}
 	b.Br(join)
 	b.SetInsert(join)
 	b.Br(last)

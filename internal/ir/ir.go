@@ -261,9 +261,6 @@ func (f *Func) NumScalarParams() int {
 	return len(f.Params) - f.NumArrayParams()
 }
 
-// Entry returns the entry block.
-func (f *Func) Entry() *Block { return f.Blocks[0] }
-
 // Preds computes the predecessor lists of every block.
 func (f *Func) Preds() [][]int {
 	preds := make([][]int, len(f.Blocks))

@@ -39,8 +39,8 @@ func TestBuilderDiamond(t *testing.T) {
 	if len(f.Blocks) != 4 {
 		t.Fatalf("expected 4 blocks, got %d", len(f.Blocks))
 	}
-	if f.Entry().Term.Kind != TermCondBr {
-		t.Fatalf("entry terminator = %v, want condbr", f.Entry().Term.Kind)
+	if f.Blocks[0].Term.Kind != TermCondBr {
+		t.Fatalf("entry terminator = %v, want condbr", f.Blocks[0].Term.Kind)
 	}
 	preds := f.Preds()
 	if len(preds[3]) != 2 {
@@ -197,15 +197,23 @@ func TestBuilderPanicsOnUnterminatedBlock(t *testing.T) {
 
 func TestLocalArrayAllocation(t *testing.T) {
 	b := NewFuncBuilder("f", []ParamKind{ParamArray})
-	a1 := b.NewLocalArray(10)
-	a2 := b.NewLocalArray(20)
-	if a1.Index != 1 || a2.Index != 2 {
-		t.Fatalf("local arrays must come after array params: got %d, %d", a1.Index, a2.Index)
-	}
+	sizes := []int{10, 20}
+	b.SetLocalArraySizes(sizes)
+	sizes[0] = 99 // the builder keeps its own copy
+	// Local arrays come after the array params: frame arrays 1 and 2.
+	b.EmitStore(ArrayRef{Index: 2}, ConstVal(0), ConstVal(1))
 	b.Ret(ConstVal(0))
 	f := b.Func()
 	if len(f.LocalArraySizes) != 2 || f.LocalArraySizes[0] != 10 || f.LocalArraySizes[1] != 20 {
 		t.Fatalf("local array sizes wrong: %v", f.LocalArraySizes)
+	}
+	m := &Module{Funcs: []*Func{f}}
+	if err := m.Verify(); err != nil {
+		t.Fatalf("store to the last local array rejected: %v", err)
+	}
+	f.Blocks[0].Instrs[0].Arr.Index = 3
+	if err := m.Verify(); err == nil {
+		t.Fatal("store past the last local array accepted")
 	}
 }
 

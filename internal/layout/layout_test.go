@@ -92,7 +92,7 @@ func main(n) {
 				t.Errorf("ret block b%d predicted %d", b, pred[b])
 			}
 		case ir.TermCondBr:
-			hot, _ := prof.HottestSuccessor(mod.EntryFunc, b)
+			hot, _ := testutil.HottestSuccessor(prof.Funcs[mod.EntryFunc], b)
 			if pred[b] != hot {
 				t.Errorf("block b%d: pred %d != hottest %d", b, pred[b], hot)
 			}
@@ -259,8 +259,8 @@ func TestPlaceFuncAddressing(t *testing.T) {
 			t.Fatalf("func %d: blocks end at %d, End = %d", fi, cur, pf.End)
 		}
 	}
-	if pm.CodeSize() != prevEnd {
-		t.Errorf("CodeSize = %d, want %d", pm.CodeSize(), prevEnd)
+	if got := codeSize(pm); got != prevEnd {
+		t.Errorf("code size = %d, want %d", got, prevEnd)
 	}
 }
 

@@ -69,9 +69,6 @@ func PlaceFunc(f *ir.Func, fl *FuncLayout, base int64) *PlacedFunc {
 	return pf
 }
 
-// CodeSize returns the function's laid-out size in slots.
-func (pf *PlacedFunc) CodeSize() int64 { return pf.End - pf.Base }
-
 // PlacedModule assigns addresses to every function of a module under a
 // layout, packing functions contiguously in module order (alignment is
 // intraprocedural: function order never changes).
@@ -97,17 +94,4 @@ func PlaceModule(mod *ir.Module, l *Layout) *PlacedModule {
 		cur = pf.End
 	}
 	return pm
-}
-
-// CodeSize returns the total laid-out size in slots (the highest function
-// end address; functions may be placed in any order, see
-// PlaceModuleOrdered).
-func (pm *PlacedModule) CodeSize() int64 {
-	var max int64
-	for _, pf := range pm.Funcs {
-		if pf != nil && pf.End > max {
-			max = pf.End
-		}
-	}
-	return max
 }

@@ -54,7 +54,7 @@ func TestLowerIfWithoutElse(t *testing.T) {
 		t.Errorf("expected 3 blocks, got %d\n%s", len(f.Blocks), f.Body())
 	}
 	// The conditional's false edge goes straight to the join block.
-	entry := f.Entry()
+	entry := f.Blocks[0]
 	if entry.Term.Kind != ir.TermCondBr {
 		t.Fatalf("entry should end in condbr")
 	}

@@ -242,8 +242,8 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.Err() != nil {
-		t.Fatal(sink.Err())
+	if sink.err != nil {
+		t.Fatal(sink.err)
 	}
 	if sink.Count() != 3 {
 		t.Fatalf("encoded %d events, want 3", sink.Count())
@@ -367,4 +367,18 @@ func TestObserveBatch(t *testing.T) {
 			t.Errorf("bucket le=%d n=%d, want %d", b.Le, b.N, want[b.Le])
 		}
 	}
+}
+
+// Find returns the collected events matching type and name (either may
+// be "" for any).
+func (m *MemorySink) Find(typ, name string) []Event {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []Event
+	for _, e := range m.events {
+		if (typ == "" || e.Type == typ) && (name == "" || e.Name == name) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -262,16 +262,9 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // ---------------------------------------------------------------------
 // Gauges
 
-// Gauge is a settable instantaneous value. The nil *Gauge is inert.
+// Gauge is an instantaneous value that moves up and down by Add. The nil
+// *Gauge is inert.
 type Gauge struct{ s *series }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.s.bits.Store(math.Float64bits(v))
-}
 
 // Add adds delta (CAS loop; safe from any goroutine).
 func (g *Gauge) Add(delta float64) {
@@ -347,14 +340,6 @@ func (h *Histogram) observeBatch(counts []int64, sum float64) {
 	}
 	h.s.n.Add(total)
 	h.s.addFloat(sum)
-}
-
-// Count returns the number of samples observed (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.s.n.Load()
 }
 
 // bucketIndex maps v to the index of the smallest bound 2^e >= v with

@@ -17,7 +17,7 @@ func TestRegistryGolden(t *testing.T) {
 	reqs.With("/v1/align", "200").Add(3)
 	reqs.With("/v1/align", "429").Inc()
 	reqs.With("other", "404").Inc()
-	r.Gauge("inflight", "In-flight requests.").Set(2)
+	r.Gauge("inflight", "In-flight requests.").Add(2)
 	r.GaugeFunc("cache_entries", "Cached results.", func() float64 { return 5 })
 	h := r.Histogram("latency_seconds", "Request latency.", -2, 2)
 	for _, v := range []float64{0.2, 0.3, 1, 4, 100} {
@@ -228,7 +228,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := g.Value(); got != workers*iters {
 		t.Errorf("gauge %v, want %d", got, workers*iters)
 	}
-	if got := h.Count(); got != workers*iters {
+	if got := h.s.n.Load(); got != workers*iters {
 		t.Errorf("histogram count %d, want %d", got, workers*iters)
 	}
 }
@@ -241,7 +241,7 @@ func TestRegistryNilIsFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Counter("c", "").Inc()
 		r.CounterVec("cv", "", "a", "b").With("x", "y").Add(3)
-		r.Gauge("g", "").Set(1)
+		r.Gauge("g", "").Add(1)
 		r.GaugeFunc("gf", "", func() float64 { return 1 })
 		r.Histogram("h", "", -2, 2).Observe(0.5)
 		r.HistogramVec("hv", "", -2, 2, "a").With("x").Observe(2)

@@ -44,25 +44,11 @@ func (m *MemorySink) Len() int {
 	return len(m.events)
 }
 
-// Find returns the collected events matching type and name (either may
-// be "" for any).
-func (m *MemorySink) Find(typ, name string) []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Event
-	for _, e := range m.events {
-		if (typ == "" || e.Type == typ) && (name == "" || e.Name == name) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // NDJSONSink streams events as newline-delimited JSON, one event per
 // line — the interchange format `balign --trace` writes and
 // `balign report -in` / ReadEvents consume. Writes are buffered; call
 // Close (Trace.Close does) to flush. The first write error sticks and
-// subsequent events are dropped; check Err after closing.
+// subsequent events are dropped; Close returns it.
 type NDJSONSink struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
@@ -91,9 +77,6 @@ func (s *NDJSONSink) Emit(e Event) {
 
 // Count returns the number of events successfully encoded.
 func (s *NDJSONSink) Count() int64 { return s.n }
-
-// Err returns the first write error, if any.
-func (s *NDJSONSink) Err() error { return s.err }
 
 // Close flushes buffered output and returns the first error seen.
 func (s *NDJSONSink) Close() error {

@@ -53,18 +53,11 @@ type CacheConfig struct {
 // counterparts (about 0.5-1.5 KB of code vs. 100 KB+), so the capacity is
 // scaled by the same factor: a 512-byte cache with 16-byte lines keeps
 // the paper-relevant regime where hot paths contend for cache space and
-// code layout visibly changes the miss rate. Alpha21164Cache returns the
-// unscaled geometry.
+// code layout visibly changes the miss rate. The unscaled 21164 geometry
+// (8 KB direct-mapped, 32-byte lines) fits every Mini-C benchmark
+// entirely, so layout-dependent cache behavior vanishes under it.
 func DefaultCache() CacheConfig {
 	return CacheConfig{SizeBytes: 512, LineBytes: 16, Ways: 2, MissPenalty: 10}
-}
-
-// Alpha21164Cache returns the actual Alpha 21164 L1 I-cache geometry
-// (8 KB direct-mapped, 32-byte lines). With the small Mini-C benchmarks
-// everything fits, so layout-dependent cache behavior vanishes; use
-// DefaultCache for the paper-shaped experiments.
-func Alpha21164Cache() CacheConfig {
-	return CacheConfig{SizeBytes: 8192, LineBytes: 32, Ways: 1, MissPenalty: 10}
 }
 
 // Config bundles the simulation parameters.

@@ -218,7 +218,7 @@ func TestLintFindings(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := staticprof.Lint(mod)
-		if len(r.ByClass(check.ClassInfiniteLoop)) == 0 {
+		if countClass(r, check.ClassInfiniteLoop) == 0 {
 			t.Errorf("while(1) not flagged:\n%s", r)
 		}
 	})
@@ -236,7 +236,7 @@ func TestLintFindings(t *testing.T) {
 		fb.Ret(ir.ConstVal(0))
 		mod := &ir.Module{Funcs: []*ir.Func{fb.Func()}, EntryFunc: 0}
 		r := staticprof.Lint(mod)
-		if len(r.ByClass(check.ClassIrreducible)) == 0 {
+		if countClass(r, check.ClassIrreducible) == 0 {
 			t.Errorf("irreducible cycle not flagged:\n%s", r)
 		}
 	})
@@ -246,7 +246,7 @@ func TestLintFindings(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := staticprof.Lint(mod)
-		if len(r.ByClass(check.ClassUnreachable)) == 0 {
+		if countClass(r, check.ClassUnreachable) == 0 {
 			t.Skip("lowering produced no unreachable block")
 		}
 	})
@@ -261,10 +261,21 @@ func TestLintFindings(t *testing.T) {
 				t.Errorf("%s: lint errors (lints must be warnings):\n%s", b.Name, r)
 			}
 			for _, cls := range []check.Class{check.ClassInfiniteLoop, check.ClassIrreducible} {
-				if n := len(r.ByClass(cls)); n > 0 {
+				if n := countClass(r, cls); n > 0 {
 					t.Errorf("%s: %d unexpected %s findings", b.Name, n, cls)
 				}
 			}
 		}
 	})
+}
+
+// countClass counts the report's findings of one class.
+func countClass(r *check.Report, c check.Class) int {
+	n := 0
+	for _, f := range r.Findings {
+		if f.Class == c {
+			n++
+		}
+	}
+	return n
 }

@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -19,22 +18,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (0 for empty input; panics on
-// non-positive values, which indicate a bug in normalization upstream).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %g", x))
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Ratio returns num/den, or fallback when den is zero.

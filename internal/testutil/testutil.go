@@ -4,6 +4,7 @@
 package testutil
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -140,4 +141,48 @@ func BranchyInput(n int, seed int64) []interp.Input {
 		data[i] = rng.Int63n(400) - 50
 	}
 	return []interp.Input{interp.ArrayInput(data), interp.ScalarInput(int64(n))}
+}
+
+// HottestSuccessor returns, for block b of fp, the successor index with
+// the highest execution count (ties break toward the lower index,
+// matching a deterministic static predictor) and that count. For blocks
+// with no successors it returns (-1, 0).
+func HottestSuccessor(fp *interp.FuncProfile, b int) (int, int64) {
+	edges := fp.EdgeCounts[b]
+	if len(edges) == 0 {
+		return -1, 0
+	}
+	best, bestCount := 0, edges[0]
+	for i := 1; i < len(edges); i++ {
+		if edges[i] > bestCount {
+			best, bestCount = i, edges[i]
+		}
+	}
+	return best, bestCount
+}
+
+// InflatedBranchyProfile returns a profile of BranchySource, recorded on
+// BranchyInput(n, seed), with every nonzero edge count replaced by count,
+// serialized as JSON: the untrusted-profile probe for count overflow.
+func InflatedBranchyProfile(n int, seed int64, count int64) ([]byte, error) {
+	mod, err := Compile(BranchySource)
+	if err != nil {
+		return nil, err
+	}
+	prof, _, err := Profile(mod, BranchyInput(n, seed))
+	if err != nil {
+		return nil, err
+	}
+	for _, fp := range prof.Funcs {
+		for _, edges := range fp.EdgeCounts {
+			for i, c := range edges {
+				if c != 0 {
+					edges[i] = count
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	err = prof.WriteJSON(&buf)
+	return buf.Bytes(), err
 }

@@ -27,11 +27,6 @@ type Budget struct {
 	MaxHKIterations int
 }
 
-// IsZero reports whether the budget imposes no limit.
-func (b Budget) IsZero() bool {
-	return b.Deadline.IsZero() && b.MaxKicks == 0 && b.MaxHKIterations == 0
-}
-
 // cancelCheck is the shared boundary test for cancellation signals. It is
 // deliberately side-effect-free with respect to the solver state: checking
 // never touches the random stream, so an uncancelled solve is bit-identical

@@ -89,41 +89,3 @@ func SolveExact(m Costs) (Tour, Cost) {
 	}
 	return tour, best
 }
-
-// SolveBruteForce exhaustively enumerates all (n-1)! cyclic permutations.
-// It is only intended for cross-checking other solvers in tests and
-// panics above 10 cities.
-func SolveBruteForce(m Costs) (Tour, Cost) {
-	n := m.Len()
-	if n > 10 {
-		panic(fmt.Sprintf("tsp: SolveBruteForce: %d cities is too many", n))
-	}
-	if n == 1 {
-		return Tour{0}, 0
-	}
-	perm := make([]int, 0, n-1)
-	for i := 1; i < n; i++ {
-		perm = append(perm, i)
-	}
-	best := Tour(nil)
-	var bestCost Cost
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(perm) {
-			t := append(Tour{0}, perm...)
-			c := CycleCost(m, t)
-			if best == nil || c < bestCost {
-				best = t.Clone()
-				bestCost = c
-			}
-			return
-		}
-		for i := k; i < len(perm); i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	rec(0)
-	return best, bestCost
-}

@@ -71,11 +71,17 @@ func ExampleAssignmentBound() {
 // ExampleSymmetrize demonstrates the 2-city transformation the paper
 // uses: a directed tour embeds at equal cost.
 func ExampleSymmetrize() {
-	m := tsp.FromRows([][]tsp.Cost{
+	rows := [][]tsp.Cost{
 		{0, 1, 7},
 		{7, 0, 2},
 		{3, 7, 0},
-	})
+	}
+	m := tsp.NewMatrix(len(rows))
+	for i, row := range rows {
+		for j, c := range row {
+			m.Set(i, j, c)
+		}
+	}
 	s := tsp.Symmetrize(m)
 	dir := tsp.Tour{0, 1, 2}
 	emb := s.FromDirected(dir)

@@ -75,9 +75,9 @@ func TestHeldKarpTinyInstances(t *testing.T) {
 	}{
 		{"one/dense", NewMatrix(1), 0},
 		{"one/sparse", Sparsify(NewMatrix(1)), 0},
-		{"two/symmetric", FromRows([][]Cost{{0, 2}, {2, 0}}), 4},
-		{"two/asymmetric", FromRows([][]Cost{{0, 3}, {9, 0}}), 12},
-		{"two/sparse", Sparsify(FromRows([][]Cost{{0, 3}, {9, 0}})), 12},
+		{"two/symmetric", fromRows([][]Cost{{0, 2}, {2, 0}}), 4},
+		{"two/asymmetric", fromRows([][]Cost{{0, 3}, {9, 0}}), 12},
+		{"two/sparse", Sparsify(fromRows([][]Cost{{0, 3}, {9, 0}})), 12},
 	} {
 		warm := &HKWarmState{}
 		got := HeldKarpBound(tc.c, HeldKarpOptions{Warm: warm})

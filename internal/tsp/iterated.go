@@ -10,33 +10,23 @@ import (
 	"branchalign/internal/work"
 )
 
-// DoubleBridge applies the classic 4-opt double-bridge kick to tour t and
-// returns a new tour. The tour is cut into four consecutive segments
-// A B C D and reassembled as A C B D. The move is reversal-free, so it is
-// feasible on the locked symmetric transformation (it corresponds to the
-// "randomly-chosen 4-Opt move" of Martin, Otto and Felten used by the
-// paper's solver). Tours with fewer than 4 cities are returned unchanged.
-func DoubleBridge(t Tour, rng *rand.Rand) Tour {
-	return doubleBridgeInto(make(Tour, 0, len(t)), t, rng)
-}
-
-// doubleBridgeInto is DoubleBridge writing into dst's storage (grown if
-// needed), so the solver's kick loop reuses one buffer instead of
-// allocating per kick. dst must not alias t. It consumes the random
-// stream exactly as DoubleBridge does: three Intn draws, none for tours
-// shorter than 4 cities.
-func doubleBridgeInto(dst, t Tour, rng *rand.Rand) Tour {
-	dst, _ = doubleBridgeIntoCost(dst, t, rng, nil, 0)
-	return dst
-}
-
-// doubleBridgeIntoCost is doubleBridgeInto plus the kicked tour's cost,
-// derived from the cost of t by the kick's six-edge delta (the double
-// bridge removes the three cut edges and adds three reconnections; the
-// closing edge is untouched). Six At reads replace the O(n) CycleCost
-// rescan the kick loop used to pay per kick (see ThreeOpt.SetTourCost).
-// With a nil m the cost is not computed and cost is passed through.
-func doubleBridgeIntoCost(dst, t Tour, rng *rand.Rand, m Costs, cost Cost) (Tour, Cost) {
+// doubleBridge applies the classic 4-opt double-bridge kick to tour t,
+// writing the kicked tour into dst's storage (grown if needed) so the
+// kick loop reuses one buffer. dst must not alias t. The tour is cut into
+// four consecutive segments A B C D and reassembled as A C B D. The move
+// is reversal-free, so it is feasible on the locked symmetric
+// transformation (it corresponds to the "randomly-chosen 4-Opt move" of
+// Martin, Otto and Felten used by the paper's solver). Tours with fewer
+// than 4 cities are returned unchanged, consuming no random draws;
+// longer ones take three Intn draws.
+//
+// With a non-nil m it also returns the kicked tour's cost, derived from
+// the cost of t by the kick's six-edge delta (the double bridge removes
+// the three cut edges and adds three reconnections; the closing edge is
+// untouched). Six At reads replace the O(n) CycleCost rescan the kick
+// loop would pay per kick (see ThreeOpt.SetTourCost). With a nil m cost
+// is passed through.
+func doubleBridge(dst, t Tour, rng *rand.Rand, m Costs, cost Cost) (Tour, Cost) {
 	n := len(t)
 	if n < 4 {
 		return append(dst[:0], t...), cost
@@ -54,16 +44,6 @@ func doubleBridgeIntoCost(dst, t Tour, rng *rand.Rand, m Costs, cost Cost) (Tour
 			m.At(t[p1-1], t[p1]) - m.At(t[p2-1], t[p2]) - m.At(t[p3-1], t[p3])
 	}
 	return dst, cost
-}
-
-// IteratedThreeOpt runs Martin-Otto-Felten iterated local search: optimize
-// the start tour to a 3-opt local optimum, then repeatedly kick with a
-// double bridge, re-optimize, and keep the better of the incumbent and the
-// kicked solution. It performs iters kick-and-reoptimize rounds and
-// returns the best tour found with its cost.
-func IteratedThreeOpt(m Costs, nb *Neighbors, start Tour, iters int, rng *rand.Rand) (Tour, Cost) {
-	t, c, _ := iteratedThreeOpt(m, nb, nil, start, iters, rng, nil, nil, false)
-	return t, c
 }
 
 // runTelemetry carries per-run iterated-local-search diagnostics.
@@ -94,16 +74,19 @@ type solveWorkspace struct {
 	kick Tour
 }
 
-// iteratedThreeOpt is IteratedThreeOpt with telemetry, budgeting and
-// workspace reuse: when sp is non-nil the cost-vs-iteration convergence
-// series is recorded on it (the initial local optimum plus every
-// accepted kick), and when rb is non-nil the kick loop stops at the
-// first boundary where the run's kick quota is exhausted or the context
-// cancelled — the best tour found so far is returned either way. ws may
-// be nil (a fresh workspace is used) or recycled from a previous run on
-// the same instance. The run statistics are returned in all cases; they
-// cost a handful of integer updates per kick, far off the 3-opt inner
-// loop.
+// iteratedThreeOpt runs Martin-Otto-Felten iterated local search:
+// optimize the start tour to a local optimum, then repeatedly kick with a
+// double bridge, re-optimize, and keep the better of the incumbent and
+// the kicked solution. It performs iters kick-and-reoptimize rounds and
+// returns the best tour found with its cost. When sp is non-nil the
+// cost-vs-iteration convergence series is recorded on it (the initial
+// local optimum plus every accepted kick), and when rb is non-nil the
+// kick loop stops at the first boundary where the run's kick quota is
+// exhausted or the context cancelled — the best tour found so far is
+// returned either way. ws may be nil (a fresh workspace is used) or
+// recycled from a previous run on the same instance. The run statistics
+// are returned in all cases; they cost a handful of integer updates per
+// kick, far off the 3-opt inner loop.
 func iteratedThreeOpt(m Costs, nb *Neighbors, ws *solveWorkspace, start Tour, iters int, rng *rand.Rand, sp *obs.Span, rb *runBudget, orOpt bool) (Tour, Cost, runTelemetry) {
 	if nb == nil {
 		nb = BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
@@ -130,7 +113,7 @@ func iteratedThreeOpt(m Costs, nb *Neighbors, ws *solveWorkspace, start Tour, it
 	for i := 0; i < iters && rb.allow(); i++ {
 		rb.spend()
 		var kickCost Cost
-		ws.kick, kickCost = doubleBridgeIntoCost(ws.kick, ws.cur, rng, m, curCost)
+		ws.kick, kickCost = doubleBridge(ws.kick, ws.cur, rng, m, curCost)
 		o.SetTourCost(ws.kick, kickCost)
 		o.Optimize()
 		rt.kicks++

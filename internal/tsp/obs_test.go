@@ -47,7 +47,7 @@ func TestSolveTelemetry(t *testing.T) {
 		t.Errorf("move counters implausible: tried=%d accepted=%d", traced.MovesTried, traced.MovesAccepted)
 	}
 
-	solves := sink.Find("span", "tsp.solve")
+	solves := findEvents(sink, "span", "tsp.solve")
 	if len(solves) != 1 {
 		t.Fatalf("got %d tsp.solve spans, want 1", len(solves))
 	}
@@ -56,7 +56,7 @@ func TestSolveTelemetry(t *testing.T) {
 		sp.Int("runs") != int64(traced.Runs) || sp.Int("moves_tried") != traced.MovesTried {
 		t.Errorf("tsp.solve attrs wrong: %+v", sp.Attrs)
 	}
-	runs := sink.Find("span", "tsp.run")
+	runs := findEvents(sink, "span", "tsp.run")
 	if len(runs) != traced.Runs {
 		t.Fatalf("got %d tsp.run spans, want %d", len(runs), traced.Runs)
 	}
@@ -75,7 +75,7 @@ func TestSolveTelemetry(t *testing.T) {
 	if bestRunCost != traced.Cost {
 		t.Errorf("best run cost %d != result cost %d", bestRunCost, traced.Cost)
 	}
-	series := sink.Find("series", "tour_cost")
+	series := findEvents(sink, "series", "tour_cost")
 	if len(series) != traced.Runs {
 		t.Fatalf("got %d tour_cost series, want %d", len(series), traced.Runs)
 	}
@@ -91,7 +91,7 @@ func TestSolveTelemetry(t *testing.T) {
 			}
 		}
 	}
-	if len(sink.Find("counter", "tsp.kicks")) != 1 {
+	if len(findEvents(sink, "counter", "tsp.kicks")) != 1 {
 		t.Error("missing merged tsp.kicks counter")
 	}
 }
@@ -107,11 +107,11 @@ func TestSolveTelemetryExact(t *testing.T) {
 	res := Solve(m, opt)
 	root.End()
 	tr.Close()
-	spans := sink.Find("span", "tsp.solve")
+	spans := findEvents(sink, "span", "tsp.solve")
 	if len(spans) != 1 || !spans[0].Bool("exact") || spans[0].Int("cost") != res.Cost {
 		t.Fatalf("exact solve span wrong: %+v", spans)
 	}
-	if len(sink.Find("span", "tsp.run")) != 0 {
+	if len(findEvents(sink, "span", "tsp.run")) != 0 {
 		t.Error("exact path emitted tsp.run spans")
 	}
 }
@@ -134,7 +134,7 @@ func TestHeldKarpTelemetry(t *testing.T) {
 	if traced != plain {
 		t.Errorf("tracing changed the bound: %v vs %v", traced, plain)
 	}
-	spans := sink.Find("span", "tsp.heldkarp")
+	spans := findEvents(sink, "span", "tsp.heldkarp")
 	if len(spans) != 1 {
 		t.Fatalf("got %d tsp.heldkarp spans, want 1", len(spans))
 	}
@@ -142,7 +142,7 @@ func TestHeldKarpTelemetry(t *testing.T) {
 	if sp.Float("bound") != traced || sp.Int("iterations") <= 0 || sp.Int("cities") != 20 {
 		t.Errorf("heldkarp attrs wrong: %+v", sp.Attrs)
 	}
-	series := sink.Find("series", "hk_bound")
+	series := findEvents(sink, "series", "hk_bound")
 	if len(series) != 1 || len(series[0].Points) == 0 {
 		t.Fatalf("hk_bound series missing: %+v", series)
 	}
@@ -156,7 +156,7 @@ func TestHeldKarpTelemetry(t *testing.T) {
 	if last := pts[len(pts)-1][1]; last != traced {
 		t.Errorf("final trajectory point %v != bound %v", last, traced)
 	}
-	if len(sink.Find("series", "hk_step")) != 1 {
+	if len(findEvents(sink, "series", "hk_step")) != 1 {
 		t.Error("hk_step series missing")
 	}
 }
@@ -171,4 +171,16 @@ func tourEq(a, b Tour) bool {
 		}
 	}
 	return true
+}
+
+// findEvents returns the events of sink matching type and name (either
+// may be "" for any).
+func findEvents(sink *obs.MemorySink, typ, name string) []obs.Event {
+	var out []obs.Event
+	for _, e := range sink.Events() {
+		if (typ == "" || e.Type == typ) && (name == "" || e.Name == name) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

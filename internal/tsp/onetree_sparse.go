@@ -199,13 +199,6 @@ func growBool(s []bool, n int) []bool {
 	return make([]bool, n)
 }
 
-func growCost(s []Cost, n int) []Cost {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]Cost, n)
-}
-
 func (t *sparseOneTree) init(sp *SparseMatrix) {
 	n := sp.Len()
 	N := 2 * n

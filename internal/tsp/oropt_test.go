@@ -21,10 +21,10 @@ func TestQuickOrOptImprovesLocalOptimum(t *testing.T) {
 
 		pure := NewThreeOpt(m, nil, start)
 		c1 := pure.Optimize()
-		both := NewThreeOpt(m, nil, pure.Tour())
+		both := NewThreeOpt(m, nil, pure.AppendTour(nil))
 		both.SetOrOpt(true)
 		c2 := both.Optimize()
-		tour := both.Tour()
+		tour := both.AppendTour(nil)
 		return tour.Valid(n) && c2 <= c1 && CycleCost(m, tour) == c2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -84,7 +84,7 @@ func TestPatchingLosesOnLoopyInstances(t *testing.T) {
 			m.Set(c+2, c, 1)
 		}
 		_, patched := SolvePatching(m)
-		_, threeOpt := IteratedThreeOpt(m, nil, GreedyEdge(m, nil), 3*n, rng)
+		_, threeOpt := iteratedPure(m, GreedyEdge(m, nil), 3*n, rng)
 		if threeOpt < patched {
 			worse++
 		}

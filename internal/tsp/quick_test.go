@@ -20,7 +20,7 @@ func TestQuickThreeOptProducesValidToursAndNeverWorsens(t *testing.T) {
 		before := CycleCost(m, start)
 		o := NewThreeOpt(m, nil, start)
 		after := o.Optimize()
-		return o.Tour().Valid(n) && after <= before && CycleCost(m, o.Tour()) == after
+		return o.AppendTour(nil).Valid(n) && after <= before && CycleCost(m, o.AppendTour(nil)) == after
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestQuickBoundSandwich(t *testing.T) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
-		_, heur := IteratedThreeOpt(m, nil, GreedyEdge(m, nil), 2*n, rng)
+		_, heur := iteratedPure(m, GreedyEdge(m, nil), 2*n, rng)
 		return heur >= opt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -161,8 +161,8 @@ func TestSparseThreeOptMatchesDense(t *testing.T) {
 		oa := NewThreeOpt(sp, nil, start.Clone())
 		od := NewThreeOpt(d, nil, start.Clone())
 		ca, cd := oa.Optimize(), od.Optimize()
-		if ca != cd || !reflect.DeepEqual(oa.Tour(), od.Tour()) {
-			t.Fatalf("seed %d: sparse 3-opt (%d, %v) != dense (%d, %v)", seed, ca, oa.Tour(), cd, od.Tour())
+		if ca != cd || !reflect.DeepEqual(oa.AppendTour(nil), od.AppendTour(nil)) {
+			t.Fatalf("seed %d: sparse 3-opt (%d, %v) != dense (%d, %v)", seed, ca, oa.AppendTour(nil), cd, od.AppendTour(nil))
 		}
 	}
 }

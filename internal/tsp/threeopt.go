@@ -151,9 +151,6 @@ func (o *ThreeOpt) setTour(t Tour, c Cost) {
 	}
 }
 
-// Tour returns a copy of the current tour.
-func (o *ThreeOpt) Tour() Tour { return o.tl.Tour() }
-
 // AppendTour appends the current tour to dst[:0] and returns it,
 // allocating nothing when dst has capacity n.
 func (o *ThreeOpt) AppendTour(dst Tour) Tour { return o.tl.AppendTour(dst) }
@@ -161,15 +158,10 @@ func (o *ThreeOpt) AppendTour(dst Tour) Tour { return o.tl.AppendTour(dst) }
 // Cost returns the (incrementally maintained) cost of the current tour.
 func (o *ThreeOpt) Cost() Cost { return o.c }
 
-// Moves reports the cumulative number of candidate moves examined and
-// moves applied across all move families since the ThreeOpt was created
+// MoveStats returns a snapshot of the cumulative per-family counters:
+// candidate moves examined and applied since the ThreeOpt was created
 // (across SetTour resets), the solver-effort telemetry behind the "moves
-// tried vs accepted" counters. MoveStats breaks the totals down.
-func (o *ThreeOpt) Moves() (tried, accepted int64) {
-	return o.stats.TriedTotal(), o.stats.AcceptedTotal()
-}
-
-// MoveStats returns a snapshot of the cumulative per-family counters.
+// tried vs accepted" counters.
 func (o *ThreeOpt) MoveStats() MoveStats { return o.stats }
 
 // Optimize runs the search to a local optimum and returns the final cost.

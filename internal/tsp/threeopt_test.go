@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// iteratedPure runs one iterated-3-opt run of the solver (pure 3-opt, no
+// telemetry, no budget) and returns its best tour and cost.
+func iteratedPure(m Costs, start Tour, iters int, rng *rand.Rand) (Tour, Cost) {
+	t, c, _ := iteratedThreeOpt(m, nil, nil, start, iters, rng, nil, nil, false)
+	return t, c
+}
+
 func TestThreeOptNeverWorsens(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		m := randMatrix(20, 1000, seed)
@@ -16,7 +23,7 @@ func TestThreeOptNeverWorsens(t *testing.T) {
 		if after > before {
 			t.Fatalf("seed %d: 3-opt worsened tour: %d -> %d", seed, before, after)
 		}
-		if !o.Tour().Valid(20) {
+		if !o.AppendTour(nil).Valid(20) {
 			t.Fatalf("seed %d: 3-opt produced invalid tour", seed)
 		}
 	}
@@ -27,7 +34,7 @@ func TestThreeOptIncrementalCostMatchesRecomputed(t *testing.T) {
 		m := randMatrix(15, 500, seed+100)
 		o := NewThreeOpt(m, nil, IdentityTour(15))
 		got := o.Optimize()
-		want := CycleCost(m, o.Tour())
+		want := CycleCost(m, o.AppendTour(nil))
 		if got != want {
 			t.Fatalf("seed %d: incremental cost %d != recomputed %d", seed, got, want)
 		}
@@ -52,7 +59,7 @@ func TestThreeOptReachesOptimumOnRingInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	start := IdentityTour(n)
 	rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })
-	tour, cost := IteratedThreeOpt(m, nil, start, 4*n, rng)
+	tour, cost := iteratedPure(m, start, 4*n, rng)
 	if !tour.Valid(n) {
 		t.Fatal("invalid tour")
 	}
@@ -67,7 +74,7 @@ func TestThreeOptSmallInstances(t *testing.T) {
 		m := randMatrix(n, 100, int64(n))
 		o := NewThreeOpt(m, nil, IdentityTour(n))
 		o.Optimize()
-		if !o.Tour().Valid(n) {
+		if !o.AppendTour(nil).Valid(n) {
 			t.Fatalf("n=%d: invalid tour after optimize", n)
 		}
 	}
@@ -76,7 +83,7 @@ func TestThreeOptSmallInstances(t *testing.T) {
 func TestThreeOptFlipsTriangle(t *testing.T) {
 	// With 3 cities there are exactly two directed cycles; 3-opt must pick
 	// the cheaper one.
-	m := FromRows([][]Cost{
+	m := fromRows([][]Cost{
 		{0, 100, 1},
 		{1, 0, 100},
 		{100, 1, 0},
@@ -85,7 +92,7 @@ func TestThreeOptFlipsTriangle(t *testing.T) {
 	o := NewThreeOpt(m, nil, IdentityTour(3))
 	got := o.Optimize()
 	if got != 3 {
-		t.Fatalf("3-opt on triangle: cost %d, want 3 (tour %v)", got, o.Tour())
+		t.Fatalf("3-opt on triangle: cost %d, want 3 (tour %v)", got, o.AppendTour(nil))
 	}
 }
 
@@ -96,7 +103,7 @@ func TestThreeOptNearOptimalOnRandomInstances(t *testing.T) {
 		m := randMatrix(n, 1000, seed+500)
 		_, opt := SolveExact(m)
 		rng := rand.New(rand.NewSource(seed))
-		tour, cost := IteratedThreeOpt(m, nil, GreedyEdge(m, nil), 6*n, rng)
+		tour, cost := iteratedPure(m, GreedyEdge(m, nil), 6*n, rng)
 		if cost < opt {
 			t.Fatalf("seed %d: heuristic cost %d below proven optimum %d", seed, cost, opt)
 		}
@@ -115,7 +122,7 @@ func TestDoubleBridgePreservesPermutation(t *testing.T) {
 		n := int(nRaw%30) + 1
 		tour := IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { tour[i], tour[j] = tour[j], tour[i] })
-		kicked := DoubleBridge(tour, rng)
+		kicked, _ := doubleBridge(nil, tour, rng, nil, 0)
 		return kicked.Valid(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -127,7 +134,7 @@ func TestDoubleBridgeSmallToursUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 1; n < 4; n++ {
 		tour := IdentityTour(n)
-		kicked := DoubleBridge(tour, rng)
+		kicked, _ := doubleBridge(nil, tour, rng, nil, 0)
 		for i := range tour {
 			if kicked[i] != tour[i] {
 				t.Fatalf("n=%d: kick changed a tour too small to cut", n)
@@ -141,7 +148,7 @@ func TestDoubleBridgeActuallyPerturbs(t *testing.T) {
 	tour := IdentityTour(20)
 	changed := false
 	for i := 0; i < 10; i++ {
-		kicked := DoubleBridge(tour, rng)
+		kicked, _ := doubleBridge(nil, tour, rng, nil, 0)
 		for j := range kicked {
 			if kicked[j] != tour[j] {
 				changed = true
@@ -184,7 +191,7 @@ func TestSolveUsesExactForSmallInstances(t *testing.T) {
 	if !res.Exact {
 		t.Fatal("8-city instance should be solved exactly")
 	}
-	_, opt := SolveBruteForce(m)
+	_, opt := solveBruteForce(m)
 	if res.Cost != opt {
 		t.Fatalf("exact path returned %d, brute force says %d", res.Cost, opt)
 	}

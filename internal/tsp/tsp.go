@@ -12,8 +12,7 @@
 //     matching, both with optional randomization),
 //   - a reversal-free directed 3-opt local search, which is exactly the
 //     move set that symmetric 3-opt induces on the standard 2-city
-//     DTSP-to-STSP transformation when the intra-city edges are locked;
-//     this is the engine behind IteratedThreeOpt,
+//     DTSP-to-STSP transformation when the intra-city edges are locked,
 //   - the iterated local search protocol from the paper (double-bridge
 //     kicks, multiple randomized starts),
 //   - the Held-Karp lower bound computed on the symmetrized instance via
@@ -49,20 +48,6 @@ func NewMatrix(n int) *Matrix {
 	return &Matrix{n: n, c: make([]Cost, n*n)}
 }
 
-// FromRows builds a matrix from a square slice of rows. It panics if the
-// input is not square.
-func FromRows(rows [][]Cost) *Matrix {
-	n := len(rows)
-	m := NewMatrix(n)
-	for i, row := range rows {
-		if len(row) != n {
-			panic(fmt.Sprintf("tsp: FromRows: row %d has %d entries, want %d", i, len(row), n))
-		}
-		copy(m.c[i*n:(i+1)*n], row)
-	}
-	return m
-}
-
 // Len returns the number of cities.
 func (m *Matrix) Len() int { return m.n }
 
@@ -71,9 +56,6 @@ func (m *Matrix) At(i, j int) Cost { return m.c[i*m.n+j] }
 
 // Set assigns the cost of the directed edge i->j.
 func (m *Matrix) Set(i, j int, c Cost) { m.c[i*m.n+j] = c }
-
-// Add increments the cost of the directed edge i->j.
-func (m *Matrix) Add(i, j int, c Cost) { m.c[i*m.n+j] += c }
 
 // Forbid returns a cost strictly larger than the cost of any tour that
 // avoids forbidden edges: one plus the sum of all positive entries. Using
@@ -88,25 +70,6 @@ func (m *Matrix) Forbid() Cost {
 		}
 	}
 	return sum + 1
-}
-
-// IsSymmetric reports whether the matrix is symmetric.
-func (m *Matrix) IsSymmetric() bool {
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if m.At(i, j) != m.At(j, i) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := make([]Cost, len(m.c))
-	copy(c, m.c)
-	return &Matrix{n: m.n, c: c}
 }
 
 // Tour is a cyclic permutation of the cities 0..n-1. Tour[k] is the k-th
@@ -146,16 +109,6 @@ func CycleCost(m Costs, t Tour) Cost {
 		sum += m.At(t[k], t[k+1])
 	}
 	sum += m.At(t[len(t)-1], t[0])
-	return sum
-}
-
-// PathCost returns the cost of traversing t as a directed open walk under
-// m (no closing edge).
-func PathCost(m Costs, t Tour) Cost {
-	var sum Cost
-	for k := 0; k+1 < len(t); k++ {
-		sum += m.At(t[k], t[k+1])
-	}
 	return sum
 }
 

@@ -13,8 +13,8 @@ import "math"
 // 3-opt/Or-opt kernels are hot on:
 //
 //   - Succ/Pred: one array load, O(1), no modular arithmetic;
-//   - Rank and the relative-order query Np: O(1) against prefix sums that
-//     are rebuilt lazily in O(√n) after a splice;
+//   - Rank and the relative-order query NpFrom: O(1) against prefix sums
+//     that are rebuilt lazily in O(√n) after a splice;
 //   - Splice, the reversal-free segment exchange (relocate the contiguous
 //     block d..e to immediately after a): three segment splits of O(√n)
 //     each plus an O(1) relink of the segment ring.
@@ -58,7 +58,8 @@ func NewTwoLevel(t Tour) *TwoLevel {
 }
 
 // Init rebuilds the structure over tour t, reusing existing storage when
-// the city count is unchanged. The city at t[0] becomes First.
+// the city count is unchanged. The city at t[0] becomes the first city,
+// where AppendTour starts.
 func (tl *TwoLevel) Init(t Tour) {
 	n := len(t)
 	if n == 0 {
@@ -121,13 +122,6 @@ func (tl *TwoLevel) initSegments(t Tour) {
 // Len returns the number of cities.
 func (tl *TwoLevel) Len() int { return tl.n }
 
-// First returns the city at tour position 0: the starting city of Init,
-// or the anchor of the most recent Splice. Tracking the anchor reproduces
-// the rotation behavior of the array kernel this structure replaces,
-// which rebuilt its tour starting at the anchor — so materialized tours
-// are bit-identical between the two (see AppendTour).
-func (tl *TwoLevel) First() int { return int(tl.first) }
-
 // Succ returns the successor of city x in the tour.
 func (tl *TwoLevel) Succ(x int) int { return int(tl.next[x]) }
 
@@ -137,10 +131,10 @@ func (tl *TwoLevel) Pred(x int) int { return int(tl.prev[x]) }
 // Rank returns the position of city x in an unspecified rotation of the
 // tour: successors differ by +1 mod n, and ranks cover 0..n-1, but the
 // city at rank 0 is an implementation detail (the head of some segment,
-// not necessarily First). Only rank differences mod n carry meaning —
-// NpFrom consumes them — and only between two Rank/NpFrom calls with no
-// intervening Splice. Rank revalidates the prefix sums (O(√n)) if a
-// splice invalidated them.
+// not necessarily the first city). Only rank differences mod n carry
+// meaning — NpFrom consumes them — and only between two Rank/NpFrom
+// calls with no intervening Splice. Rank revalidates the prefix sums
+// (O(√n)) if a splice invalidated them.
 func (tl *TwoLevel) Rank(x int) int {
 	if !tl.ranksOK {
 		tl.rebuildRanks()
@@ -154,16 +148,11 @@ func (tl *TwoLevel) rank(x int) int {
 	return int(tl.segStart[tl.seg[x]] + tl.off[x])
 }
 
-// Np returns the position of x relative to (and excluding) the anchor a:
-// Np(Succ(a)) == 0, Np(Pred(a)) == n-2, Np(a) == n-1. It matches the
-// pos-array arithmetic of the array kernel exactly.
-func (tl *TwoLevel) Np(a, x int) int {
-	return tl.NpFrom(tl.Rank(a), x)
-}
-
-// NpFrom is Np with the anchor's rank precomputed, the hot-path form: the
-// search loops call Rank once per anchor and NpFrom per candidate. The
-// caller must have obtained ra from Rank with no Splice in between.
+// NpFrom returns the position of x relative to (and excluding) the
+// anchor a whose rank is ra: Succ(a) is at 0, Pred(a) at n-2 and a itself
+// at n-1. It matches the pos-array arithmetic of the array kernel exactly.
+// The search loops call Rank once per anchor and NpFrom per candidate;
+// the caller must have obtained ra from Rank with no Splice in between.
 func (tl *TwoLevel) NpFrom(ra, x int) int {
 	d := tl.rank(x) - ra - 1
 	if d < 0 {
@@ -173,11 +162,12 @@ func (tl *TwoLevel) NpFrom(ra, x int) int {
 }
 
 // rebuildRanks recomputes the segments' cumulative start positions by
-// walking the segment ring from First's segment. O(number of segments).
+// walking the segment ring from the first city's segment. O(number of
+// segments).
 func (tl *TwoLevel) rebuildRanks() {
 	home := tl.seg[tl.first]
-	// First is not necessarily its segment's head (a splice anchor lands
-	// at a segment tail), so the rank-0 city is home's head, not First;
+	// The first city is not necessarily its segment's head (a splice
+	// anchor lands at a segment tail), so the rank-0 city is home's head;
 	// ranks only feed differences mod n (see Rank), so any rotation
 	// anchor is as good as another.
 	s := home
@@ -200,9 +190,12 @@ func (tl *TwoLevel) rebuildRanks() {
 //
 // where b = Succ(a), c = Pred(d), f = Succ(e). The caller must ensure the
 // move is proper, exactly the feasibility conditions of the 3-opt search:
-// 1 <= Np(a,d) <= Np(a,e) <= n-2 with d..e contiguous (equivalently: the
-// block d..e contains neither a nor b). a becomes First, reproducing the
-// array kernel's rotation. Amortized O(√n).
+// 1 <= NpFrom(Rank(a),d) <= NpFrom(Rank(a),e) <= n-2 with d..e
+// contiguous (equivalently: the block d..e contains neither a nor b).
+// a becomes the first city: tracking the anchor reproduces the rotation
+// of the array kernel this structure replaces, which rebuilt its tour
+// starting at the anchor, so materialized tours are bit-identical
+// between the two. Amortized O(√n).
 func (tl *TwoLevel) Splice(a, d, e int) {
 	if tl.nseg+3 > len(tl.segHead) {
 		tl.rebuild()
@@ -286,8 +279,9 @@ func (tl *TwoLevel) rebuild() {
 	tl.initSegments(tl.scratch)
 }
 
-// AppendTour appends the tour to dst[:0] in order, starting at First, and
-// returns it. With a dst of capacity n it allocates nothing.
+// AppendTour appends the tour to dst[:0] in order, starting at the first
+// city (Init's t[0] or the latest Splice anchor), and returns it. With a
+// dst of capacity n it allocates nothing.
 func (tl *TwoLevel) AppendTour(dst Tour) Tour {
 	dst = dst[:0]
 	c := tl.first
@@ -296,9 +290,4 @@ func (tl *TwoLevel) AppendTour(dst Tour) Tour {
 		c = tl.next[c]
 	}
 	return dst
-}
-
-// Tour returns the tour as a fresh slice, starting at First.
-func (tl *TwoLevel) Tour() Tour {
-	return tl.AppendTour(make(Tour, 0, tl.n))
 }

@@ -205,7 +205,7 @@ func TestQuickTwoLevelMatchesSliceModel(t *testing.T) {
 			for i, c := range model {
 				pos[c] = i
 			}
-			if tl.First() != model[0] {
+			if int(tl.first) != model[0] {
 				return false
 			}
 			for _, c := range model {
@@ -222,7 +222,7 @@ func TestQuickTwoLevelMatchesSliceModel(t *testing.T) {
 			ra := tl.Rank(a)
 			for _, x := range model {
 				want := (pos[x] - pos[a] - 1 + n) % n
-				if tl.Np(a, x) != want || tl.NpFrom(ra, x) != want {
+				if tl.NpFrom(ra, x) != want {
 					return false
 				}
 			}
@@ -287,19 +287,19 @@ func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 		want.Optimize()
 		cur := want.Tour()
 		for round := 0; ; round++ {
-			if got.Cost() != want.Cost() || !tourEqual(got.Tour(), want.Tour()) {
+			if got.Cost() != want.Cost() || !tourEqual(got.AppendTour(nil), want.Tour()) {
 				return false
 			}
-			gt, ga := got.Moves()
+			gs := got.MoveStats()
 			wt, wa := want.Moves()
-			if gt != wt || ga != wa {
+			if gs.TriedTotal() != wt || gs.AcceptedTotal() != wa {
 				return false
 			}
 			if round == 3 {
 				return true
 			}
 			var kc Cost
-			kick, kc := doubleBridgeIntoCost(nil, cur, rng, m, want.Cost())
+			kick, kc := doubleBridge(nil, cur, rng, m, want.Cost())
 			if kc != CycleCost(m, kick) {
 				return false // the six-edge kick delta must be exact
 			}
@@ -326,12 +326,12 @@ func TestQuickSetTourCostMatchesSetTour(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { tour[i], tour[j] = tour[j], tour[i] })
 		a := NewThreeOpt(m, nil, tour)
 		b := NewThreeOpt(m, nil, tour)
-		next := DoubleBridge(tour, rng)
+		next, _ := doubleBridge(nil, tour, rng, nil, 0)
 		a.SetTour(next)
 		b.SetTourCost(next, CycleCost(m, next))
 		a.Optimize()
 		b.Optimize()
-		return a.Cost() == b.Cost() && tourEqual(a.Tour(), b.Tour())
+		return a.Cost() == b.Cost() && tourEqual(a.AppendTour(nil), b.AppendTour(nil))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -370,10 +370,10 @@ func TestTwoLevelRebuildPreservesTour(t *testing.T) {
 		model = next
 		tl.Splice(a, d, e)
 	}
-	if !tourEqual(tl.Tour(), model) {
+	if !tourEqual(tl.AppendTour(nil), model) {
 		t.Fatalf("tour diverged from model after %d splices", 500)
 	}
-	if tl.First() != model[0] {
-		t.Fatalf("First = %d, want %d", tl.First(), model[0])
+	if int(tl.first) != model[0] {
+		t.Fatalf("first city = %d, want %d", tl.first, model[0])
 	}
 }
