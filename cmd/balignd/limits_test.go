@@ -118,6 +118,7 @@ func TestAlignStatusForInterpErrors(t *testing.T) {
 		{"step budget", run(interp.Options{MaxSteps: 1000}), http.StatusUnprocessableEntity, "budget_exceeded"},
 		{"cell budget", run(interp.Options{MaxCells: 99}), http.StatusRequestEntityTooLarge, "too_large"},
 		{"load deadline", run(interp.Options{Context: expired}), http.StatusServiceUnavailable, "timeout"},
+		{"static estimate", fmt.Errorf("%w: counts too large", engine.ErrEstimateBudget), http.StatusUnprocessableEntity, "budget_exceeded"},
 		{"engine panic", fmt.Errorf("%w: panic: boom", engine.ErrInternal), http.StatusInternalServerError, "internal"},
 		{"other", errors.New("parsing source: bad"), http.StatusBadRequest, "bad_request"},
 	} {

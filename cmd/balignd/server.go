@@ -237,7 +237,7 @@ func errKind(code int, err error) string {
 	switch {
 	case errors.Is(err, interp.ErrCellBudget):
 		return "too_large"
-	case errors.Is(err, interp.ErrStepBudget):
+	case errors.Is(err, interp.ErrStepBudget), errors.Is(err, engine.ErrEstimateBudget):
 		return "budget_exceeded"
 	case errors.Is(err, engine.ErrNoModule):
 		return "no_module"
@@ -445,8 +445,9 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 
 // alignStatus is the HTTP status of a failed engine request: a program
 // whose arrays exceed the interpreter's cell budget is too large (413),
-// one whose profiling run exceeds its step budget is unprocessable
-// (422), a deadline consumed before the solve began (the request's own,
+// one whose profiling run exceeds its step budget, or whose static
+// estimate exceeds the per-function count cap, is unprocessable (422),
+// a deadline consumed before the solve began (the request's own,
 // or the profiling run's) is 503, a panic inside the engine is 500, and
 // anything else is malformed input.
 func alignStatus(err error) int {
@@ -455,7 +456,7 @@ func alignStatus(err error) int {
 		return http.StatusInternalServerError
 	case errors.Is(err, interp.ErrCellBudget):
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, interp.ErrStepBudget):
+	case errors.Is(err, interp.ErrStepBudget), errors.Is(err, engine.ErrEstimateBudget):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable

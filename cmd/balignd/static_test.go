@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"branchalign/internal/testutil"
@@ -100,6 +102,36 @@ func TestAlignStaticBench(t *testing.T) {
 	}
 }
 
+// loopChainSource returns a Mini-C program of len(depths) functions:
+// main runs a loop nest depths[0] deep whose body calls the next
+// function, which does the same with depths[1], and so on. The static
+// estimator multiplies trip counts down the chain, so a few levels carry
+// estimated counts far beyond anything a profiling run could reach.
+func loopChainSource(depths ...int) string {
+	var b strings.Builder
+	for fi := len(depths) - 1; fi >= 0; fi-- {
+		name := fmt.Sprintf("f%d", fi)
+		if fi == 0 {
+			name = "main"
+		}
+		fmt.Fprintf(&b, "func %s(n) {\n\tvar s = 0;\n", name)
+		for i := 0; i < depths[fi]; i++ {
+			fmt.Fprintf(&b, "\tvar i%d;\n", i)
+		}
+		for i := 0; i < depths[fi]; i++ {
+			fmt.Fprintf(&b, "\tfor (i%d = 0; i%d < n; i%d = i%d + 1) {\n", i, i, i, i)
+		}
+		if fi == len(depths)-1 {
+			b.WriteString("\ts = s + 1;\n")
+		} else {
+			fmt.Fprintf(&b, "\ts = s + f%d(n);\n", fi+1)
+		}
+		b.WriteString(strings.Repeat("\t}\n", depths[fi]))
+		b.WriteString("\treturn s;\n}\n")
+	}
+	return b.String()
+}
+
 // TestAlignErrorKinds pins the machine-readable error discriminators
 // clients switch on.
 func TestAlignErrorKinds(t *testing.T) {
@@ -169,6 +201,15 @@ func TestAlignErrorKinds(t *testing.T) {
 			req:      alignRequest{Source: testutil.BranchySource, Data: testData(8, 1), Profile: inflated},
 			wantCode: http.StatusBadRequest,
 			wantKind: "bad_request",
+		},
+		{
+			// The innermost function's estimated counts sum above
+			// interp.MaxFuncCount (2^44): a static estimate is not
+			// clamped, so the request fails.
+			name:     "static estimate over the count cap",
+			req:      alignRequest{Source: loopChainSource(4, 4, 4, 4, 6), ProfileMode: "static"},
+			wantCode: http.StatusUnprocessableEntity,
+			wantKind: "budget_exceeded",
 		},
 	}
 	for _, tc := range cases {

@@ -69,6 +69,12 @@ var (
 	// request; like any failure it is shared with coalesced requests and
 	// never cached.
 	ErrInternal = errors.New("engine: internal error")
+	// ErrEstimateBudget: a StaticProfile request's estimated counts for
+	// one function sum above interp.MaxFuncCount, so the DTSP costs
+	// built from them could overflow. The estimate cannot be clamped
+	// without breaking its flow conservation, so the request fails. The
+	// returned error wraps this sentinel and names the function.
+	ErrEstimateBudget = errors.New("engine: estimated profile exceeds the count budget")
 )
 
 // Options configures an Engine.
@@ -447,6 +453,9 @@ func load(req *Request) (*ir.Module, *interp.Profile, error) {
 		// The estimate is a pure function of the module, so the key's
 		// profile-mode tag plus Inputs fully determine it.
 		prof, _ = staticprof.Estimate(mod)
+		if err := prof.CheckShape(mod); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrEstimateBudget, err)
+		}
 	case prof == nil:
 		return nil, nil, ErrNoProfile
 	case len(prof.Funcs) != len(mod.Funcs):

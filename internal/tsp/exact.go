@@ -25,28 +25,25 @@ func SolveExact(m Costs) (Tour, Cost) {
 	if n == 2 {
 		return Tour{0, 1}, m.At(0, 1) + m.At(1, 0)
 	}
-	// dp[mask][j]: cheapest path from city 0 through exactly the cities in
-	// mask (a subset of {1..n-1}), ending at city j+1... to keep the inner
-	// arrays dense, index j ranges over 1..n-1 shifted down by one.
+	// dp[mask*k+j]: cheapest path from city 0 through exactly the cities
+	// in mask (a subset of {1..n-1}), ending at city j+1 — index j ranges
+	// over 1..n-1 shifted down by one. One flat array for every subset,
+	// and one for the parents, instead of two slices per subset.
 	k := n - 1
 	size := 1 << k
 	const inf = Cost(1) << 62
-	dp := make([][]Cost, size)
-	parent := make([][]int8, size)
-	for mask := 1; mask < size; mask++ {
-		dp[mask] = make([]Cost, k)
-		parent[mask] = make([]int8, k)
-		for j := range dp[mask] {
-			dp[mask][j] = inf
-			parent[mask][j] = -1
-		}
+	dp := make([]Cost, size*k)
+	parent := make([]int8, size*k)
+	for i := k; i < len(dp); i++ {
+		dp[i] = inf
+		parent[i] = -1
 	}
 	for j := 0; j < k; j++ {
-		dp[1<<j][j] = m.At(0, j+1)
+		dp[(1<<j)*k+j] = m.At(0, j+1)
 	}
 	for mask := 1; mask < size; mask++ {
 		for j := 0; j < k; j++ {
-			cur := dp[mask][j]
+			cur := dp[mask*k+j]
 			if cur >= inf || mask&(1<<j) == 0 {
 				continue
 			}
@@ -54,11 +51,11 @@ func SolveExact(m Costs) (Tour, Cost) {
 				if mask&(1<<nxt) != 0 {
 					continue
 				}
-				nm := mask | 1<<nxt
+				at := (mask|1<<nxt)*k + nxt
 				cand := cur + m.At(j+1, nxt+1)
-				if cand < dp[nm][nxt] {
-					dp[nm][nxt] = cand
-					parent[nm][nxt] = int8(j)
+				if cand < dp[at] {
+					dp[at] = cand
+					parent[at] = int8(j)
 				}
 			}
 		}
@@ -67,7 +64,7 @@ func SolveExact(m Costs) (Tour, Cost) {
 	best := inf
 	last := -1
 	for j := 0; j < k; j++ {
-		cand := dp[full][j] + m.At(j+1, 0)
+		cand := dp[full*k+j] + m.At(j+1, 0)
 		if cand < best {
 			best = cand
 			last = j
@@ -78,7 +75,7 @@ func SolveExact(m Costs) (Tour, Cost) {
 	mask := full
 	for j := last; j >= 0; {
 		order = append(order, j+1)
-		pj := parent[mask][j]
+		pj := parent[mask*k+j]
 		mask &^= 1 << j
 		j = int(pj)
 	}

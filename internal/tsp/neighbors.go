@@ -1,6 +1,10 @@
 package tsp
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Neighbors holds, for every city, candidate lists of the cheapest
 // outgoing and incoming directed edges. Local search only considers moves
@@ -11,6 +15,41 @@ type Neighbors struct {
 	Out [][]int
 	// In[j] lists cities i in increasing order of cost(i->j).
 	In [][]int
+	// OutCost[i][r] is cost(i->Out[i][r]) and InCost[j][r] is
+	// cost(In[j][r]->j): the selection already knows them, and the local
+	// search reads them here instead of through At.
+	OutCost [][]Cost
+	InCost  [][]Cost
+}
+
+// newNeighbors returns empty lists for n cities of width at most k. Each
+// of the four tables is one header slice over one flat backing array, so
+// construction allocates eight times regardless of n.
+func newNeighbors(n, k int) *Neighbors {
+	return &Neighbors{
+		Out:     rows(make([]int, n*k), n, k),
+		In:      rows(make([]int, n*k), n, k),
+		OutCost: rows(make([]Cost, n*k), n, k),
+		InCost:  rows(make([]Cost, n*k), n, k),
+	}
+}
+
+// rows cuts flat into n empty rows of capacity k.
+func rows[T any](flat []T, n, k int) [][]T {
+	r := make([][]T, n)
+	for i := range r {
+		r[i] = flat[i*k : i*k : (i+1)*k]
+	}
+	return r
+}
+
+// setCheapest fills row i of cities and costs with the k cheapest of cands.
+func setCheapest(cities [][]int, costs [][]Cost, i int, cands []neighborCand, k int) {
+	cands = takeCheapest(cands, k)
+	for _, c := range cands {
+		cities[i] = append(cities[i], c.city)
+		costs[i] = append(costs[i], c.cost)
+	}
 }
 
 // DefaultNeighborCount is the candidate-list width used when callers pass
@@ -41,10 +80,7 @@ func BuildNeighbors(m Costs, k int, forbid Cost) *Neighbors {
 	if s, ok := m.(*SparseMatrix); ok {
 		return buildNeighborsSparse(s, k, forbid)
 	}
-	nb := &Neighbors{
-		Out: make([][]int, n),
-		In:  make([][]int, n),
-	}
+	nb := newNeighbors(n, k)
 	heap := make([]neighborCand, 0, k)
 	for i := 0; i < n; i++ {
 		heap = heap[:0]
@@ -58,7 +94,7 @@ func BuildNeighbors(m Costs, k int, forbid Cost) *Neighbors {
 			}
 			heap = pushBounded(heap, k, neighborCand{j, c})
 		}
-		nb.Out[i] = takeCheapest(heap, k)
+		setCheapest(nb.Out, nb.OutCost, i, heap, k)
 
 		heap = heap[:0]
 		for j := 0; j < n; j++ {
@@ -71,7 +107,7 @@ func BuildNeighbors(m Costs, k int, forbid Cost) *Neighbors {
 			}
 			heap = pushBounded(heap, k, neighborCand{j, c})
 		}
-		nb.In[i] = takeCheapest(heap, k)
+		setCheapest(nb.In, nb.InCost, i, heap, k)
 	}
 	return nb
 }
@@ -137,31 +173,25 @@ func pushBounded(h []neighborCand, k int, cand neighborCand) []neighborCand {
 }
 
 // takeCheapest sorts candidates by (cost, city) and returns the first k
-// cities — the same order a stable by-cost sort over index-ordered
-// candidates produces.
-func takeCheapest(cands []neighborCand, k int) []int {
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].cost != cands[b].cost {
-			return cands[a].cost < cands[b].cost
+// — the same order a stable by-cost sort over index-ordered candidates
+// produces. Cities are distinct, so the key is total and any sort
+// yields it.
+func takeCheapest(cands []neighborCand, k int) []neighborCand {
+	slices.SortFunc(cands, func(a, b neighborCand) int {
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
 		}
-		return cands[a].city < cands[b].city
+		return a.city - b.city
 	})
 	if k > len(cands) {
 		k = len(cands)
 	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = cands[i].city
-	}
-	return out
+	return cands[:k]
 }
 
 func buildNeighborsSparse(s *SparseMatrix, k int, forbid Cost) *Neighbors {
 	n := s.Len()
-	nb := &Neighbors{
-		Out: make([][]int, n),
-		In:  make([][]int, n),
-	}
+	nb := newNeighbors(n, k)
 	// Out lists: per row, the exception columns plus the k smallest-index
 	// default columns.
 	isExc := make([]bool, n)
@@ -190,7 +220,7 @@ func buildNeighborsSparse(s *SparseMatrix, k int, forbid Cost) *Neighbors {
 		for _, c := range cols {
 			isExc[c] = false
 		}
-		nb.Out[i] = takeCheapest(cands, k)
+		setCheapest(nb.Out, nb.OutCost, i, cands, k)
 	}
 	// In lists: transpose the exceptions once, pre-rank rows by default
 	// cost, then per column merge its exception rows with the k cheapest
@@ -253,7 +283,7 @@ func buildNeighborsSparse(s *SparseMatrix, k int, forbid Cost) *Neighbors {
 		for _, i := range rows {
 			isExc[i] = false
 		}
-		nb.In[j] = takeCheapest(cands, k)
+		setCheapest(nb.In, nb.InCost, j, cands, k)
 	}
 	return nb
 }

@@ -24,12 +24,36 @@ package tsp
 // queue, so the families interleave until the tour is locally optimal
 // under both.
 //
+// Most of a candidate's test does not depend on the block length l:
+// the prefix of nb.In[s] with g1 = cost(p,s) - cost(c,s) > 0 (cost(c,s)
+// comes from nb.InCost), s's position relative to c, d = succ(c) and
+// cost(c,d). orOptFrom computes these once per s into a candidate array
+// and then runs the l = 1..3 loop over it, testing pairs in the same
+// (l, c) order as a scan that recomputed everything per l, so the first
+// improvement it applies is the same move. The array leaves out c = p,
+// which fails for every l. Only the block's entry edge cost(e,d), its
+// exit gain and the bound that the block fit before c vary with l.
+//
+// MoveStats.OrTried still counts one per (l, candidate) pair tested
+// against the gain, the g1 break included, exactly as the per-l scan
+// counted them, so tsp.move_accept_ratio stays comparable.
+//
 // Gating: Or-opt changes tours (it strictly improves a 3-opt local
 // optimum or leaves it unchanged), so unlike the phase-1 two-level swap
 // it is NOT bit-identical to the historical kernel. It is enabled by the
 // production solver (SolveOptions.DisableOrOpt gates it off) and
 // quality-gated by quality_test.go (HK-gap mean <= 0.3%) and the
 // check/vet invariants; see DESIGN.md section 12.
+
+// orCand is one insertion point for blocks starting at s: the edge
+// (c, d) with d = succ(c), everything about it that no block length
+// changes.
+type orCand struct {
+	c, d int
+	idx  int  // position of c in nb.In[s]
+	npS  int  // position of s relative to c
+	gain Cost // cost(p,s) - cost(c,s) + cost(c,d)
+}
 
 // orOptFrom searches for an improving relocation of a block of 1..3
 // cities starting at s, applying the first improvement found.
@@ -38,6 +62,25 @@ func (o *ThreeOpt) orOptFrom(s int) bool {
 	p := o.tl.Pred(s)
 	base := o.m.At(p, s)
 	o.tl.Rank(s) // validate ranks once; the scan uses rank/NpFrom
+	in, inCost := o.nb.In[s], o.nb.InCost[s]
+	tried := len(in) // pairs each block length tests, the g1 break included
+	cands := o.orCands[:0]
+	for i, c := range in {
+		g1 := base - inCost[i]
+		if g1 <= 0 {
+			tried = i + 1
+			break // nb.In[s] is sorted by cost
+		}
+		// npS = 0 is c = p, which would re-create the removed edge.
+		npS := o.tl.NpFrom(o.tl.rank(c), s)
+		if npS < 1 {
+			continue
+		}
+		d := o.tl.Succ(c)
+		gain := g1 + o.m.At(c, d)
+		cands = append(cands, orCand{c: c, d: d, idx: i, npS: npS, gain: gain})
+	}
+	o.orCands = cands
 	e := s
 	for l := 1; l <= 3 && l <= n-2; l++ {
 		if l > 1 {
@@ -50,23 +93,15 @@ func (o *ThreeOpt) orOptFrom(s int) bool {
 		// Gain of closing the gap p->q and of the block's old exit edge;
 		// constant across candidates for this block length. At(p,q) reads
 		// the diagonal only in degenerate all-block cases that the npS
-		// bounds reject below, where the scan applies nothing.
+		// bound rejects below, where the scan applies nothing.
 		qGain := o.m.At(e, q) - o.m.At(p, q)
-		for _, c := range o.nb.In[s] {
-			o.stats.OrTried++
-			g1 := base - o.m.At(c, s)
-			if g1 <= 0 {
-				break // nb.In[s] is sorted by cost
-			}
-			// c must lie strictly outside the block (and c != p, which
-			// would re-create the removed edge): relative to c, the block
-			// must sit at positions [1, n-2] without wrapping past c.
-			npS := o.tl.NpFrom(o.tl.rank(c), s)
-			if npS < 1 || npS > n-1-l {
+		for _, k := range cands {
+			// The block must sit at positions [1, n-2] relative to c
+			// without wrapping past it.
+			if k.npS > n-1-l {
 				continue
 			}
-			d := o.tl.Succ(c)
-			g2 := g1 + o.m.At(c, d) - o.m.At(e, d)
+			g2 := k.gain - o.m.At(e, k.d)
 			if g2 <= 0 {
 				continue
 			}
@@ -74,13 +109,15 @@ func (o *ThreeOpt) orOptFrom(s int) bool {
 			if total <= 0 {
 				continue
 			}
-			o.tl.Splice(c, s, e)
+			o.stats.OrTried += int64(k.idx + 1)
+			o.tl.Splice(k.c, s, e)
 			o.c -= total
 			o.stats.OrAccepted++
 			o.recordSplice(l)
-			o.wake(p, q, s, e, c, d)
+			o.wake(p, q, s, e, k.c, k.d)
 			return true
 		}
+		o.stats.OrTried += int64(tried)
 	}
 	return false
 }

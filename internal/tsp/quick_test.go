@@ -99,8 +99,9 @@ func TestQuickConstructionsAreValid(t *testing.T) {
 // TestQuickDenseNeighborsMatchStableSort pins the dense BuildNeighbors
 // bounded-heap partial selection against the full stable by-cost sort it
 // replaced: identical lists for every row, width and forbid setting
-// (ties broken by city index in both). Costs are drawn from a tiny range
-// so ties are dense.
+// (ties broken by city index in both), with OutCost/InCost holding each
+// listed edge's cost. Costs are drawn from a tiny range so ties are
+// dense.
 func TestQuickDenseNeighborsMatchStableSort(t *testing.T) {
 	f := func(nRaw, kRaw, seedRaw uint16) bool {
 		n := int(nRaw%30) + 2
@@ -117,10 +118,10 @@ func TestQuickDenseNeighborsMatchStableSort(t *testing.T) {
 				for dir := 0; dir < 2; dir++ {
 					idx = idx[:0]
 					at := func(j int) Cost { return m.At(i, j) }
-					got := nb.Out[i]
+					got, gotCost := nb.Out[i], nb.OutCost[i]
 					if dir == 1 {
 						at = func(j int) Cost { return m.At(j, i) }
-						got = nb.In[i]
+						got, gotCost = nb.In[i], nb.InCost[i]
 					}
 					for j := 0; j < n; j++ {
 						if j == i || (forbid >= 0 && at(j) >= forbid) {
@@ -133,11 +134,11 @@ func TestQuickDenseNeighborsMatchStableSort(t *testing.T) {
 					if take > len(idx) {
 						take = len(idx)
 					}
-					if len(got) != take {
+					if len(got) != take || len(gotCost) != take {
 						return false
 					}
 					for p := 0; p < take; p++ {
-						if got[p] != idx[p] {
+						if got[p] != idx[p] || gotCost[p] != at(idx[p]) {
 							return false
 						}
 					}

@@ -46,6 +46,8 @@ type ThreeOpt struct {
 	queue    []int
 	inQueue  []bool
 
+	orCands []orCand // orOptFrom's candidate array, reused across calls
+
 	stats MoveStats
 }
 
@@ -96,7 +98,8 @@ func (o *ThreeOpt) recordSplice(l int) {
 
 // NewThreeOpt creates a local search over matrix m with candidate lists nb
 // (pass nil to build default lists) starting from tour t. The tour is
-// copied.
+// copied. nb must have been built over m: the search reads candidate
+// edge costs from nb's cost tables, not from m.
 func NewThreeOpt(m Costs, nb *Neighbors, t Tour) *ThreeOpt {
 	if nb == nil {
 		nb = BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
@@ -134,8 +137,18 @@ func (o *ThreeOpt) SetTourCost(t Tour, c Cost) {
 }
 
 func (o *ThreeOpt) setTour(t Tour, c Cost) {
-	if !t.Valid(o.n) {
+	// Check that t is a permutation with inQueue as the seen set, so the
+	// kick loop's SetTour allocates nothing; the reset below refills it.
+	if len(t) != o.n {
 		panic("tsp: ThreeOpt.SetTour: invalid tour")
+	}
+	seen := o.inQueue
+	clear(seen)
+	for _, x := range t {
+		if x < 0 || x >= o.n || seen[x] {
+			panic("tsp: ThreeOpt.SetTour: invalid tour")
+		}
+		seen[x] = true
 	}
 	if o.tl == nil {
 		o.tl = NewTwoLevel(t)
@@ -200,9 +213,10 @@ func (o *ThreeOpt) improveFrom(a int) bool {
 	b := o.tl.Succ(a)
 	gainBase := o.m.At(a, b)
 	ra := o.tl.Rank(a)
-	for _, d := range o.nb.Out[a] {
+	outCost := o.nb.OutCost[a]
+	for i, d := range o.nb.Out[a] {
 		o.stats.Tried++
-		g1 := gainBase - o.m.At(a, d)
+		g1 := gainBase - outCost[i]
 		if g1 <= 0 {
 			break // neighbor lists are sorted by cost
 		}
@@ -212,8 +226,9 @@ func (o *ThreeOpt) improveFrom(a int) bool {
 		}
 		c := o.tl.Pred(d)
 		g2 := g1 + o.m.At(c, d)
-		for _, e := range o.nb.In[b] {
-			g3 := g2 - o.m.At(e, b)
+		inCost := o.nb.InCost[b]
+		for j, e := range o.nb.In[b] {
+			g3 := g2 - inCost[j]
 			if g3 <= 0 {
 				break
 			}

@@ -76,21 +76,6 @@ func (m *Matrix) Forbid() Cost {
 // city visited; the tour closes from the last city back to the first.
 type Tour []int
 
-// Valid reports whether t is a permutation of 0..n-1.
-func (t Tour) Valid(n int) bool {
-	if len(t) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, c := range t {
-		if c < 0 || c >= n || seen[c] {
-			return false
-		}
-		seen[c] = true
-	}
-	return true
-}
-
 // Clone returns a copy of the tour.
 func (t Tour) Clone() Tour {
 	u := make(Tour, len(t))

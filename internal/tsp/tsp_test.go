@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// Valid reports whether t is a permutation of 0..n-1. Production code
+// validates tours in ThreeOpt.SetTour against its own bitmap.
+func (t Tour) Valid(n int) bool {
+	if len(t) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, c := range t {
+		if c < 0 || c >= n || seen[c] {
+			return false
+		}
+		seen[c] = true
+	}
+	return true
+}
+
 // randMatrix returns a deterministic random asymmetric matrix with costs
 // in [0, maxCost).
 func randMatrix(n int, maxCost int64, seed int64) *Matrix {

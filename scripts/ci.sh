@@ -68,6 +68,21 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 64 ]; then
 	exit 1
 fi
 
+echo "== cold-dispatch-alloc gate (a miss solves without per-subset or per-kick garbage)"
+# A cache miss compiles nothing here (Load hands back a fixed module) but
+# builds every matrix and neighbor list, solves and bounds: ~270
+# allocs/op since SolveExact's DP tables became two flat arrays, SetTour
+# validates with the optimizer's own bitmap and each neighbor table
+# shares one backing array. Before, per-subset DP slices, a seen slice
+# per kick and a slice per neighbor row cost ~2,700.
+out=$(go test -run '^$' -bench 'BenchmarkEngineDispatch/cold' -benchtime 100x -benchmem -timeout 10m .)
+echo "$out"
+allocs=$(echo "$out" | awk '/BenchmarkEngineDispatch\/cold/ {print $(NF-1)}')
+if [ -z "$allocs" ] || [ "$allocs" -gt 500 ]; then
+	echo "ci: cold engine dispatch allocation regression (${allocs:-no result} allocs/op, ceiling 500)"
+	exit 1
+fi
+
 echo "== interp-alloc gate (frames are pooled; a call allocates nothing)"
 # The decoded interpreter takes frames from per-function pools, so a
 # doduc/re profiling run allocates ~150 times: decode tables, each
