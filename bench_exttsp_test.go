@@ -50,7 +50,7 @@ func BenchmarkExtTSPScalability(b *testing.B) {
 		a := &align.ExtTSP{}
 		b.Run(sizeName(blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a.Align(context.Background(), mod, prof, m)
+				align.Run(context.Background(), a, mod, prof, m, align.RunOptions{})
 			}
 		})
 	}

@@ -101,11 +101,13 @@ func BenchmarkFig2Penalties(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				layouts := s.AlignAll(context.Background(), mod, prof)
-				for _, l := range layouts {
-					layout.ModulePenalty(mod, l, prof, s.Model)
+				for _, a := range s.Aligners() {
+					o := align.RunOptions{}
+					if a.Name() == "tsp" {
+						o.Bound = &s.HKOpts
+					}
+					layout.ModulePenalty(mod, align.Run(context.Background(), a, mod, prof, s.Model, o).Layout, prof, s.Model)
 				}
-				align.HeldKarpLowerBound(mod, prof, s.Model, s.HKOpts)
 			}
 		}
 	}
@@ -233,7 +235,7 @@ func benchAlign(b *testing.B, a align.Aligner) {
 	m := machine.Alpha21164()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Align(context.Background(), mod, prof, m)
+		align.Run(context.Background(), a, mod, prof, m, align.RunOptions{})
 	}
 }
 
@@ -335,7 +337,7 @@ func BenchmarkScalability(b *testing.B) {
 		a := align.NewTSP(1)
 		b.Run(sizeName(blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a.Align(context.Background(), mod, prof, m)
+				align.Run(context.Background(), a, mod, prof, m, align.RunOptions{})
 			}
 		})
 	}

@@ -82,7 +82,7 @@ func run(args []string) (err error) {
 		algSel    = fs.String("algorithm", "", "alias for -aligner, matching balignd's \"algorithm\" request field")
 		modelSel  = fs.String("model", "alpha21164", "machine model: alpha21164, shallow, deep")
 		seed      = fs.Int64("seed", 1, "solver seed")
-		parallel  = fs.Int("parallel", 0, "TSP solver parallelism: max concurrent local-search runs per function (-1 = all CPUs); non-zero also solves functions in parallel; results are bit-identical at every setting")
+		parallel  = fs.Int("parallel", 0, "TSP solver parallelism: max concurrent local-search runs per function (-1 = all CPUs); functions always fan out on all CPUs; results are bit-identical at every setting")
 		sim       = fs.Bool("sim", false, "simulate execution time (pipeline + I-cache)")
 		cacheKB   = fs.Int("cache-bytes", 0, "I-cache size in bytes for -sim (0 = default 512)")
 		cacheWays = fs.Int("cache-ways", 0, "I-cache associativity for -sim (0 = default 2)")
@@ -268,15 +268,21 @@ func run(args []string) (err error) {
 
 	table := stats.NewTable("aligner", "control penalty", "normalized", "cycles", "time vs original")
 	table.Rowf("original|%d|1.000|%s|1.0000", origCP, cyclesCell(*sim, origCycles))
+	// The Held-Karp bound rides on the tsp run when there is one, so it
+	// shares that run's matrices.
+	hkOpts := tsp.HeldKarpOptions{Iterations: 3000}
+	var boundRun *align.Result
 	for _, a := range aligners {
 		asp := root.Child("align", obs.String("aligner", a.Name()))
-		switch t := a.(type) {
-		case *align.TSP:
-			t.Obs = asp
-		case *align.ExtTSP:
-			t.Obs = asp
+		o := align.RunOptions{Obs: asp}
+		if *bound && a.Name() == "tsp" {
+			o.Bound = &hkOpts
 		}
-		l := a.Align(ctx, mod, prof, model)
+		run := align.Run(ctx, a, mod, prof, model, o)
+		if o.Bound != nil {
+			boundRun = run
+		}
+		l := run.Layout
 		if err := l.Validate(mod); err != nil {
 			return fmt.Errorf("%s produced an invalid layout: %w", a.Name(), err)
 		}
@@ -325,9 +331,12 @@ func run(args []string) (err error) {
 		}
 	}
 	if *bound {
-		bsp := root.Child("bound")
-		hk := align.HeldKarpLowerBound(mod, prof, model, tsp.HeldKarpOptions{Iterations: 3000, Obs: bsp})
-		bsp.End(obs.Int("bound", int64(hk)))
+		if boundRun == nil {
+			bsp := root.Child("bound")
+			boundRun = align.Run(ctx, align.Original{}, mod, prof, model, align.RunOptions{Obs: bsp, Bound: &hkOpts})
+			bsp.End(obs.Int("bound", int64(boundRun.Bound)))
+		}
+		hk := boundRun.Bound
 		table.Rowf("lower bound|%d|%.3f|-|-", hk, stats.Ratio(hk, origCP, 1))
 	}
 	fmt.Println()
@@ -435,11 +444,7 @@ func pickModel(name string) (machine.Model, error) {
 }
 
 func pickAligners(sel string, seed int64, parallel int) ([]align.Aligner, error) {
-	o := align.Options{Seed: seed}
-	if parallel != 0 {
-		o.Parallel = true
-		o.Parallelism = parallel
-	}
+	o := align.Options{Seed: seed, Parallelism: parallel}
 	build := func(names ...string) ([]align.Aligner, error) {
 		out := make([]align.Aligner, 0, len(names))
 		for _, name := range names {

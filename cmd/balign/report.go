@@ -95,15 +95,13 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 	tr := obs.New(sink)
 	root := tr.Start("balign.report", obs.String("model", modelSel),
 		obs.String("algorithm", algorithm), obs.Int("seed", seed))
-	aligner, err := align.New(algorithm, align.Options{
-		Seed: seed, Parallel: true, Parallelism: parallel, Obs: root,
-	})
+	aligner, err := align.New(algorithm, align.Options{Seed: seed, Parallelism: parallel})
 	if err != nil {
 		return nil, err
 	}
-	aligner.Align(context.Background(), mod, prof, model)
-	align.HeldKarpLowerBound(mod, prof, model, tsp.HeldKarpOptions{
-		Iterations: hkIters, StallWindow: hkStall, Obs: root,
+	align.Run(context.Background(), aligner, mod, prof, model, align.RunOptions{
+		Bound: &tsp.HeldKarpOptions{Iterations: hkIters, StallWindow: hkStall},
+		Obs:   root,
 	})
 	root.End()
 	if err := tr.Close(); err != nil {

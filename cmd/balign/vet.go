@@ -108,7 +108,7 @@ func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []a
 	base.Merge(check.Flow(mod, est))
 	ok := printVetReport(name, base, verbose)
 	for _, a := range aligners {
-		l := a.Align(context.Background(), mod, prof, model)
+		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
 		r := check.Layouts(mod, prof, l, model)
 		if bounds {
 			r.Merge(check.Bounds(mod, prof, l, model, bo))

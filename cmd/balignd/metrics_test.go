@@ -459,3 +459,46 @@ func BenchmarkMiddleware(b *testing.B) {
 		s.ServeHTTP(rec, req)
 	}
 }
+
+// TestMiddlewareRecoversPanic: a panic outside the engine — here an
+// inner handler that panics where decoding would run — is answered with
+// a 500 {"kind":"internal"} body, counted as a failed align request and
+// as a 500 in the request counter, logged, and leaves the in-flight
+// gauge at zero.
+func TestMiddlewareRecoversPanic(t *testing.T) {
+	var buf syncBuffer
+	s := newServer(serverConfig{LogWriter: &buf})
+	s.handler = newMiddleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("decode blew up")
+	}), s.reg, s.logger, s.alignErrors)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/align", "application/json", strings.NewReader(`{"bench":"compress"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	var body errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Kind != "internal" || !strings.Contains(body.Error, "decode blew up") {
+		t.Errorf("body %+v, want kind internal naming the panic", body)
+	}
+	if got := s.alignErrors.Value(); got != 1 {
+		t.Errorf("balignd_align_errors_total = %d, want 1", got)
+	}
+	if got := s.reg.Sum("balignd_http_requests_total", map[string]string{"endpoint": "/v1/align", "code": "500"}); got != 1 {
+		t.Errorf("balignd_http_requests_total{/v1/align,500} = %v, want 1", got)
+	}
+	if got := s.reg.Sum("balignd_http_inflight_requests", nil); got != 0 {
+		t.Errorf("in-flight gauge = %v after the panic, want 0", got)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"msg":"panic"`)) {
+		t.Errorf("no panic line in log:\n%s", buf.Bytes())
+	}
+}

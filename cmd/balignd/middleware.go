@@ -11,6 +11,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -43,6 +44,9 @@ type middleware struct {
 	requests *obs.CounterVec   // endpoint, method, code
 	duration *obs.HistogramVec // endpoint
 	inflight *obs.Gauge
+	// alignErrors is the server's balignd_align_errors_total: a panic
+	// recovered on /v1/align counts as a failed align request.
+	alignErrors *obs.Counter
 
 	// Request IDs are <process-prefix>-<sequence>: unique within a
 	// process, sortable within it, and collision-resistant across
@@ -58,7 +62,7 @@ const (
 	httpDurMaxExp = 7
 )
 
-func newMiddleware(next http.Handler, reg *obs.Registry, log *slog.Logger) *middleware {
+func newMiddleware(next http.Handler, reg *obs.Registry, log *slog.Logger, alignErrors *obs.Counter) *middleware {
 	var p [6]byte
 	if _, err := rand.Read(p[:]); err != nil {
 		// No entropy is survivable: IDs stay unique in-process via the
@@ -76,7 +80,8 @@ func newMiddleware(next http.Handler, reg *obs.Registry, log *slog.Logger) *midd
 			httpDurMinExp, httpDurMaxExp, "endpoint"),
 		inflight: reg.Gauge("balignd_http_inflight_requests",
 			"HTTP requests being served right now."),
-		prefix: hex.EncodeToString(p[:]),
+		alignErrors: alignErrors,
+		prefix:      hex.EncodeToString(p[:]),
 	}
 }
 
@@ -148,7 +153,8 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	m.inflight.Add(1)
 	rec := &statusRecorder{ResponseWriter: w}
-	m.next.ServeHTTP(rec, r.WithContext(ctx))
+	ep := endpointLabel(r)
+	m.serve(rec, r.WithContext(ctx), ep)
 	m.inflight.Add(-1)
 
 	code := rec.status
@@ -156,7 +162,6 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK // handler wrote nothing: net/http sends 200
 	}
 	elapsed := time.Since(start)
-	ep := endpointLabel(r)
 	m.requests.With(ep, r.Method, strconv.Itoa(code)).Inc()
 	m.duration.With(ep).Observe(elapsed.Seconds())
 	m.log.LogAttrs(ctx, slog.LevelInfo, "access",
@@ -168,4 +173,35 @@ func (m *middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		slog.Float64("dur_ms", float64(elapsed.Microseconds())/1000),
 		slog.String("remote", r.RemoteAddr),
 	)
+}
+
+// serve runs the inner handler and turns a panic raised outside the
+// engine (which recovers its own) — in decoding, compiling or encoding —
+// into a 500 {"kind":"internal"} that is logged and counted like any
+// other failed request. http.ErrAbortHandler keeps its meaning: the
+// connection is dropped.
+func (m *middleware) serve(rec *statusRecorder, r *http.Request, ep string) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			m.inflight.Add(-1)
+			panic(p)
+		}
+		m.log.LogAttrs(r.Context(), slog.LevelError, "panic",
+			slog.String("request_id", requestID(r.Context())),
+			slog.String("path", r.URL.Path),
+			slog.String("panic", fmt.Sprint(p)))
+		if ep == "/v1/align" {
+			m.alignErrors.Inc()
+		}
+		if rec.status == 0 {
+			writeJSON(rec, http.StatusInternalServerError, errorResponse{
+				Error: fmt.Sprintf("internal error: panic: %v", p), Kind: "internal",
+			})
+		}
+	}()
+	m.next.ServeHTTP(rec, r)
 }

@@ -144,7 +144,7 @@ func newServer(cfg serverConfig) *server {
 			Kind:  "not_found",
 		})
 	})
-	s.handler = newMiddleware(s.mux, reg, s.logger)
+	s.handler = newMiddleware(s.mux, reg, s.logger, s.alignErrors)
 	return s
 }
 

@@ -48,11 +48,11 @@ func main() {
 	aligners := []align.Aligner{align.PettisHansen{}, align.NewTSP(1)}
 	for _, testName := range []string{"q7", "ne"} {
 		testProf := profiles[testName]
-		origCP := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, testProf, model), testProf, model)
+		origCP := align.Run(context.Background(), align.Original{}, mod, testProf, model, align.RunOptions{}).Penalty
 		fmt.Printf("evaluating on xli.%s (original control penalty: %d cycles)\n", testName, origCP)
 		for _, a := range aligners {
 			for _, trainName := range []string{"q7", "ne"} {
-				l := a.Align(context.Background(), mod, profiles[trainName], model)
+				l := align.Run(context.Background(), a, mod, profiles[trainName], model, align.RunOptions{}).Layout
 				cp := layout.ModulePenalty(mod, l, testProf, model)
 				kind := "self "
 				if trainName != testName {

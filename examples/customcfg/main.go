@@ -86,7 +86,7 @@ func main() {
 	fmt.Println()
 
 	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.NewTSP(1)} {
-		l := a.Align(context.Background(), mod, prof, model)
+		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
 		cp := layout.ModulePenalty(mod, l, prof, model)
 		fmt.Printf("%-9s penalty %8d cycles, order %v\n", a.Name(), cp, l.Funcs[0].Order)
 	}

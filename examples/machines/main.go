@@ -14,7 +14,6 @@ import (
 	"branchalign/internal/align"
 	"branchalign/internal/bench"
 	"branchalign/internal/interp"
-	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 )
 
@@ -36,9 +35,9 @@ func main() {
 	fmt.Printf("%-12s %14s %14s %14s %10s %10s\n",
 		"model", "original CP", "greedy CP", "tsp CP", "greedy rm%", "tsp rm%")
 	for _, model := range machine.Models() {
-		orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, model), prof, model)
-		greedy := layout.ModulePenalty(mod, align.PettisHansen{}.Align(context.Background(), mod, prof, model), prof, model)
-		tspCP := layout.ModulePenalty(mod, align.NewTSP(1).Align(context.Background(), mod, prof, model), prof, model)
+		orig := align.Run(context.Background(), align.Original{}, mod, prof, model, align.RunOptions{}).Penalty
+		greedy := align.Run(context.Background(), align.PettisHansen{}, mod, prof, model, align.RunOptions{}).Penalty
+		tspCP := align.Run(context.Background(), align.NewTSP(1), mod, prof, model, align.RunOptions{}).Penalty
 		fmt.Printf("%-12s %14d %14d %14d %9.1f%% %9.1f%%\n",
 			model.Name, orig, greedy, tspCP,
 			100*(1-float64(greedy)/float64(orig)),

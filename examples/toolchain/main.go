@@ -81,9 +81,9 @@ func main() {
 	}
 	model := machine.Alpha21164()
 	aligner := align.NewTSP(1)
-	lay := aligner.Align(context.Background(), mod, loaded, model)
+	lay := align.Run(context.Background(), aligner, mod, loaded, model, align.RunOptions{}).Layout
 
-	before := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, loaded, model), loaded, model)
+	before := align.Run(context.Background(), align.Original{}, mod, loaded, model, align.RunOptions{}).Penalty
 	after := layout.ModulePenalty(mod, lay, loaded, model)
 	met := layout.ModuleMetrics(mod, lay, loaded)
 	fmt.Printf("penalty %d -> %d cycles; %.1f%% of transfers now fall through\n",

@@ -11,6 +11,7 @@ import (
 	"branchalign/internal/machine"
 	"branchalign/internal/testutil"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 func compileBranchy(t *testing.T) (*ir.Module, *interp.Profile) {
@@ -53,7 +54,7 @@ func TestAlignersProduceValidLayouts(t *testing.T) {
 	m := machine.Alpha21164()
 	aligners := []Aligner{Original{}, PettisHansen{}, &CalderGrunwald{}, NewTSP(1)}
 	for _, a := range aligners {
-		l := a.Align(context.Background(), mod, prof, m)
+		l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
 		if err := l.Validate(mod); err != nil {
 			t.Errorf("%s: invalid layout: %v", a.Name(), err)
 		}
@@ -63,10 +64,10 @@ func TestAlignersProduceValidLayouts(t *testing.T) {
 func TestAlignerImprovementOrdering(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	greedy := layout.ModulePenalty(mod, PettisHansen{}.Align(context.Background(), mod, prof, m), prof, m)
-	cg := layout.ModulePenalty(mod, (&CalderGrunwald{}).Align(context.Background(), mod, prof, m), prof, m)
-	tspPen := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+	orig := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
+	greedy := Run(context.Background(), PettisHansen{}, mod, prof, m, RunOptions{}).Penalty
+	cg := Run(context.Background(), &CalderGrunwald{}, mod, prof, m, RunOptions{}).Penalty
+	tspPen := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
 	if greedy > orig {
 		t.Errorf("greedy penalty %d worse than original %d", greedy, orig)
 	}
@@ -93,7 +94,7 @@ func TestTSPMatchesExactOnSmallFunctions(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
 	a := NewTSP(1)
-	l := a.Align(context.Background(), mod, prof, m)
+	l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
 	for fi, f := range mod.Funcs {
 		n := len(f.Blocks)
 		if n < 2 || n > 12 {
@@ -114,15 +115,15 @@ func TestTSPMatchesExactOnSmallFunctions(t *testing.T) {
 func TestBoundsSandwich(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	hk := HeldKarpLowerBound(mod, prof, m, tsp.HeldKarpOptions{})
+	hk := Run(context.Background(), Original{}, mod, prof, m, RunOptions{Bound: &tsp.HeldKarpOptions{}}).Bound
 	var ap layout.Cost
 	for fi, f := range mod.Funcs {
 		if len(f.Blocks) > 1 {
 			ap += tsp.AssignmentBound(BuildSparseMatrix(f, prof.Funcs[fi], m, nil))
 		}
 	}
-	tspPen := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
-	origPen := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
+	tspPen := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
+	origPen := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
 	if ap > tspPen {
 		t.Errorf("AP bound %d exceeds TSP penalty %d", ap, tspPen)
 	}
@@ -158,7 +159,7 @@ func TestGreedyHandlesZeroProfile(t *testing.T) {
 	prof := interp.NewProfile(mod)
 	m := machine.Alpha21164()
 	for _, a := range []Aligner{PettisHansen{}, &CalderGrunwald{}, NewTSP(1)} {
-		l := a.Align(context.Background(), mod, prof, m)
+		l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
 		if err := l.Validate(mod); err != nil {
 			t.Errorf("%s on zero profile: %v", a.Name(), err)
 		}
@@ -189,7 +190,7 @@ func main(input[], n) {
 		t.Fatal(err)
 	}
 	m := machine.Alpha21164()
-	l := PettisHansen{}.Align(context.Background(), mod, prof, m)
+	l := Run(context.Background(), PettisHansen{}, mod, prof, m, RunOptions{}).Layout
 	f := mod.Funcs[mod.EntryFunc]
 	fp := prof.Funcs[mod.EntryFunc]
 	fl := l.Funcs[mod.EntryFunc]
@@ -213,9 +214,8 @@ func main(input[], n) {
 func TestSolveFuncDiagnostics(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	a := NewTSP(1)
 	for fi, f := range mod.Funcs {
-		res := a.SolveFunc(f, BuildSparseMatrix(f, prof.Funcs[fi], m, nil), tsp.PaperSolveOptions(1), int64(fi))
+		res := SolveFunc(f, BuildSparseMatrix(f, prof.Funcs[fi], m, nil), tsp.PaperSolveOptions(1), int64(fi))
 		if res.Cities != len(f.Blocks) {
 			t.Errorf("func %d: Cities = %d, want %d", fi, res.Cities, len(f.Blocks))
 		}
@@ -240,8 +240,8 @@ func TestDeterministicAlignment(t *testing.T) {
 		func() Aligner { return NewTSP(7) },
 	} {
 		a1, a2 := mk(), mk()
-		l1 := a1.Align(context.Background(), mod, prof, m)
-		l2 := a2.Align(context.Background(), mod, prof, m)
+		l1 := Run(context.Background(), a1, mod, prof, m, RunOptions{}).Layout
+		l2 := Run(context.Background(), a2, mod, prof, m, RunOptions{}).Layout
 		for fi := range l1.Funcs {
 			for k := range l1.Funcs[fi].Order {
 				if l1.Funcs[fi].Order[k] != l2.Funcs[fi].Order[k] {
@@ -269,8 +269,8 @@ func TestAlignerNames(t *testing.T) {
 func TestDeepPipeIncreasesAlignmentBenefit(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	benefit := func(m machine.Model) layout.Cost {
-		orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
-		tspPen := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+		orig := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
+		tspPen := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
 		return orig - tspPen
 	}
 	shallow := benefit(machine.ShallowPipe())
@@ -280,27 +280,25 @@ func TestDeepPipeIncreasesAlignmentBenefit(t *testing.T) {
 	}
 }
 
-// TestParallelAlignmentIdentical: parallel per-function solving is
-// bit-identical to sequential (each function has its own seeded stream),
-// and so is per-run parallelism inside each solve — alone and stacked
-// on top of the per-function fan-out, where both layers contend for the
-// same shared worker pool.
+// TestParallelAlignmentIdentical: fanning functions out over several
+// workers is bit-identical to one worker (each function has its own
+// seeded stream), and so is per-run parallelism inside each solve —
+// alone and stacked on top of the per-function fan-out, where both
+// layers contend for the same pool.
 func TestParallelAlignmentIdentical(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	seq := NewTSP(5)
-	l1 := seq.Align(context.Background(), mod, prof, m)
-	for name, mk := range map[string]func() *TSP{
-		"funcs": func() *TSP { a := NewTSP(5); a.Parallel = true; return a },
-		"runs":  func() *TSP { a := NewTSP(5); a.Opts.Parallelism = 4; return a },
-		"both": func() *TSP {
-			a := NewTSP(5)
-			a.Parallel = true
-			a.Opts.Parallelism = 4
-			return a
-		},
+	l1 := Run(context.Background(), NewTSP(5), mod, prof, m, RunOptions{Pool: work.NewPool(1)}).Layout
+	for name, c := range map[string]struct {
+		workers, runs int
+	}{
+		"funcs": {4, 0},
+		"runs":  {1, 4},
+		"both":  {4, 4},
 	} {
-		l2 := mk().Align(context.Background(), mod, prof, m)
+		a := NewTSP(5)
+		a.Opts.Parallelism = c.runs
+		l2 := Run(context.Background(), a, mod, prof, m, RunOptions{Pool: work.NewPool(c.workers)}).Layout
 		for fi := range l1.Funcs {
 			for k := range l1.Funcs[fi].Order {
 				if l1.Funcs[fi].Order[k] != l2.Funcs[fi].Order[k] {

@@ -29,20 +29,15 @@ type CalderGrunwald struct {
 // Name implements Aligner.
 func (*CalderGrunwald) Name() string { return "calder-grunwald" }
 
-// Align implements Aligner.
-func (cg *CalderGrunwald) Align(_ context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
+// AlignFunc implements Aligner.
+func (cg *CalderGrunwald) AlignFunc(_ context.Context, fn *Func) FuncResult {
 	maxChains := cg.MaxExhaustiveChains
 	if maxChains <= 0 {
 		maxChains = 6
 	}
-	orders := make([][]int, len(mod.Funcs))
-	for fi, f := range mod.Funcs {
-		fp := prof.Funcs[fi]
-		w := savingsWeights(f, fp, m)
-		order := chainAndOrder(f, fp, w)
-		orders[fi] = cg.improveChainOrder(f, fp, m, order, maxChains)
-	}
-	return finalizeOrders(mod, prof, m, orders)
+	f, fp, m := fn.IR, fn.Prof, fn.Model
+	order := chainAndOrder(f, fp, savingsWeights(f, fp, m))
+	return FuncResult{Order: cg.improveChainOrder(f, fp, m, order, maxChains)}
 }
 
 // savingsWeights weights each candidate edge (b, s) by the penalty saved

@@ -9,7 +9,6 @@ import (
 	"branchalign/internal/machine"
 	"branchalign/internal/obs"
 	"branchalign/internal/tsp"
-	"branchalign/internal/work"
 )
 
 // BuildSparseMatrix constructs the DTSP instance for one function, per
@@ -99,22 +98,11 @@ func BuildSparseMatrix(f *ir.Func, fp *interp.FuncProfile, m machine.Model, sp *
 // with multi-start iterated 3-opt (exactly for small functions).
 type TSP struct {
 	// Opts configures the solver; the zero value selects the paper's
-	// protocol (10 runs, 2N iterations) with seed 1.
+	// protocol (10 runs, 2N iterations) with seed 1. Function i solves
+	// with Opts.Seed+i. Its Context, Budget, Pool and Obs come from the
+	// run (see Func), so Opts.Parallelism composes with the per-function
+	// fan-out: both layers draw workers from the same pool.
 	Opts tsp.SolveOptions
-	// Parallel solves the per-function DTSPs on all CPUs (the shared
-	// work.Shared() pool). Functions are independent and each gets its
-	// own deterministic seed, so the result is bit-identical to the
-	// sequential run. Composes with per-run solver parallelism
-	// (Opts.Parallelism): both layers draw workers from the same pool,
-	// so enabling both never oversubscribes the machine.
-	Parallel bool
-	// Obs, when non-nil, is the parent span per-function solver telemetry
-	// is recorded under: per function, one "align.build_matrix" span
-	// (with the per-row exception histogram) and one "align.func" span
-	// (tsp.solve sub-spans with convergence series). Safe with Parallel —
-	// spans are created concurrently under the shared parent. Nil records
-	// nothing.
-	Obs *obs.Span
 }
 
 // NewTSP returns a TSP aligner with the paper's solver protocol.
@@ -125,51 +113,24 @@ func NewTSP(seed int64) *TSP {
 // Name implements Aligner.
 func (*TSP) Name() string { return "tsp" }
 
-// Align implements Aligner. A cancelled ctx (or an exhausted
-// t.Opts.Budget) truncates each in-flight per-function solve at its next
-// kick boundary and finalizes the best-so-far block orders; the returned
-// layout is always valid.
-func (t *TSP) Align(ctx context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
+// AlignFunc implements Aligner. A cancelled ctx (or an exhausted
+// fn.Budget) truncates the solve at its next kick boundary and returns
+// the best-so-far order.
+func (t *TSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
 	opts := t.Opts
 	if opts.GreedyStarts == 0 && opts.NNStarts == 0 && opts.IdentityStarts == 0 {
 		def := tsp.PaperSolveOptions(1)
-		def.Context, def.Budget = opts.Context, opts.Budget
-		def.Parallelism, def.Pool = opts.Parallelism, opts.Pool
+		def.Parallelism = opts.Parallelism
 		opts = def
 	}
-	if ctx != nil {
-		opts.Context = ctx
-	}
-	orders := make([][]int, len(mod.Funcs))
-	forEachFunc(mod, t.Parallel, func(fi int, f *ir.Func) {
-		orders[fi] = t.SolveFunc(f, BuildSparseMatrix(f, prof.Funcs[fi], m, t.Obs), opts, int64(fi)).Order
-	})
-	return finalizeOrders(mod, prof, m, orders)
+	opts.Context, opts.Budget, opts.Pool, opts.Obs = ctx, fn.Budget, fn.Pool, fn.Obs
+	r := SolveFunc(fn.IR, fn.Matrix(), opts, int64(fn.Index))
+	return FuncResult{Order: r.Order, Exact: r.Exact, Truncated: r.Truncated, Kicks: r.Kicks}
 }
 
-// forEachFunc evaluates fn(fi, f) for every function of the module — on
-// the process-wide worker pool when parallel is true, sequentially
-// otherwise. Functions are independent and results are written by index,
-// so the parallel schedule is observationally identical to the
-// sequential loop. Any per-run parallelism inside fn's solves nests on
-// the same pool (see tsp.SolveOptions.Pool), keeping the total worker
-// count bounded.
-func forEachFunc(mod *ir.Module, parallel bool, fn func(fi int, f *ir.Func)) {
-	if !parallel {
-		for fi, f := range mod.Funcs {
-			fn(fi, f)
-		}
-		return
-	}
-	work.Shared().Each(len(mod.Funcs), func(fi int) {
-		fn(fi, mod.Funcs[fi])
-	})
-}
-
-// AlignFuncResult carries per-function solver diagnostics, used by the
+// SolveResult carries per-function solver diagnostics, used by the
 // appendix experiment.
-type AlignFuncResult struct {
-	FuncIndex  int
+type SolveResult struct {
 	Cities     int
 	Order      []int
 	Cost       tsp.Cost
@@ -191,11 +152,13 @@ type AlignFuncResult struct {
 }
 
 // SolveFunc runs the solver on f's DTSP instance mat (built by
-// BuildSparseMatrix) and returns the block order plus diagnostics.
-func (t *TSP) SolveFunc(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.SolveOptions, seedOffset int64) AlignFuncResult {
+// BuildSparseMatrix) with seed opts.Seed+seedOffset and returns the
+// block order plus diagnostics. The solve is recorded as an
+// "align.func" span under opts.Obs (nil records nothing).
+func SolveFunc(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.SolveOptions, seedOffset int64) SolveResult {
 	n := mat.Len()
-	out := AlignFuncResult{Cities: n}
-	sp := t.Obs.Child("align.func", obs.String("func", f.Name), obs.Int("cities", int64(n)),
+	out := SolveResult{Cities: n}
+	sp := opts.Obs.Child("align.func", obs.String("func", f.Name), obs.Int("cities", int64(n)),
 		obs.String("algorithm", "tsp"))
 	if n == 1 {
 		out.Order = []int{0}
@@ -227,25 +190,6 @@ func (t *TSP) SolveFunc(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.SolveOptions
 		obs.Int("moves_tried", res.MovesTried), obs.Int("moves_accepted", res.MovesAccepted),
 		obs.Int("or_moves_tried", res.OrMovesTried), obs.Int("or_moves_accepted", res.OrMovesAccepted))
 	return out
-}
-
-// HeldKarpLowerBound computes the per-function Held-Karp lower bounds on
-// control penalty and returns their sum (in cycles, rounded up to the
-// next integer per function since penalties are integral). No layout can
-// achieve a lower total intraprocedural control penalty on the training
-// input. Functions are bounded in parallel (they are independent and the
-// per-function bounds are summed in index order, so the result matches
-// the sequential loop exactly).
-func HeldKarpLowerBound(mod *ir.Module, prof *interp.Profile, m machine.Model, opts tsp.HeldKarpOptions) layout.Cost {
-	per := make([]layout.Cost, len(mod.Funcs))
-	forEachFunc(mod, true, func(fi int, f *ir.Func) {
-		per[fi] = FuncHeldKarpBound(f, BuildSparseMatrix(f, prof.Funcs[fi], m, opts.Obs), opts).Bound
-	})
-	var total layout.Cost
-	for _, c := range per {
-		total += c
-	}
-	return total
 }
 
 // FuncBoundResult carries one function's Held-Karp bound with its

@@ -6,7 +6,6 @@ import (
 
 	"branchalign/internal/align"
 	"branchalign/internal/interp"
-	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 	"branchalign/internal/testutil"
 )
@@ -31,8 +30,8 @@ func main(n) {
 		return
 	}
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	tsp := layout.ModulePenalty(mod, align.NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+	orig := align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Penalty
+	tsp := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Penalty
 	fmt.Printf("original %d cycles, aligned %d cycles\n", orig, tsp)
 	// Output: original 7405 cycles, aligned 1607 cycles
 }

@@ -24,7 +24,6 @@ import (
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
 	"branchalign/internal/layout"
-	"branchalign/internal/machine"
 	"branchalign/internal/obs"
 )
 
@@ -41,14 +40,6 @@ type ExtTSP struct {
 	// Params is the objective; the zero value selects
 	// layout.DefaultExtTSPParams().
 	Params layout.ExtTSPParams
-	// Parallel lays out the module's functions on the shared worker
-	// pool. Functions are independent and the per-function algorithm is
-	// sequential, so results are bit-identical to the sequential run.
-	Parallel bool
-	// Obs, when non-nil, is the parent span per-function telemetry is
-	// recorded under (one "align.func" span per function, tagged
-	// algorithm=exttsp).
-	Obs *obs.Span
 }
 
 // Name implements Aligner.
@@ -62,56 +53,30 @@ func (e *ExtTSP) params() layout.ExtTSPParams {
 	return e.Params
 }
 
-// Align implements Aligner. A cancelled ctx stops each in-flight
-// per-function merge loop at its next merge boundary; the chains built
-// so far are concatenated into a valid (merely weaker) layout.
-func (e *ExtTSP) Align(ctx context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
-	orders := make([][]int, len(mod.Funcs))
-	forEachFunc(mod, e.Parallel, func(fi int, f *ir.Func) {
-		orders[fi] = e.AlignFunc(ctx, f, prof.Funcs[fi], m).Order
-	})
-	return finalizeOrders(mod, prof, m, orders)
-}
-
-// ExtTSPFuncResult carries one function's chain-merging outcome.
-type ExtTSPFuncResult struct {
-	Cities int
-	// Order is the final block order (always a valid permutation with
-	// the entry block first).
-	Order []int
-	// Score is the ExtTSP objective of Order (layout.ExtTSPScore).
-	Score float64
-	// Cost is the control penalty of Order under the training profile —
-	// the cross-objective readout that lets ExtTSP layouts sit in the
-	// same tables as DTSP tours.
-	Cost layout.Cost
-	// Merges counts accepted chain merges; Truncated marks a merge loop
-	// cut short by ctx.
-	Merges    int
-	Truncated bool
-}
-
-// AlignFunc runs the chain-merging algorithm on a single function.
-func (e *ExtTSP) AlignFunc(ctx context.Context, f *ir.Func, fp *interp.FuncProfile, m machine.Model) ExtTSPFuncResult {
+// AlignFunc implements Aligner. A cancelled ctx stops the merge loop at
+// its next merge boundary; the chains built so far are concatenated into
+// a valid (merely weaker) order. Under a traced run the function gets an
+// "align.func" span (tagged algorithm=exttsp) carrying the order's
+// ExtTSP score, control penalty and merge count.
+func (e *ExtTSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
+	f, fp := fn.IR, fn.Prof
 	n := len(f.Blocks)
-	sp := e.Obs.Child("align.func",
+	sp := fn.Obs.Child("align.func",
 		obs.String("func", f.Name), obs.Int("cities", int64(n)),
 		obs.String("algorithm", "exttsp"))
-	out := ExtTSPFuncResult{Cities: n}
 	if n == 1 {
-		out.Order = []int{0}
 		sp.End(obs.Int("cost", 0), obs.Float("score", 0))
-		return out
+		return FuncResult{Order: []int{0}}
 	}
 	s := newExtSolver(f, fp, e.params())
-	out.Merges, out.Truncated = s.run(ctx)
-	out.Order = s.finalOrder()
-	out.Score = layout.ExtTSPScore(f, fp, out.Order, e.params())
-	fl := layout.Finalize(f, fp, out.Order, m)
-	out.Cost = layout.Penalty(f, fl, fp, m)
-	sp.End(obs.Int("cost", int64(out.Cost)), obs.Float("score", out.Score),
-		obs.Int("merges", int64(out.Merges)), obs.Bool("truncated", out.Truncated))
-	return out
+	merges, truncated := s.run(ctx)
+	order := s.finalOrder()
+	if sp != nil {
+		cost := layout.Penalty(f, layout.Finalize(f, fp, order, fn.Model), fp, fn.Model)
+		sp.End(obs.Int("cost", int64(cost)), obs.Float("score", layout.ExtTSPScore(f, fp, order, e.params())),
+			obs.Int("merges", int64(merges)), obs.Bool("truncated", truncated))
+	}
+	return FuncResult{Order: order, Truncated: truncated}
 }
 
 // extArc is one merged CFG arc (duplicate successors summed,

@@ -8,6 +8,8 @@ import (
 	"branchalign/internal/bench"
 	"branchalign/internal/layout"
 	"branchalign/internal/machine"
+	"branchalign/internal/obs"
+	"branchalign/internal/work"
 )
 
 // TestExtTSPValidOnBenchmarks: the chain merger yields a valid layout on
@@ -20,12 +22,12 @@ func TestExtTSPValidOnBenchmarks(t *testing.T) {
 	m := machine.Alpha21164()
 	p := layout.DefaultExtTSPParams()
 	a := &ExtTSP{}
-	l := a.Align(context.Background(), mod, prof, m)
+	l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
 	if err := l.Validate(mod); err != nil {
 		t.Fatalf("invalid layout: %v", err)
 	}
 	got := layout.ModuleExtTSPScore(mod, l, prof, p)
-	orig := layout.ModuleExtTSPScore(mod, Original{}.Align(context.Background(), mod, prof, m), prof, p)
+	orig := layout.ModuleExtTSPScore(mod, Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Layout, prof, p)
 	if got < orig {
 		t.Errorf("exttsp score %.3f below original %.3f", got, orig)
 	}
@@ -43,7 +45,7 @@ func TestQuickExtTSPValidOnSynthCFGs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		l := (&ExtTSP{}).Align(context.Background(), mod, prof, m)
+		l := Run(context.Background(), &ExtTSP{}, mod, prof, m, RunOptions{}).Layout
 		if err := l.Validate(mod); err != nil {
 			t.Logf("blocks=%d seed=%d: %v", blocks, seedRaw, err)
 			return false
@@ -55,16 +57,17 @@ func TestQuickExtTSPValidOnSynthCFGs(t *testing.T) {
 	}
 }
 
-// TestExtTSPDeterministic: the parallel run is bit-identical to the
-// sequential run (functions are independent; the per-function merge is
-// sequential), and repeated runs agree. This is the schedule-independence
-// contract CI's GOMAXPROCS=2 race step exercises.
+// TestExtTSPDeterministic: fanning functions out over several workers
+// is bit-identical to one worker (functions are independent; the
+// per-function merge is sequential), and repeated runs agree. This is
+// the schedule-independence contract CI's GOMAXPROCS=2 race step
+// exercises.
 func TestExtTSPDeterministic(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	seq := (&ExtTSP{}).Align(context.Background(), mod, prof, m)
+	seq := Run(context.Background(), &ExtTSP{}, mod, prof, m, RunOptions{Pool: work.NewPool(1)}).Layout
 	for trial := 0; trial < 4; trial++ {
-		par := (&ExtTSP{Parallel: true}).Align(context.Background(), mod, prof, m)
+		par := Run(context.Background(), &ExtTSP{}, mod, prof, m, RunOptions{Pool: work.NewPool(4)}).Layout
 		for fi := range mod.Funcs {
 			so, po := seq.Funcs[fi].Order, par.Funcs[fi].Order
 			for i := range so {
@@ -86,29 +89,40 @@ func TestExtTSPCancelledContextStillValid(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := &ExtTSP{}
-	l := a.Align(ctx, mod, prof, m)
+	l := Run(ctx, a, mod, prof, m, RunOptions{}).Layout
 	if err := l.Validate(mod); err != nil {
 		t.Fatalf("truncated layout invalid: %v", err)
 	}
-	res := a.AlignFunc(ctx, mod.Funcs[0], prof.Funcs[0], m)
+	res := Run(ctx, a, mod, prof, m, RunOptions{}).Funcs[0]
 	if len(mod.Funcs[0].Blocks) > 1 && !res.Truncated {
 		t.Errorf("pre-cancelled ctx did not report truncation")
 	}
 }
 
 // TestExtTSPFuncResultScoreMatchesRecompute: the score the aligner
-// reports is the from-scratch ExtTSPScore of the order it returns —
-// the incremental chain bookkeeping cannot drift from the objective.
+// traces is the from-scratch ExtTSPScore of the order it returns.
 func TestExtTSPFuncResultScoreMatchesRecompute(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	a := &ExtTSP{}
 	p := layout.DefaultExtTSPParams()
+	sink := &obs.MemorySink{}
+	tr := obs.New(sink)
+	root := tr.Start("test")
+	res := Run(context.Background(), &ExtTSP{}, mod, prof, m, RunOptions{Obs: root})
+	root.End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scores := map[string]float64{}
+	for _, e := range sink.Events() {
+		if e.Type == "span" && e.Name == "align.func" {
+			scores[e.Str("func")] = e.Float("score")
+		}
+	}
 	for fi, f := range mod.Funcs {
-		res := a.AlignFunc(context.Background(), f, prof.Funcs[fi], m)
-		want := layout.ExtTSPScore(f, prof.Funcs[fi], res.Order, p)
-		if res.Score != want {
-			t.Errorf("%s: reported score %v != recomputed %v", f.Name, res.Score, want)
+		want := layout.ExtTSPScore(f, prof.Funcs[fi], res.Funcs[fi].Order, p)
+		if got, ok := scores[f.Name]; !ok || got != want {
+			t.Errorf("%s: traced score %v (present %v) != recomputed %v", f.Name, got, ok, want)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
-	"branchalign/internal/layout"
-	"branchalign/internal/machine"
 )
 
 // PettisHansen is the greedy bottom-up aligner the paper compares
@@ -20,14 +18,9 @@ type PettisHansen struct{}
 // Name implements Aligner.
 func (PettisHansen) Name() string { return "greedy" }
 
-// Align implements Aligner.
-func (PettisHansen) Align(_ context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
-	orders := make([][]int, len(mod.Funcs))
-	for fi, f := range mod.Funcs {
-		w := frequencyWeights(f, prof.Funcs[fi])
-		orders[fi] = chainAndOrder(f, prof.Funcs[fi], w)
-	}
-	return finalizeOrders(mod, prof, m, orders)
+// AlignFunc implements Aligner.
+func (PettisHansen) AlignFunc(_ context.Context, fn *Func) FuncResult {
+	return FuncResult{Order: chainAndOrder(fn.IR, fn.Prof, frequencyWeights(fn.IR, fn.Prof))}
 }
 
 // cfgEdge is a weighted candidate for consecutive placement.

@@ -3,10 +3,6 @@ package align
 import (
 	"context"
 
-	"branchalign/internal/interp"
-	"branchalign/internal/ir"
-	"branchalign/internal/layout"
-	"branchalign/internal/machine"
 	"branchalign/internal/tsp"
 )
 
@@ -22,17 +18,16 @@ type APPatch struct{}
 // Name implements Aligner.
 func (APPatch) Name() string { return "ap-patch" }
 
-// Align implements Aligner.
-func (APPatch) Align(_ context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
-	orders := make([][]int, len(mod.Funcs))
-	for fi, f := range mod.Funcs {
-		if len(f.Blocks) == 1 {
-			orders[fi] = []int{0}
-			continue
-		}
-		tour, _ := tsp.SolvePatching(BuildSparseMatrix(f, prof.Funcs[fi], m, nil))
-		tour.RotateTo(0)
-		orders[fi] = tour
+// AlignFunc implements Aligner. A ctx cancelled before the patching
+// finishes leaves the function in compiler order, flagged Truncated.
+func (APPatch) AlignFunc(ctx context.Context, fn *Func) FuncResult {
+	if len(fn.IR.Blocks) == 1 {
+		return FuncResult{Order: []int{0}}
 	}
-	return finalizeOrders(mod, prof, m, orders)
+	tour, _, err := tsp.SolvePatching(ctx, fn.Matrix())
+	if err != nil {
+		return FuncResult{Order: identityOrder(len(fn.IR.Blocks)), Truncated: true}
+	}
+	tour.RotateTo(0)
+	return FuncResult{Order: tour}
 }

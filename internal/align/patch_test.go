@@ -215,7 +215,7 @@ func TestAlignerLayoutsRoundTrip(t *testing.T) {
 	m := machine.Alpha21164()
 	inversions, fixups := 0, 0
 	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, &align.CalderGrunwald{}, align.APPatch{}, align.NewTSP(1)} {
-		l := a.Align(context.Background(), mod, prof, m)
+		l := align.Run(context.Background(), a, mod, prof, m, align.RunOptions{}).Layout
 		for fi, f := range mod.Funcs {
 			fl := l.Funcs[fi]
 			em := check.Emit(f, fl)

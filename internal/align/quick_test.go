@@ -51,9 +51,9 @@ func TestQuickAlignersValidOnSynthCFGs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
+		orig := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
 		for _, a := range aligners {
-			l := a.Align(context.Background(), mod, prof, m)
+			l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
 			if err := l.Validate(mod); err != nil {
 				t.Logf("%s: %v", a.Name(), err)
 				return false
@@ -80,13 +80,13 @@ func TestQuickAlignersValidOnSynthCFGs(t *testing.T) {
 func TestAPPatchOnBenchmarks(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	patchL := APPatch{}.Align(context.Background(), mod, prof, m)
+	orig := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
+	patchL := Run(context.Background(), APPatch{}, mod, prof, m, RunOptions{}).Layout
 	if err := patchL.Validate(mod); err != nil {
 		t.Fatal(err)
 	}
 	patch := layout.ModulePenalty(mod, patchL, prof, m)
-	tspCP := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+	tspCP := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
 	if patch > orig {
 		t.Errorf("patching worse than original: %d > %d", patch, orig)
 	}

@@ -10,8 +10,6 @@ package align
 import (
 	"fmt"
 	"sort"
-
-	"branchalign/internal/obs"
 )
 
 // Options carries the construction-time knobs an aligner may honor.
@@ -19,13 +17,9 @@ import (
 type Options struct {
 	// Seed perturbs restart order for randomized aligners (tsp).
 	Seed int64
-	// Parallel lays out functions on the shared worker pool.
-	Parallel bool
-	// Parallelism additionally splits each function's solve across
-	// workers (tsp only; 0 keeps the solver's default).
+	// Parallelism splits each function's solve across workers of the
+	// run's pool (tsp only; 0 keeps the solver's default).
 	Parallelism int
-	// Obs, when non-nil, receives per-function telemetry spans.
-	Obs *obs.Span
 }
 
 // Factory builds a fresh aligner instance from options.
@@ -72,12 +66,8 @@ func init() {
 	Register("ap-patch", func(Options) Aligner { return APPatch{} })
 	Register("tsp", func(o Options) Aligner {
 		t := NewTSP(o.Seed)
-		t.Parallel = o.Parallel
 		t.Opts.Parallelism = o.Parallelism
-		t.Obs = o.Obs
 		return t
 	})
-	Register("exttsp", func(o Options) Aligner {
-		return &ExtTSP{Parallel: o.Parallel, Obs: o.Obs}
-	})
+	Register("exttsp", func(Options) Aligner { return &ExtTSP{} })
 }

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 // TestQuickSparseMatrixMatchesDenseOnSynthCFGs: the sparse DTSP instance
@@ -101,7 +103,6 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 // function (the vet invariant chain).
 func TestQuickBoundChainOnSparsePath(t *testing.T) {
 	m := machine.Alpha21164()
-	aligner := NewTSP(7)
 	f := func(blocksRaw, seedRaw uint16) bool {
 		blocks := int(blocksRaw%30) + 3
 		mod, prof, err := bench.Synthesize(bench.DefaultSynth(blocks, int64(seedRaw)+77))
@@ -110,7 +111,7 @@ func TestQuickBoundChainOnSparsePath(t *testing.T) {
 		}
 		fn := mod.Funcs[0]
 		sp := BuildSparseMatrix(fn, prof.Funcs[0], m, nil)
-		res := aligner.SolveFunc(fn, sp, tsp.PaperSolveOptions(7), 0)
+		res := SolveFunc(fn, sp, tsp.PaperSolveOptions(7), 0)
 		tour := tsp.CycleCost(sp, tsp.Tour(res.Order))
 		hk := FuncHeldKarpBound(fn, sp, tsp.HeldKarpOptions{Iterations: 200}).Bound
 		ap := tsp.AssignmentBound(sp)
@@ -129,8 +130,8 @@ func TestQuickBoundChainOnSparsePath(t *testing.T) {
 	}
 }
 
-// TestParallelBoundsMatchSequential: the parallel per-function bound
-// loop is bit-identical to a sequential evaluation.
+// TestParallelBoundsMatchSequential: bounds computed by Run's fan-out
+// over several workers are bit-identical to a sequential evaluation.
 func TestParallelBoundsMatchSequential(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
@@ -139,7 +140,8 @@ func TestParallelBoundsMatchSequential(t *testing.T) {
 	for fi, f := range mod.Funcs {
 		seqHK += FuncHeldKarpBound(f, BuildSparseMatrix(f, prof.Funcs[fi], m, nil), hkOpts).Bound
 	}
-	if got := HeldKarpLowerBound(mod, prof, m, hkOpts); got != seqHK {
-		t.Errorf("parallel HK bound %d != sequential %d", got, seqHK)
+	res := Run(context.Background(), Original{}, mod, prof, m, RunOptions{Pool: work.NewPool(4), Bound: &hkOpts})
+	if res.Bound != seqHK {
+		t.Errorf("parallel HK bound %d != sequential %d", res.Bound, seqHK)
 	}
 }

@@ -201,7 +201,7 @@ func TestSemanticsPreservedUnderAnyLayout(t *testing.T) {
 		}
 		m := machine.Alpha21164()
 		for _, a := range []align.Aligner{align.PettisHansen{}, align.NewTSP(1)} {
-			l := a.Align(context.Background(), mod, prof, m)
+			l := align.Run(context.Background(), a, mod, prof, m, align.RunOptions{}).Layout
 			if err := l.Validate(mod); err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, a.Name(), err)
 			}
@@ -269,8 +269,8 @@ func TestSynthAlignmentEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, m), prof, m)
-		tspL := align.NewTSP(1).Align(context.Background(), mod, prof, m)
+		orig := align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Penalty
+		tspL := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
 		if err := tspL.Validate(mod); err != nil {
 			t.Fatalf("blocks=%d: %v", blocks, err)
 		}

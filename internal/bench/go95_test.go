@@ -105,8 +105,8 @@ func TestGo95Aligns(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	tspL := align.NewTSP(1).Align(context.Background(), mod, prof, m)
+	orig := align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Penalty
+	tspL := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
 	if err := tspL.Validate(mod); err != nil {
 		t.Fatal(err)
 	}

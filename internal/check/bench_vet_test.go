@@ -40,7 +40,7 @@ func TestVetAllBenchmarks(t *testing.T) {
 				t.Fatalf("profiling run failed: %v", err)
 			}
 			for _, a := range aligners {
-				l := a.Align(context.Background(), mod, prof, model)
+				l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
 				r := check.Module(mod)
 				r.Merge(check.Flow(mod, prof))
 				r.Merge(check.Layouts(mod, prof, l, model))

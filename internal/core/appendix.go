@@ -100,7 +100,9 @@ func (s *Suite) AppendixSynthetic(count, blocks int) (*AppendixStats, error) {
 // Held-Karp bound and the AP bound share one matrix.
 func (s *Suite) instance(benchName string, f *ir.Func, fp *interp.FuncProfile, seedOffset int64) InstanceStats {
 	mat := align.BuildSparseMatrix(f, fp, s.Model, s.Obs)
-	res := (&align.TSP{Obs: s.Obs}).SolveFunc(f, mat, tsp.PaperSolveOptions(s.Seed), seedOffset)
+	opts, hk := tsp.PaperSolveOptions(s.Seed), s.HKOpts
+	opts.Obs, hk.Obs = s.Obs, s.Obs
+	res := align.SolveFunc(f, mat, opts, seedOffset)
 	return InstanceStats{
 		Bench:      benchName,
 		Func:       f.Name,
@@ -109,7 +111,7 @@ func (s *Suite) instance(benchName string, f *ir.Func, fp *interp.FuncProfile, s
 		Exact:      res.Exact,
 		Runs:       res.Runs,
 		RunsAtBest: res.RunsAtBest,
-		HKBound:    align.FuncHeldKarpBound(f, mat, s.hkOpts()).Bound,
+		HKBound:    align.FuncHeldKarpBound(f, mat, hk).Bound,
 		APBound:    tsp.AssignmentBound(mat),
 	}
 }

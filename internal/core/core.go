@@ -63,6 +63,7 @@ type Suite struct {
 	profiles   map[string]*profileRun
 	traces     map[string]*pipe.Trace
 	layouts    map[string]map[string]*layout.Layout
+	bounds     map[string]Cost // per data set, from the tsp layout's run
 }
 
 type profileRun struct {
@@ -87,6 +88,7 @@ func NewSuite(seed int64) *Suite {
 		profiles:   map[string]*profileRun{},
 		traces:     map[string]*pipe.Trace{},
 		layouts:    map[string]map[string]*layout.Layout{},
+		bounds:     map[string]Cost{},
 	}
 }
 
@@ -125,14 +127,6 @@ func (s *Suite) moduleLocked(b *bench.Benchmark) (*ir.Module, error) {
 
 func dsKey(b *bench.Benchmark, ds *bench.DataSet) string {
 	return b.Name + "." + ds.Name
-}
-
-// hkOpts returns the suite's Held-Karp options with its telemetry span
-// attached, so every experiment's bound computations are recorded.
-func (s *Suite) hkOpts() tsp.HeldKarpOptions {
-	o := s.HKOpts
-	o.Obs = s.Obs
-	return o
 }
 
 // ProfileOf runs (and caches) the profiling execution of b on ds — the
@@ -187,12 +181,7 @@ func (s *Suite) TraceOf(b *bench.Benchmark, ds *bench.DataSet) (*pipe.Trace, err
 
 // alignOptions is the construction recipe every suite aligner shares.
 func (s *Suite) alignOptions() align.Options {
-	return align.Options{
-		Seed:        s.Seed,
-		Parallel:    true, // bit-identical to sequential, faster
-		Parallelism: s.Parallelism,
-		Obs:         s.Obs,
-	}
+	return align.Options{Seed: s.Seed, Parallelism: s.Parallelism}
 }
 
 // Aligners returns the aligners every experiment compares — the
@@ -215,45 +204,28 @@ func (s *Suite) Aligners() []align.Aligner {
 	return out
 }
 
-// AlignAll produces the three layouts for a training profile. ctx
-// cancellation truncates the TSP aligner's in-flight solves at their
-// next kick boundary (the layouts remain valid; see align.Aligner).
-func (s *Suite) AlignAll(ctx context.Context, mod *ir.Module, prof *interp.Profile) map[string]*layout.Layout {
+// LayoutsOf returns (and caches) the layouts of every aligner in
+// Aligners trained on the given data set's profile. Cancelled contexts
+// produce truncated (but valid) TSP layouts; those are still cached,
+// matching the anytime contract — callers that need full-quality
+// layouts should pass an uncancelled ctx.
+func (s *Suite) LayoutsOf(ctx context.Context, b *bench.Benchmark, ds *bench.DataSet) (map[string]*layout.Layout, error) {
 	out := map[string]*layout.Layout{}
 	for _, a := range s.Aligners() {
-		out[a.Name()] = a.Align(ctx, mod, prof, s.Model)
+		l, err := s.LayoutFor(ctx, b, ds, a.Name())
+		if err != nil {
+			return nil, err
+		}
+		out[a.Name()] = l
 	}
-	return out
-}
-
-// LayoutsOf returns (and caches) the three layouts trained on the given
-// data set's profile. Cancelled contexts produce truncated (but valid)
-// TSP layouts; those are still cached, matching the anytime contract —
-// callers that need full-quality layouts should pass an uncancelled ctx.
-func (s *Suite) LayoutsOf(ctx context.Context, b *bench.Benchmark, ds *bench.DataSet) (map[string]*layout.Layout, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := dsKey(b, ds)
-	if ls, ok := s.layouts[key]; ok {
-		return ls, nil
-	}
-	mod, err := s.moduleLocked(b)
-	if err != nil {
-		return nil, err
-	}
-	prof, _, err := s.profileLocked(b, ds)
-	if err != nil {
-		return nil, err
-	}
-	ls := s.AlignAll(ctx, mod, prof)
-	s.layouts[key] = ls
-	return ls, nil
+	return out, nil
 }
 
 // LayoutFor returns (and caches) one named aligner's layout trained on
 // the given data set's profile. It shares the per-dataset cache with
 // LayoutsOf, so asking for "tsp" after LayoutsOf (or vice versa) never
-// re-solves.
+// re-solves. The tsp run also bounds every function on the matrices it
+// solved, and caches the sum for BoundOf.
 func (s *Suite) LayoutFor(ctx context.Context, b *bench.Benchmark, ds *bench.DataSet, name string) (*layout.Layout, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,12 +245,30 @@ func (s *Suite) LayoutFor(ctx context.Context, b *bench.Benchmark, ds *bench.Dat
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	l := a.Align(ctx, mod, prof, s.Model)
+	o := align.RunOptions{Obs: s.Obs}
+	if name == "tsp" {
+		o.Bound = &s.HKOpts
+	}
+	res := align.Run(ctx, a, mod, prof, s.Model, o)
 	if s.layouts[key] == nil {
 		s.layouts[key] = map[string]*layout.Layout{}
 	}
-	s.layouts[key][name] = l
-	return l, nil
+	s.layouts[key][name] = res.Layout
+	if name == "tsp" {
+		s.bounds[key] = res.Bound
+	}
+	return res.Layout, nil
+}
+
+// BoundOf returns the summed Held-Karp lower bound on the given data
+// set's profile, from the same run as the cached tsp layout.
+func (s *Suite) BoundOf(b *bench.Benchmark, ds *bench.DataSet) (Cost, error) {
+	if _, err := s.LayoutFor(context.Background(), b, ds, "tsp"); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bounds[dsKey(b, ds)], nil
 }
 
 // SimulateCycles replays the recorded trace of (b, ds) under a layout

@@ -86,7 +86,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		row.ProfileMS = msSince(t0)
 
 		t0 = time.Now()
-		align.PettisHansen{}.Align(context.Background(), mod, prof, s.Model)
+		align.Run(context.Background(), align.PettisHansen{}, mod, prof, s.Model, align.RunOptions{})
 		row.GreedyMS = msSince(t0)
 
 		t0 = time.Now()
@@ -149,7 +149,10 @@ func (s *Suite) Table4() ([]Table4Row, error) {
 			}
 			orig := layout.Identity(mod, prof, s.Model)
 			cp := layout.ModulePenalty(mod, orig, prof, s.Model)
-			bound := align.HeldKarpLowerBound(mod, prof, s.Model, s.hkOpts())
+			bound, err := s.BoundOf(b, ds)
+			if err != nil {
+				return nil, err
+			}
 			sim, err := s.SimulateCycles(b, ds, mod, orig)
 			if err != nil {
 				return nil, err
@@ -204,7 +207,10 @@ func (s *Suite) Fig2() ([]Fig2Row, error) {
 			origCP := layout.ModulePenalty(mod, layouts["original"], prof, s.Model)
 			greedyCP := layout.ModulePenalty(mod, layouts["greedy"], prof, s.Model)
 			tspCP := layout.ModulePenalty(mod, layouts["tsp"], prof, s.Model)
-			bound := align.HeldKarpLowerBound(mod, prof, s.Model, s.hkOpts())
+			bound, err := s.BoundOf(b, ds)
+			if err != nil {
+				return nil, err
+			}
 
 			origSim, err := s.SimulateCycles(b, ds, mod, layouts["original"])
 			if err != nil {

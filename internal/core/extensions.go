@@ -45,8 +45,8 @@ func (s *Suite) ExtCacheAware(extra Cost) ([]CacheAwareRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			plainL := align.NewTSP(s.Seed).Align(context.Background(), mod, prof, s.Model)
-			awareL := align.NewTSP(s.Seed).Align(context.Background(), mod, prof, awareModel)
+			plainL := align.Run(context.Background(), align.NewTSP(s.Seed), mod, prof, s.Model, align.RunOptions{}).Layout
+			awareL := align.Run(context.Background(), align.NewTSP(s.Seed), mod, prof, awareModel, align.RunOptions{}).Layout
 			plainSim, err := s.SimulateCycles(b, ds, mod, plainL)
 			if err != nil {
 				return nil, err
@@ -163,8 +163,8 @@ func (s *Suite) ExtOptimize() ([]OptimizeRow, error) {
 			if _, err := interp.Run(m, ds.Make(), interp.Options{Profile: prof, MaxSteps: s.MaxSteps}); err != nil {
 				return 0, 0, err
 			}
-			orig := layout.ModulePenalty(m, align.Original{}.Align(context.Background(), m, prof, s.Model), prof, s.Model)
-			tspCP := layout.ModulePenalty(m, align.NewTSP(s.Seed).Align(context.Background(), m, prof, s.Model), prof, s.Model)
+			orig := layout.ModulePenalty(m, layout.Identity(m, prof, s.Model), prof, s.Model)
+			tspCP := align.Run(context.Background(), align.NewTSP(s.Seed), m, prof, s.Model, align.RunOptions{}).Penalty
 			norm := 1.0
 			if orig > 0 {
 				norm = float64(tspCP) / float64(orig)
@@ -223,7 +223,7 @@ func (s *Suite) ExtUnionTraining() ([]UnionRow, error) {
 				return nil, err
 			}
 		}
-		unionLayout := align.NewTSP(s.Seed).Align(context.Background(), mod, union, s.Model)
+		unionLayout := align.Run(context.Background(), align.NewTSP(s.Seed), mod, union, s.Model, align.RunOptions{}).Layout
 		for i := range b.DataSets {
 			test := &b.DataSets[i]
 			train := &b.DataSets[(i+1)%len(b.DataSets)]

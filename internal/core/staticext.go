@@ -44,7 +44,7 @@ func (s *Suite) ExtStaticProfile() ([]StaticProfileRow, error) {
 			return nil, err
 		}
 		est, _ := staticprof.Estimate(mod)
-		staticL := align.NewTSP(s.Seed).Align(context.Background(), mod, est, s.Model)
+		staticL := align.Run(context.Background(), align.NewTSP(s.Seed), mod, est, s.Model, align.RunOptions{}).Layout
 		for i := range b.DataSets {
 			ds := &b.DataSets[i]
 			prof, _, err := s.ProfileOf(b, ds)

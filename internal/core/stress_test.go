@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"branchalign/internal/align"
@@ -12,6 +13,7 @@ import (
 	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 // TestStressLargeModule runs the full alignment stack on a module far
@@ -47,25 +49,36 @@ func TestStressLargeModule(t *testing.T) {
 	t.Logf("stress module: %d functions, %d blocks", len(mod.Funcs), totalBlocks)
 
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, m), prof, m)
+	orig := align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Penalty
 
-	a := align.NewTSP(1)
-	a.Parallel = true
-	l := a.Align(context.Background(), mod, prof, m)
+	// The tsp run fans out over four workers and also bounds every
+	// function; one worker must give the same layout and bound.
+	hk := tsp.HeldKarpOptions{Iterations: 400}
+	run := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{Pool: work.NewPool(4), Bound: &hk})
+	l := run.Layout
 	if err := l.Validate(mod); err != nil {
 		t.Fatal(err)
+	}
+	seq := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{Pool: work.NewPool(1), Bound: &hk})
+	if seq.Bound != run.Bound {
+		t.Errorf("bound on one worker %d != on four %d", seq.Bound, run.Bound)
+	}
+	for fi := range mod.Funcs {
+		if !reflect.DeepEqual(seq.Funcs[fi].Order, run.Funcs[fi].Order) {
+			t.Fatalf("%s: order on one worker diverges from four", mod.Funcs[fi].Name)
+		}
 	}
 	tspCP := layout.ModulePenalty(mod, l, prof, m)
 	if tspCP > orig {
 		t.Errorf("TSP worsened the stress module: %d -> %d", orig, tspCP)
 	}
 
-	greedyCP := layout.ModulePenalty(mod, align.PettisHansen{}.Align(context.Background(), mod, prof, m), prof, m)
+	greedyCP := align.Run(context.Background(), align.PettisHansen{}, mod, prof, m, align.RunOptions{}).Penalty
 	if tspCP > greedyCP {
 		t.Errorf("TSP (%d) behind greedy (%d) on stress module", tspCP, greedyCP)
 	}
 
-	bound := align.HeldKarpLowerBound(mod, prof, m, tsp.HeldKarpOptions{Iterations: 400})
+	bound := run.Bound
 	if bound > tspCP {
 		t.Errorf("HK bound %d above TSP penalty %d", bound, tspCP)
 	}

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"branchalign/internal/align"
+	"branchalign/internal/bench"
+	"branchalign/internal/check"
 	"branchalign/internal/machine"
 )
 
@@ -23,7 +26,7 @@ func TestEngineAlgorithmSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := a.Align(context.Background(), mod, prof, model)
+		direct := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
 		res, err := e.Align(context.Background(), Request{
 			Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 5, Algorithm: name,
 		})
@@ -132,5 +135,37 @@ func TestEngineAlgorithmNoCrossTalk(t *testing.T) {
 		if st := e.Stats(); st.Solved != 2 || st.Coalesced != 0 {
 			t.Errorf("trial %d stats %+v, want 2 independent solves", trial, st)
 		}
+	}
+}
+
+// TestEngineAPPatchHonorsDeadline: the assignment-patching aligner's
+// O(n^3) Hungarian solve polls the request context, so an "ap-patch"
+// request on a 1,000-block function under a 50 ms deadline returns
+// promptly with a truncated (compiler-order) but valid layout instead
+// of running for seconds past its deadline.
+func TestEngineAPPatchHonorsDeadline(t *testing.T) {
+	mod, prof, err := bench.Synthesize(bench.DefaultSynth(1000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := machine.Alpha21164()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := New(Options{}).Align(ctx, Request{
+		Inputs: []byte("synth1000"), Load: loaded(mod, prof), Model: model, Algorithm: "ap-patch",
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("ap-patch under a 50 ms deadline took %v, want < 1s", elapsed)
+	}
+	if !res.Truncated || !res.Funcs[0].Truncated {
+		t.Errorf("result not flagged Truncated (result %v, func %v)", res.Truncated, res.Funcs[0].Truncated)
+	}
+	if r := check.Layouts(mod, prof, res.Layout, model); !r.OK() {
+		t.Errorf("truncated layout fails check.Layouts:\n%s", r)
 	}
 }

@@ -465,164 +465,81 @@ func load(req *Request) (*ir.Module, *interp.Profile, error) {
 	return mod, prof, nil
 }
 
-// solve loads the request's module and profile, then performs the
-// per-function fan-out under the shared worker pool. inst is the
-// request's instance key, under which its Held-Karp warm states live.
+// solve loads the request's module and profile, then lays out and
+// (optionally) bounds every function with one align.Run on the shared
+// worker pool. inst is the request's instance key, under which its
+// Held-Karp warm states live.
 func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, error) {
 	mod, prof, err := load(&req)
 	if err != nil {
 		return nil, err
 	}
-	opts := tsp.PaperSolveOptions(req.Seed)
-	opts.Context = ctx
-	opts.Budget = req.Budget
-	opts.Parallelism = req.Parallelism
-	if opts.Parallelism == 0 {
-		opts.Parallelism = e.parallelism
+	par := req.Parallelism
+	if par == 0 {
+		par = e.parallelism
 	}
-	// Nested run fan-out draws from the same pool as the per-function
-	// fan-out below, so Workers bounds the engine's total concurrency.
-	opts.Pool = e.pool
-
-	hkIters := req.HKIterations
-	if hkIters <= 0 {
-		hkIters = 1000
-	}
-	hkOpts := tsp.HeldKarpOptions{
-		Iterations: hkIters,
-		Context:    ctx,
-		Budget:     req.Budget,
-	}
-
-	a, err := align.New(req.Algorithm, align.Options{Seed: req.Seed, Obs: req.Obs})
+	a, err := align.New(req.Algorithm, align.Options{Seed: req.Seed, Parallelism: par})
 	if err != nil {
 		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownAlgorithm, req.Algorithm, align.Names())
 	}
-	n := len(mod.Funcs)
-	orders := make([][]int, n)
-	stats := make([]FuncStat, n)
-	bounds := make([]align.FuncBoundResult, n)
-
-	// Warm-start states for the bound computations: per-function dual
-	// vectors cached by instance identity (inst — Inputs, profile mode,
-	// model; not seed/algorithm/budget). Each request works on private
-	// copies and publishes them back after the fan-out, so concurrent
-	// requests on the same instance never share mutable state.
-	var warm []*tsp.HKWarmState
+	// At most Workers per-function tasks run at once across all
+	// requests, and nested solver runs draw from the same pool.
+	ro := align.RunOptions{Pool: e.pool, Budget: req.Budget, Obs: req.Obs}
 	if req.Bound {
-		warm = e.warmStates(inst, n)
-	}
-
-	// Each function's DTSP matrix is built once and shared by its solve
-	// and its bound.
-	matrix := func(fi int) *tsp.SparseMatrix {
-		return align.BuildSparseMatrix(mod.Funcs[fi], prof.Funcs[fi], req.Model, req.Obs)
-	}
-	// The Held-Karp bound is on the control penalty of ANY layout of the
-	// function, so it is meaningful (and identical up to ascent depth)
-	// under every algorithm.
-	funcBound := func(fi int, mat *tsp.SparseMatrix) {
-		ho := hkOpts
-		ho.Obs = req.Obs
-		if warm != nil {
-			ho.Warm = warm[fi]
+		// The Held-Karp bound is on the control penalty of ANY layout of
+		// the function, so it is meaningful (and identical up to ascent
+		// depth) under every algorithm.
+		hkIters := req.HKIterations
+		if hkIters <= 0 {
+			hkIters = 1000
 		}
-		bounds[fi] = align.FuncHeldKarpBound(mod.Funcs[fi], mat, ho)
+		ro.Bound = &tsp.HeldKarpOptions{Iterations: hkIters}
+		// Warm-start states: per-function dual vectors cached by
+		// instance identity (inst — Inputs, profile mode, model; not
+		// seed/algorithm/budget). Each request works on private copies
+		// and publishes them back after the run, so concurrent requests
+		// on the same instance never share mutable state.
+		ro.Warm = e.warmStates(inst, len(mod.Funcs))
 	}
-
-	// Blocking fan-out on the shared pool: at most Workers per-function
-	// solves execute concurrently across all requests, exactly like the
-	// former per-engine semaphore. The TSP and ExtTSP aligners expose
-	// per-function entry points, so the engine drives the fan-out itself
-	// and gets per-function diagnostics; other registered aligners run
-	// through their module-level Align (they are all cheap linear-time
-	// heuristics).
-	switch t := a.(type) {
-	case *align.TSP:
-		t.Opts = opts
-		e.pool.Each(n, func(fi int) {
-			f := mod.Funcs[fi]
-			mat := matrix(fi)
-			fr := t.SolveFunc(f, mat, opts, int64(fi))
-			orders[fi] = fr.Order
-			stats[fi] = FuncStat{
-				Name:      f.Name,
-				Cities:    fr.Cities,
-				Order:     fr.Order,
-				Cost:      int64(fr.Cost),
-				Exact:     fr.Exact,
-				Truncated: fr.Truncated,
-				Kicks:     fr.Kicks,
-			}
-			if req.Bound {
-				funcBound(fi, mat)
-			}
-		})
-	case *align.ExtTSP:
-		e.pool.Each(n, func(fi int) {
-			f := mod.Funcs[fi]
-			fr := t.AlignFunc(ctx, f, prof.Funcs[fi], req.Model)
-			orders[fi] = fr.Order
-			stats[fi] = FuncStat{
-				Name:      f.Name,
-				Cities:    fr.Cities,
-				Order:     fr.Order,
-				Cost:      int64(fr.Cost),
-				Truncated: fr.Truncated,
-			}
-			if req.Bound {
-				funcBound(fi, matrix(fi))
-			}
-		})
-	default:
-		al := a.Align(ctx, mod, prof, req.Model)
-		for fi, f := range mod.Funcs {
-			orders[fi] = al.Funcs[fi].Order
-			stats[fi] = FuncStat{
-				Name:   f.Name,
-				Cities: len(f.Blocks),
-				Order:  orders[fi],
-				Cost:   int64(layout.Penalty(f, al.Funcs[fi], prof.Funcs[fi], req.Model)),
-			}
-		}
-		if req.Bound {
-			e.pool.Each(n, func(fi int) { funcBound(fi, matrix(fi)) })
-		}
-	}
-
-	if warm != nil {
+	run := align.Run(ctx, a, mod, prof, req.Model, ro)
+	if ro.Warm != nil {
 		// Publish the updated dual states for the next request on this
 		// instance. Concurrent requests race benignly: whichever slice
 		// lands last is a complete, valid set of states.
 		e.mu.Lock()
-		e.warm.put(inst, warm)
+		e.warm.put(inst, ro.Warm)
 		e.mu.Unlock()
 	}
-
-	res := &Result{Funcs: stats, ProfileEstimated: req.StaticProfile}
-	l := &layout.Layout{}
-	for fi, f := range mod.Funcs {
-		l.Funcs = append(l.Funcs, layout.Finalize(f, prof.Funcs[fi], orders[fi], req.Model))
-		if stats[fi].Truncated {
-			res.Truncated = true
-		}
-		if req.Bound {
-			b := bounds[fi]
-			res.Bound += b.Bound
-			res.Funcs[fi].Bound = int64(b.Bound)
-			res.Funcs[fi].GapPct = gapPct(res.Funcs[fi].Cost, int64(b.Bound))
-			if b.Truncated {
-				res.Truncated = true
-			}
-		}
-	}
-	if err := l.Validate(mod); err != nil {
+	if err := run.Layout.Validate(mod); err != nil {
 		return nil, fmt.Errorf("engine: solver produced invalid layout: %w", err)
 	}
-	res.Layout = l
-	res.Penalty = layout.ModulePenalty(mod, l, prof, req.Model)
-	orig := layout.Identity(mod, prof, req.Model)
-	res.OriginalPenalty = layout.ModulePenalty(mod, orig, prof, req.Model)
+
+	res := &Result{
+		Layout:           run.Layout,
+		Penalty:          run.Penalty,
+		OriginalPenalty:  layout.ModulePenalty(mod, layout.Identity(mod, prof, req.Model), prof, req.Model),
+		Bound:            run.Bound,
+		Truncated:        run.Truncated,
+		ProfileEstimated: req.StaticProfile,
+		Funcs:            make([]FuncStat, len(mod.Funcs)),
+	}
+	for fi, fr := range run.Funcs {
+		f := mod.Funcs[fi]
+		st := FuncStat{
+			Name:      f.Name,
+			Cities:    len(f.Blocks),
+			Order:     fr.Order,
+			Cost:      int64(fr.Cost),
+			Exact:     fr.Exact,
+			Truncated: fr.Truncated,
+			Kicks:     fr.Kicks,
+		}
+		if req.Bound {
+			st.Bound = int64(fr.Bound.Bound)
+			st.GapPct = gapPct(st.Cost, st.Bound)
+		}
+		res.Funcs[fi] = st
+	}
 	return res, nil
 }
 

@@ -59,7 +59,7 @@ func TestCacheKeyIgnoresParallelism(t *testing.T) {
 func TestEngineParallelMatchesAligner(t *testing.T) {
 	mod, prof := branchy(t)
 	model := machine.Alpha21164()
-	direct := align.NewTSP(3).Align(context.Background(), mod, prof, model)
+	direct := align.Run(context.Background(), align.NewTSP(3), mod, prof, model, align.RunOptions{}).Layout
 
 	e := New(Options{Workers: 3, Parallelism: 8})
 	res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 3})

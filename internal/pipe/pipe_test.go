@@ -59,7 +59,7 @@ func TestAlignablePenaltyMatchesLayoutPenalty(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
 	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.NewTSP(1)} {
-		l := a.Align(context.Background(), mod, prof, m)
+		l := align.Run(context.Background(), a, mod, prof, m, align.RunOptions{}).Layout
 		stats, _, err := Run(mod, l, inputs, DefaultConfig(), interp.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -101,9 +101,9 @@ func TestBetterLayoutsRunFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	orig := Replay(tr, mod, align.Original{}.Align(context.Background(), mod, prof, m), cfg)
-	greedy := Replay(tr, mod, align.PettisHansen{}.Align(context.Background(), mod, prof, m), cfg)
-	tspStats := Replay(tr, mod, align.NewTSP(1).Align(context.Background(), mod, prof, m), cfg)
+	orig := Replay(tr, mod, align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Layout, cfg)
+	greedy := Replay(tr, mod, align.Run(context.Background(), align.PettisHansen{}, mod, prof, m, align.RunOptions{}).Layout, cfg)
+	tspStats := Replay(tr, mod, align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout, cfg)
 	if greedy.Cycles > orig.Cycles {
 		t.Errorf("greedy cycles %d worse than original %d", greedy.Cycles, orig.Cycles)
 	}

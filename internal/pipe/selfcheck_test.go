@@ -17,7 +17,7 @@ import (
 func TestSelfCheckCleanRun(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
-	l := align.NewTSP(1).Align(context.Background(), mod, prof, m)
+	l := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
 
 	cfg := DefaultConfig()
 	plain, _, err := Run(mod, l, inputs, cfg, interp.Options{})
@@ -40,7 +40,7 @@ func TestSelfCheckCleanRun(t *testing.T) {
 func TestSelfCheckCatchesCorruptLayout(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
-	l := align.NewTSP(1).Align(context.Background(), mod, prof, m)
+	l := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
 
 	// Find a function with enough blocks to corrupt.
 	fi := -1
@@ -116,7 +116,7 @@ func TestSelfCheckOrOptLayouts(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		al := align.NewTSP(1)
 		al.Opts.DisableOrOpt = disable
-		l := al.Align(context.Background(), mod, prof, m)
+		l := align.Run(context.Background(), al, mod, prof, m, align.RunOptions{}).Layout
 
 		cfg := DefaultConfig()
 		plain, _, err := Run(mod, l, inputs, cfg, interp.Options{})

@@ -1,5 +1,7 @@
 package tsp
 
+import "context"
+
 // AssignmentBound computes the assignment-problem (AP) lower bound on the
 // optimal directed tour: the minimum cost of a permutation sigma with
 // sigma(i) != i, i.e. the cheapest collection of disjoint directed cycles
@@ -11,7 +13,7 @@ package tsp
 // The implementation is the standard O(n^3) Hungarian algorithm with
 // potentials and shortest augmenting paths.
 func AssignmentBound(m Costs) Cost {
-	sigma := AssignmentSolve(m)
+	sigma, _ := AssignmentSolve(nil, m)
 	var total Cost
 	for i, j := range sigma {
 		total += m.At(i, j)
@@ -21,10 +23,12 @@ func AssignmentBound(m Costs) Cost {
 
 // AssignmentSolve returns the minimizing permutation sigma (sigma[i] is
 // the city assigned to follow city i) with self-assignments forbidden.
-func AssignmentSolve(m Costs) []int {
+// It polls ctx once per row (each row costs O(n^2)) and returns
+// ctx.Err() when cancelled; a nil ctx never cancels.
+func AssignmentSolve(ctx context.Context, m Costs) ([]int, error) {
 	n := m.Len()
 	if n == 1 {
-		return []int{0}
+		return []int{0}, nil
 	}
 	const inf = Cost(1) << 62
 	cost := func(i, j int) Cost {
@@ -41,6 +45,9 @@ func AssignmentSolve(m Costs) []int {
 	minv := make([]Cost, n+1)
 	used := make([]bool, n+1)
 	for i := 1; i <= n; i++ {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		p[0] = i
 		j0 := 0
 		for j := 0; j <= n; j++ {
@@ -91,5 +98,5 @@ func AssignmentSolve(m Costs) []int {
 			sigma[p[j]-1] = j - 1
 		}
 	}
-	return sigma
+	return sigma, nil
 }

@@ -1,6 +1,9 @@
 package tsp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // bruteAssignment finds the minimum-cost fixed-point-free permutation by
 // exhaustive search.
@@ -46,7 +49,10 @@ func TestAssignmentMatchesBruteForce(t *testing.T) {
 
 func TestAssignmentSolveIsDerangement(t *testing.T) {
 	m := randMatrix(12, 500, 9)
-	sigma := AssignmentSolve(m)
+	sigma, err := AssignmentSolve(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make([]bool, 12)
 	for i, j := range sigma {
 		if i == j {

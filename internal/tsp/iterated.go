@@ -433,7 +433,10 @@ func Solve(m Costs, opt SolveOptions) Result {
 		case startIdentity:
 			start = IdentityTour(n)
 		case startPatching:
-			start, _ = SolvePatching(m)
+			var err error
+			if start, _, err = SolvePatching(opt.Context, m); err != nil {
+				start = IdentityTour(n) // cancelled: the run stops at its first kick boundary
+			}
 		}
 		rb := &runBudget{sb: sb, quota: -1}
 		if maxKicks > 0 && iters > 0 {

@@ -1,5 +1,7 @@
 package tsp
 
+import "context"
+
 // SolvePatching is the classic assignment-patching heuristic for the
 // DTSP (Karp 1979): solve the assignment problem (a minimum-cost cycle
 // cover), then repeatedly patch pairs of cycles together, each time
@@ -12,12 +14,19 @@ package tsp
 // tour optimum (random matrices), and "a majority of the instances
 // arising in the branch alignment problem do not have this property".
 // The implementation exists to reproduce that comparison.
-func SolvePatching(m Costs) (Tour, Cost) {
+//
+// Both phases are O(n^3) in the worst case, so ctx is polled once per
+// assignment row and once per patch; a cancelled ctx returns ctx.Err()
+// and no tour, and a nil ctx never cancels.
+func SolvePatching(ctx context.Context, m Costs) (Tour, Cost, error) {
 	n := m.Len()
 	if n == 1 {
-		return Tour{0}, 0
+		return Tour{0}, 0, nil
 	}
-	sigma := AssignmentSolve(m)
+	sigma, err := AssignmentSolve(ctx, m)
+	if err != nil {
+		return nil, 0, err
+	}
 	// Decompose into cycles; cycleID[i] identifies the cycle of city i.
 	cycleID := make([]int, n)
 	for i := range cycleID {
@@ -36,6 +45,9 @@ func SolvePatching(m Costs) (Tour, Cost) {
 	// Greedy patching: merge the globally cheapest pair of cycles until
 	// one remains.
 	for numCycles > 1 {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, 0, ctx.Err()
+		}
 		bestDelta := Cost(1) << 62
 		bestI, bestJ := -1, -1
 		for i := 0; i < n; i++ {
@@ -67,5 +79,5 @@ func SolvePatching(m Costs) (Tour, Cost) {
 	for c := 0; len(tour) < n; c = sigma[c] {
 		tour = append(tour, c)
 	}
-	return tour, CycleCost(m, tour)
+	return tour, CycleCost(m, tour), nil
 }

@@ -1,6 +1,8 @@
 package tsp
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -8,7 +10,7 @@ import (
 func TestPatchingProducesValidTours(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 30} {
 		m := randMatrix(n, 500, int64(n)+40)
-		tour, cost := SolvePatching(m)
+		tour, cost := mustPatch(m)
 		if !tour.Valid(n) {
 			t.Fatalf("n=%d: invalid tour %v", n, tour)
 		}
@@ -21,7 +23,7 @@ func TestPatchingProducesValidTours(t *testing.T) {
 func TestPatchingAtLeastAPBound(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		m := randMatrix(12, 400, seed+300)
-		_, cost := SolvePatching(m)
+		_, cost := mustPatch(m)
 		if ap := AssignmentBound(m); cost < ap {
 			t.Fatalf("seed %d: patched tour %d below AP bound %d", seed, cost, ap)
 		}
@@ -43,7 +45,7 @@ func TestPatchingOptimalWhenAPIsATour(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Set(i, (i+1)%n, 1)
 	}
-	_, cost := SolvePatching(m)
+	_, cost := mustPatch(m)
 	if cost != Cost(n) {
 		t.Fatalf("patching cost %d, want %d", cost, n)
 	}
@@ -53,7 +55,7 @@ func TestPatchingNeverBelowOptimum(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := randMatrix(8, 300, seed+700)
 		_, opt := SolveExact(m)
-		_, patched := SolvePatching(m)
+		_, patched := mustPatch(m)
 		if patched < opt {
 			t.Fatalf("seed %d: patched %d below optimum %d", seed, patched, opt)
 		}
@@ -83,7 +85,7 @@ func TestPatchingLosesOnLoopyInstances(t *testing.T) {
 			m.Set(c+1, c+2, 1)
 			m.Set(c+2, c, 1)
 		}
-		_, patched := SolvePatching(m)
+		_, patched := mustPatch(m)
 		_, threeOpt := iteratedPure(m, GreedyEdge(m, nil), 3*n, rng)
 		if threeOpt < patched {
 			worse++
@@ -94,5 +96,28 @@ func TestPatchingLosesOnLoopyInstances(t *testing.T) {
 	}
 	if worse < trials/2 {
 		t.Errorf("3-opt beat patching on only %d/%d loopy instances", worse, trials)
+	}
+}
+
+// mustPatch is SolvePatching under a context that never cancels.
+func mustPatch(m Costs) (Tour, Cost) {
+	tour, cost, err := SolvePatching(context.Background(), m)
+	if err != nil {
+		panic(err)
+	}
+	return tour, cost
+}
+
+// TestSolvePatchingCancelled: a cancelled context stops both the
+// assignment solve and the patching loop with the context's error.
+func TestSolvePatchingCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := randMatrix(30, 100, 1)
+	if tour, _, err := SolvePatching(ctx, m); !errors.Is(err, context.Canceled) || tour != nil {
+		t.Fatalf("cancelled SolvePatching = %v, %v; want nil tour, context.Canceled", tour, err)
+	}
+	if sigma, err := AssignmentSolve(ctx, m); !errors.Is(err, context.Canceled) || sigma != nil {
+		t.Fatalf("cancelled AssignmentSolve = %v, %v; want nil, context.Canceled", sigma, err)
 	}
 }

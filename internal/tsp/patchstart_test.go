@@ -7,7 +7,7 @@ import "testing"
 func TestPatchingStartDominatesPatching(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		m := randMatrix(25, 800, seed+4000)
-		_, patched := SolvePatching(m)
+		_, patched := mustPatch(m)
 		opts := PaperSolveOptions(seed)
 		opts.ExactThreshold = 0
 		opts.PatchingStarts = 1

@@ -1,6 +1,6 @@
 // Package work provides the one bounded worker pool the whole pipeline
-// schedules CPU-bound fan-out on: per-function alignment solves (package
-// align, the engine) and per-run solver parallelism inside one
+// schedules CPU-bound fan-out on: per-function alignment (align.Run,
+// which the engine drives) and per-run solver parallelism inside one
 // tsp.Solve. Routing both layers through a single Pool keeps their
 // composition bounded — aligning many functions in parallel while each
 // function's multi-start protocol also runs in parallel can never
@@ -60,9 +60,9 @@ var (
 )
 
 // Shared returns the process-wide pool, sized to GOMAXPROCS at first
-// use. Library callers without an explicitly injected pool (the balign
-// CLI, package align's per-function loops) default to it, so every
-// layer of one process draws from the same token budget.
+// use. Library callers without an explicitly injected pool (align.Run
+// with a nil RunOptions.Pool) default to it, so every layer of one
+// process draws from the same token budget.
 func Shared() *Pool {
 	sharedOnce.Do(func() { shared = NewPool(0) })
 	return shared

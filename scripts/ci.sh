@@ -83,6 +83,16 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 500 ]; then
 	exit 1
 fi
 
+echo "== cold-dispatch-time gate (a miss stays within 4x its recorded median)"
+# Same run as the allocation gate. results/BENCH_engine.json records a
+# 2.47 ms/op median on a 2-vCPU VM; the 10 ms/op ceiling absorbs slower
+# hosts and noise, not a solve or bound that lost its lean kernel.
+nsop=$(echo "$out" | awk '/BenchmarkEngineDispatch\/cold/ {for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)}')
+if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 10000000) }'; then
+	echo "ci: cold engine dispatch time regression (${nsop:-no result} ns/op, ceiling 10000000)"
+	exit 1
+fi
+
 echo "== interp-alloc gate (frames are pooled; a call allocates nothing)"
 # The decoded interpreter takes frames from per-function pools, so a
 # doduc/re profiling run allocates ~150 times: decode tables, each
