@@ -235,7 +235,7 @@ type errorResponse struct {
 // errKind classifies an error into the wire discriminator.
 func errKind(code int, err error) string {
 	switch {
-	case errors.Is(err, interp.ErrCellBudget):
+	case errors.Is(err, interp.ErrCellBudget), errors.Is(err, engine.ErrFuncTooLarge):
 		return "too_large"
 	case errors.Is(err, interp.ErrStepBudget), errors.Is(err, engine.ErrEstimateBudget):
 		return "budget_exceeded"
@@ -444,7 +444,8 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 }
 
 // alignStatus is the HTTP status of a failed engine request: a program
-// whose arrays exceed the interpreter's cell budget is too large (413),
+// whose arrays exceed the interpreter's cell budget, or with a function
+// over engine.MaxFuncBlocks blocks, is too large (413),
 // one whose profiling run exceeds its step budget, or whose static
 // estimate exceeds the per-function count cap, is unprocessable (422),
 // a deadline consumed before the solve began (the request's own,
@@ -454,7 +455,7 @@ func alignStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrInternal):
 		return http.StatusInternalServerError
-	case errors.Is(err, interp.ErrCellBudget):
+	case errors.Is(err, interp.ErrCellBudget), errors.Is(err, engine.ErrFuncTooLarge):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, interp.ErrStepBudget), errors.Is(err, engine.ErrEstimateBudget):
 		return http.StatusUnprocessableEntity

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"branchalign/internal/engine"
 	"branchalign/internal/testutil"
 )
 
@@ -102,6 +103,23 @@ func TestAlignStaticBench(t *testing.T) {
 	}
 }
 
+// blocksSource returns a Mini-C program whose main has exactly n blocks
+// (n >= 4): each if adds two blocks to the entry, and an even n closes
+// with a three-block while loop.
+func blocksSource(n int) string {
+	var b strings.Builder
+	b.WriteString("func main(n) {\n")
+	ifs, loop := (n-1)/2, ""
+	if n%2 == 0 {
+		ifs, loop = (n-4)/2, "while (n < 3) { n = n + 1; }\n"
+	}
+	for i := 0; i < ifs; i++ {
+		b.WriteString("if (n == 1) { n = 2; }\n")
+	}
+	b.WriteString(loop + "return n;\n}\n")
+	return b.String()
+}
+
 // loopChainSource returns a Mini-C program of len(depths) functions:
 // main runs a loop nest depths[0] deep whose body calls the next
 // function, which does the same with depths[1], and so on. The static
@@ -142,6 +160,12 @@ func TestAlignErrorKinds(t *testing.T) {
 	inflated, err := testutil.InflatedBranchyProfile(8, 1, 1<<61)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, n := range []int{5, 6, engine.MaxFuncBlocks + 1} {
+		mod, err := testutil.Compile(blocksSource(n))
+		if err != nil || len(mod.Funcs[0].Blocks) != n {
+			t.Fatalf("blocksSource(%d) does not compile to %d blocks (err %v)", n, n, err)
+		}
 	}
 
 	cases := []struct {
@@ -193,6 +217,14 @@ func TestAlignErrorKinds(t *testing.T) {
 				Source: "global a[16777216]; global b[16777216]; global c[16777216];\nfunc main(n) { return n; }",
 				N:      new(int64),
 			},
+			wantCode: http.StatusRequestEntityTooLarge,
+			wantKind: "too_large",
+		},
+		{
+			// One block over engine.MaxFuncBlocks: rejected after
+			// compiling and profiling, before any matrix is built.
+			name:     "function over the block cap",
+			req:      alignRequest{Source: blocksSource(engine.MaxFuncBlocks + 1), N: new(int64)},
 			wantCode: http.StatusRequestEntityTooLarge,
 			wantKind: "too_large",
 		},

@@ -70,7 +70,16 @@ func TestQuickSparseMatrixMatchesDenseOnSynthCFGs(t *testing.T) {
 func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 	m := machine.Alpha21164()
 	f := func(blocksRaw, seedRaw uint16) bool {
-		blocks := int(blocksRaw%34) + 2 // crosses the solver's dense cutover
+		// Half the cases sit above the solver's dense cutover (256
+		// cities), so both local-search representations are compared.
+		blocks := int(blocksRaw%34) + 2
+		opts := tsp.PaperSolveOptions(int64(seedRaw))
+		if blocksRaw&1 == 1 {
+			blocks = 257 + int(blocksRaw>>1)%64
+			// Two starts and capped kicks keep the large sizes quick.
+			opts.GreedyStarts, opts.NNStarts, opts.IdentityStarts = 1, 1, 0
+			opts.MaxIterations = 40
+		}
 		mod, prof, err := bench.Synthesize(bench.DefaultSynth(blocks, int64(seedRaw)+501))
 		if err != nil {
 			return false
@@ -79,7 +88,6 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 		sp := BuildSparseMatrix(fn, prof.Funcs[0], m, nil)
 		dense := sp.Dense()
 
-		opts := tsp.PaperSolveOptions(int64(seedRaw))
 		rs := tsp.Solve(sp, opts)
 		rd := tsp.Solve(dense, opts)
 		if !reflect.DeepEqual(rs, rd) {

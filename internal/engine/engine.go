@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -75,7 +76,23 @@ var (
 	// without breaking its flow conservation, so the request fails. The
 	// returned error wraps this sentinel and names the function.
 	ErrEstimateBudget = errors.New("engine: estimated profile exceeds the count budget")
+	// ErrFuncTooLarge: a function has more than MaxFuncBlocks blocks, so
+	// its DTSP matrix's forbidden-edge cost could overflow. The returned
+	// error wraps this sentinel and names the function.
+	ErrFuncTooLarge = errors.New("engine: function has too many blocks")
 )
+
+// MaxFuncBlocks caps the blocks of one function. A DTSP cost c(i->j) is
+// at most block i's outgoing count times the model's largest single
+// penalty, and a function's counts sum to at most interp.MaxFuncCount,
+// so Forbid() — one plus the sum of every positive cost — is at most
+// (n-1) × MaxFuncCount × maxEventPenalty + 1 for n blocks. The cap is
+// the largest n for which that stays inside int64: 43,691 blocks.
+const MaxFuncBlocks = math.MaxInt64/(interp.MaxFuncCount*maxEventPenalty) + 1
+
+// maxEventPenalty bounds every per-execution penalty of the built-in
+// machine models: DeepPipe's conditional mispredict, 12 cycles.
+const maxEventPenalty = 12
 
 // Options configures an Engine.
 type Options struct {
@@ -447,6 +464,13 @@ func load(req *Request) (*ir.Module, *interp.Profile, error) {
 		return nil, nil, err
 	case mod == nil:
 		return nil, nil, ErrNoModule
+	}
+	for _, f := range mod.Funcs {
+		if len(f.Blocks) > MaxFuncBlocks {
+			return nil, nil, fmt.Errorf("%w: %s has %d, at most %d allowed", ErrFuncTooLarge, f.Name, len(f.Blocks), MaxFuncBlocks)
+		}
+	}
+	switch {
 	case req.StaticProfile && prof != nil:
 		return nil, nil, ErrProfileConflict
 	case req.StaticProfile:

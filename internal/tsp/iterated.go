@@ -310,14 +310,13 @@ func runSeed(seed int64, run int, kind startKind) int64 {
 	return int64(x)
 }
 
-// denseSolveCutover is the instance size below which Solve materializes
-// a sparse instance densely before running local search: the kernels are
-// At-bound, and at a few dozen cities the whole dense matrix is smaller
-// than one cache way, so array indexing beats the exception-list scan.
-// The sparse representation's wins (O(V+E) memory, exception-aware
-// neighbor lists, the implicit 1-tree) only pay off above this size.
-// DESIGN.md §7 records how the value was measured.
-const denseSolveCutover = 24
+// denseSolveCutover is the instance size up to which Solve materializes
+// a sparse instance densely before running local search. The kernels are
+// At-bound: a dense At is one load, a sparse one a search of the row's
+// exceptions, and Or-opt reads arbitrary pairs. Densifying wins up to
+// about 800 cities; 256 keeps the copy at 512 KB and covers every
+// function balignd's workloads serve. DESIGN.md §7 records the curve.
+const denseSolveCutover = 256
 
 // runOutcome is one run's contribution to the deterministic merge.
 // executed distinguishes runs skipped by cancellation (which sequential

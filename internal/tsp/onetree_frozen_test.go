@@ -10,7 +10,7 @@ import (
 )
 
 // This file pins the rewritten sparseOneTree kernel (indexed heap,
-// incremental re-sort, dense scan path, pooled workspace) bit-identical
+// incremental re-sort, pooled workspace) bit-identical
 // to the container/heap + sort.Slice implementation it replaced. The
 // frozen reference below is that original implementation, copied
 // verbatim with renamed types — the same playbook twolevel_test.go uses
@@ -284,10 +284,10 @@ func (t *frozenOneTree) run() float64 {
 // TestSparseOneTreeMatchesFrozen drives the rewritten kernel and the
 // frozen reference through the production subgradient ascent in lockstep
 // on random sparse instances and requires bit-identical 1-tree weights
-// and degree vectors at every iterate. Instance sizes straddle
-// denseOneTreeCutoff so both the scan path and the heap path are pinned,
-// and kernels are released between instances so pool reuse is exercised
-// under dirty scratch.
+// and degree vectors at every iterate. Instance sizes run from the
+// smallest the ascent builds a 1-tree for (three cities) to a few
+// hundred, and kernels are released between instances so pool reuse is
+// exercised under dirty scratch.
 func TestSparseOneTreeMatchesFrozen(t *testing.T) {
 	cases := []struct {
 		n       int
@@ -295,11 +295,14 @@ func TestSparseOneTreeMatchesFrozen(t *testing.T) {
 		excProb float64
 		seed    int64
 	}{
+		{3, 20, 0.5, 7}, // the smallest instance HeldKarpBound ascends
+		{4, 9, 0.6, 8},
 		{5, 40, 0.5, 1},
+		{13, 5, 0.4, 9},
 		{16, 100, 0.3, 2},
-		{60, 1000, 0.2, 3},   // N=120: scan path
-		{129, 500, 0.15, 4},  // N=258: first heap-path size
-		{200, 2000, 0.10, 5}, // N=400: heap path, sparser
+		{60, 1000, 0.2, 3},
+		{129, 500, 0.15, 4},
+		{200, 2000, 0.10, 5}, // sparser
 		{200, 7, 0.40, 6},    // heavy cost ties stress every tie-break
 	}
 	for _, tc := range cases {
@@ -340,53 +343,6 @@ func TestSparseOneTreeMatchesFrozen(t *testing.T) {
 			}
 		}
 		ot.release() // next case draws a dirty kernel from the pool
-	}
-}
-
-// TestSparseOneTreeDenseMatchesHeap forces the scan-based and heap-based
-// selection paths onto the same instances — overriding the size cutoff in
-// both directions — and requires bit-identical trajectories. This is the
-// guarantee that denseOneTreeCutoff is a pure constant-factor knob.
-func TestSparseOneTreeDenseMatchesHeap(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		seed int64
-	}{
-		{24, 10},  // naturally dense; heap path forced
-		{150, 11}, // naturally heap; scan path forced
-	} {
-		sp := randSparse(tc.n, 300, 0.25, tc.seed)
-		a := newSparseOneTree(sp)
-		b := newSparseOneTree(sp)
-		b.dense = !b.dense
-		ub := float64(CycleCost(sp, NearestNeighbor(sp, 0, nil))) - float64(tc.n)*float64(a.L)
-		alpha := 2.0
-		for it := 0; it < 30; it++ {
-			wa, wb := a.run(), b.run()
-			if math.Float64bits(wa) != math.Float64bits(wb) {
-				t.Fatalf("n=%d iterate %d: weight %v (dense=%v) != %v (dense=%v)",
-					tc.n, it, wa, a.dense, wb, b.dense)
-			}
-			for i := 0; i < a.N; i++ {
-				if a.deg[i] != b.deg[i] {
-					t.Fatalf("n=%d iterate %d: deg[%d] = %d != %d", tc.n, it, i, a.deg[i], b.deg[i])
-				}
-			}
-			var piSum float64
-			for _, p := range a.pi {
-				piSum += p
-			}
-			bound := wa - 2*piSum
-			if subgradientStep(a.pi, a.deg, alpha, ub, bound) == 0 {
-				break
-			}
-			subgradientStep(b.pi, b.deg, alpha, ub, bound)
-			if (it+1)%8 == 0 {
-				alpha /= 2
-			}
-		}
-		b.release()
-		a.release()
 	}
 }
 
@@ -469,7 +425,7 @@ func TestHeldKarpBoundCancelMidAscent(t *testing.T) {
 // contract: after the first iterate has warmed the workspace, run() and
 // the re-sorts allocate nothing.
 func TestSparseOneTreeSteadyStateAllocs(t *testing.T) {
-	for _, n := range []int{40, 200} { // scan path and heap path
+	for _, n := range []int{40, 200} {
 		sp := randSparse(n, 500, 0.2, 7)
 		ot := newSparseOneTree(sp)
 		ub := float64(CycleCost(sp, NearestNeighbor(sp, 0, nil))) - float64(n)*float64(ot.L)

@@ -40,9 +40,11 @@ import (
 // pooled across calls (newSparseOneTree / release), the per-iteration
 // selection orders are re-sorted incrementally (only nodes whose pi
 // moved — those with degree != 2 in the previous 1-tree — leave their
-// old position), and instances at or below denseOneTreeCutoff nodes skip
-// the heap and orders entirely for a scan-based Prim with lower
-// constants. A full run() performs no allocations in steady state.
+// old position). Every instance, from three cities up, takes this one
+// path: a scan-based Prim used to serve instances of up to 128 cities,
+// but once locked-partner fusion and channel pruning landed it lost to
+// the heap at every size balignd serves (DESIGN.md §7). A full run()
+// performs no allocations in steady state.
 type sparseOneTree struct {
 	sp *SparseMatrix
 	n  int // directed cities
@@ -69,13 +71,6 @@ type sparseOneTree struct {
 	inTree []bool
 	key    []float64 // best explicit offer per node
 	par    []int     // parent achieving key (or channel parent)
-
-	// dense selects the scan-based Prim: one pass over the nodes per
-	// selection step instead of heap + sorted channel orders. Same
-	// selection rule, so the two paths are bit-identical (pinned by
-	// TestSparseOneTreeDenseMatchesHeap); the cutoff is purely a
-	// constant-factor trade.
-	dense bool
 
 	// Lazy-deletion min-heaps of explicit offers, ordered by (val, node)
 	// with the keys stored inline. Entries go stale when a better offer
@@ -146,11 +141,6 @@ type keyedOrder struct {
 	keys  []float64
 }
 
-// denseOneTreeCutoff is the node count at or below which run() uses the
-// scan-based Prim. 256 nodes = 128 blocks covers every function of the
-// bundled suite.
-const denseOneTreeCutoff = 256
-
 // oneTreePool recycles kernels across bound computations, so a
 // per-function fan-out over many small instances allocates each scratch
 // slice only until the pool is warm.
@@ -203,7 +193,6 @@ func (t *sparseOneTree) init(sp *SparseMatrix) {
 	n := sp.Len()
 	N := 2 * n
 	t.sp, t.n, t.N, t.L = sp, n, N, sp.Forbid()
-	t.dense = N <= denseOneTreeCutoff
 
 	t.pi = growF64(t.pi, N)
 	for i := range t.pi {
@@ -568,7 +557,7 @@ func (t *sparseOneTree) resort(o *keyedOrder, withDef bool) {
 // so offers with val > defOff[u] + pi[u] + bestPiIn are likewise never
 // selected (before the first in-node joins, bestPiIn is +inf and
 // nothing is pruned). key and par are still updated — the lazy-deletion
-// staleness rule and the dense scan read them — and ties are kept: only
+// staleness rule reads them — and ties are kept: only
 // strictly dominated offers are dropped, so no (val, node) comparison
 // anywhere changes its outcome.
 func (t *sparseOneTree) improve(node int, val float64, par int) {
@@ -577,9 +566,6 @@ func (t *sparseOneTree) improve(node int, val float64, par int) {
 	}
 	t.key[node] = val
 	t.par[node] = par
-	if t.dense {
-		return
-	}
 	if node&1 == 0 {
 		if val > t.bestDefOut+t.pi[node] {
 			return
@@ -600,12 +586,10 @@ func (t *sparseOneTree) join(v int) {
 		if val := -L + pi[v] + pi[w]; val < t.key[w] {
 			t.key[w] = val
 			t.par[w] = v
-			if !t.dense {
-				if val < t.fuseG {
-					t.fused = w
-				} else {
-					t.lockH.push(val, int32(w))
-				}
+			if val < t.fuseG {
+				t.fused = w
+			} else {
+				t.lockH.push(val, int32(w))
 			}
 		}
 	}
@@ -647,29 +631,27 @@ func (t *sparseOneTree) run() float64 {
 	}
 	var inHead, outDefHead int
 	t.fused = -1
-	if !t.dense {
-		t.lockH.n = 0
-		t.excH.n = 0
-		t.fillOrders()
-		t.minOutPi = otUnreached
-		minPi := otUnreached
-		for v := 0; v < N; v++ {
-			if pi[v] < minPi {
-				minPi = pi[v]
-			}
-			if v&1 == 1 && pi[v] < t.minOutPi {
-				t.minOutPi = pi[v]
-			}
+	t.lockH.n = 0
+	t.excH.n = 0
+	t.fillOrders()
+	t.minOutPi = otUnreached
+	minPi := otUnreached
+	for v := 0; v < N; v++ {
+		if pi[v] < minPi {
+			minPi = pi[v]
 		}
-		g := t.minAdjC
-		if t.minDefOff < g {
-			g = t.minDefOff
+		if v&1 == 1 && pi[v] < t.minOutPi {
+			t.minOutPi = pi[v]
 		}
-		if fb := float64(t.L); fb < g {
-			g = fb
-		}
-		t.fuseG = g + 2*minPi
 	}
+	g := t.minAdjC
+	if t.minDefOff < g {
+		g = t.minDefOff
+	}
+	if fb := float64(t.L); fb < g {
+		g = fb
+	}
+	t.fuseG = g + 2*minPi
 	t.bestDefOut, t.bestDefOutArg = otUnreached, -1 // min def(i)+pi over tree out-nodes
 	t.bestPiIn, t.bestPiInArg = otUnreached, -1     // min pi over tree in-nodes
 	t.bestPiOut, t.bestPiOutArg = otUnreached, -1   // min pi over tree out-nodes
@@ -683,68 +665,39 @@ func (t *sparseOneTree) run() float64 {
 		var bestVal = otUnreached
 		var bestNode, bestPar = -1, -1
 		var inArg, outDefArg, outPiArg = -1, -1, -1
-		if t.dense {
-			// One scan finds the best explicit offer and the channel
-			// receivers: the non-tree in-node minimizing (pi, node) and
-			// the non-tree out-nodes minimizing (def+pi, node) and
-			// (pi, node). Ascending node order makes "first strict
-			// minimum" the exact tie-break the sorted orders encode.
-			var inKey, outDefKey, outPiKey float64
-			for v := 1; v < N; v++ {
-				if t.inTree[v] {
-					continue
-				}
-				if t.key[v] < bestVal {
-					bestVal, bestNode, bestPar = t.key[v], v, t.par[v]
-				}
-				if v&1 == 0 { // in-node (node 0 excluded by the loop start)
-					if inArg < 0 || pi[v] < inKey {
-						inKey, inArg = pi[v], v
-					}
-				} else {
-					if d := t.defOff[v] + pi[v]; outDefArg < 0 || d < outDefKey {
-						outDefKey, outDefArg = d, v
-					}
-					if outPiArg < 0 || pi[v] < outPiKey {
-						outPiKey, outPiArg = pi[v], v
-					}
-				}
+		for t.lockH.n > 0 {
+			top := t.lockH.ents[0]
+			v := int(top.node)
+			if t.inTree[v] || top.key > t.key[v] {
+				t.lockH.pop()
+				continue
 			}
-		} else {
-			for t.lockH.n > 0 {
-				top := t.lockH.ents[0]
-				v := int(top.node)
-				if t.inTree[v] || top.key > t.key[v] {
-					t.lockH.pop()
-					continue
-				}
-				bestVal, bestNode, bestPar = top.key, v, t.par[v]
-				break
+			bestVal, bestNode, bestPar = top.key, v, t.par[v]
+			break
+		}
+		for t.excH.n > 0 {
+			top := t.excH.ents[0]
+			v := int(top.node)
+			if t.inTree[v] || top.key > t.key[v] {
+				t.excH.pop()
+				continue
 			}
-			for t.excH.n > 0 {
-				top := t.excH.ents[0]
-				v := int(top.node)
-				if t.inTree[v] || top.key > t.key[v] {
-					t.excH.pop()
-					continue
-				}
-				if val := top.key; val < bestVal || (val == bestVal && v < bestNode) {
-					bestVal, bestNode, bestPar = val, v, t.par[v]
-				}
-				break
+			if val := top.key; val < bestVal || (val == bestVal && v < bestNode) {
+				bestVal, bestNode, bestPar = val, v, t.par[v]
 			}
-			for inHead < len(t.inByPi.nodes) && t.inTree[t.inByPi.nodes[inHead]] {
-				inHead++
-			}
-			if inHead < len(t.inByPi.nodes) {
-				inArg = int(t.inByPi.nodes[inHead])
-			}
-			for outDefHead < len(t.outByDefPi.nodes) && t.inTree[t.outByDefPi.nodes[outDefHead]] {
-				outDefHead++
-			}
-			if outDefHead < len(t.outByDefPi.nodes) {
-				outDefArg = int(t.outByDefPi.nodes[outDefHead])
-			}
+			break
+		}
+		for inHead < len(t.inByPi.nodes) && t.inTree[t.inByPi.nodes[inHead]] {
+			inHead++
+		}
+		if inHead < len(t.inByPi.nodes) {
+			inArg = int(t.inByPi.nodes[inHead])
+		}
+		for outDefHead < len(t.outByDefPi.nodes) && t.inTree[t.outByDefPi.nodes[outDefHead]] {
+			outDefHead++
+		}
+		if outDefHead < len(t.outByDefPi.nodes) {
+			outDefArg = int(t.outByDefPi.nodes[outDefHead])
 		}
 		// Candidate 2: default/forbidden edge into the min-pi in-node.
 		if inArg >= 0 {
@@ -764,20 +717,14 @@ func (t *sparseOneTree) run() float64 {
 				bestVal, bestNode, bestPar = val, outDefArg, t.bestPiInArg
 			}
 		}
-		// Candidate 4: forbidden edge into the min-pi out-node. On the
-		// heap path outPiArg is not maintained (its sorted order was the
-		// third per-iterate sort); the candidate costs at least
-		// L + bestPiOut + minOutPi, which loses to bestVal on anything
-		// but degenerate instances, so the exact receiver — the same
-		// (pi, node)-minimum the order's head used to provide — is only
-		// scanned for when the bound does not already decide.
-		if t.dense {
-			if outPiArg >= 0 && t.bestPiOut < otUnreached {
-				if val := L + t.bestPiOut + pi[outPiArg]; val < bestVal || (val == bestVal && outPiArg < bestNode) {
-					bestVal, bestNode, bestPar = val, outPiArg, t.bestPiOutArg
-				}
-			}
-		} else if t.bestPiOut < otUnreached {
+		// Candidate 4: forbidden edge into the min-pi out-node. Its
+		// receiver has no maintained order (that was a third per-iterate
+		// sort); the candidate costs at least L + bestPiOut + minOutPi,
+		// which loses to bestVal on anything but degenerate instances,
+		// so the exact receiver — the same (pi, node)-minimum an order's
+		// head would provide — is only scanned for when the bound does
+		// not already decide.
+		if t.bestPiOut < otUnreached {
 			if lb := L + t.bestPiOut + t.minOutPi; lb <= bestVal {
 				for x := 1; x < N; x += 2 {
 					if !t.inTree[x] && (outPiArg < 0 || pi[x] < pi[outPiArg]) {

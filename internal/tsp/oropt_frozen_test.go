@@ -271,12 +271,13 @@ type lockstepInstance struct {
 	nb   *Neighbors
 }
 
-// lockstepInstances covers dense and sparse instances at sizes around
-// denseSolveCutover, tie-heavy cost ranges, narrow candidate lists and
-// instances with forbidden edges.
+// lockstepInstances covers dense and sparse instances from a handful of
+// cities to sizes past denseSolveCutover, where Solve searches the sparse
+// representation itself, plus tie-heavy cost ranges, narrow candidate
+// lists and instances with forbidden edges.
 func lockstepInstances() []lockstepInstance {
 	var out []lockstepInstance
-	sizes := []int{4, 5, 8, 13, denseSolveCutover - 1, denseSolveCutover, denseSolveCutover + 1, 40, 90}
+	sizes := []int{4, 5, 8, 13, 23, 24, 25, 40, 90, denseSolveCutover + 1, 300}
 	for _, n := range sizes {
 		for seed := int64(0); seed < 3; seed++ {
 			s := seed*101 + int64(n)

@@ -101,12 +101,17 @@ func TestQuickNeighborsAndConstructionsAgreeOnSparse(t *testing.T) {
 
 func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
-		// The size range crosses denseSolveCutover, so the property checks
-		// the densified small-instance path AND genuinely sparse local
-		// search.
+		// Half the cases sit just above denseSolveCutover, so the property
+		// checks the densified path AND genuinely sparse local search.
 		n := int(nRaw%34) + 2
-		sp := randSparse(n, 300, 0.2, int64(seedRaw)+11)
 		opt := PaperSolveOptions(int64(seedRaw))
+		if nRaw&1 == 1 {
+			n = denseSolveCutover + 1 + int(nRaw>>1)%64
+			// Two starts and capped kicks keep the large sizes quick.
+			opt.GreedyStarts, opt.NNStarts, opt.IdentityStarts = 1, 1, 0
+			opt.MaxIterations = 40
+		}
+		sp := randSparse(n, 300, 0.2, int64(seedRaw)+11)
 		opt.ExactThreshold = 6 // exercise both the exact and local-search paths
 		ra := Solve(sp, opt)
 		rd := Solve(sp.Dense(), opt)
