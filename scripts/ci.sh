@@ -56,6 +56,21 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 1000 ]; then
 	exit 1
 fi
 
+echo "== heldkarp-time gate (a served-size bound stays within 4x its recorded median)"
+# A 200-block function at the engine's default 1000 iterates, the size
+# and depth balignd serves. results/BENCH_heldkarp.json records a
+# 60.0 ms/op median on a 2-vCPU VM; the 240 ms/op ceiling absorbs
+# slower hosts and noise, not a 1-tree kernel or an ascent that lost a
+# constant factor. The synth5000 row above runs only 10 iterates and
+# largest only 50, which is how a slow path at served sizes went unseen.
+out=$(go test -run '^$' -bench 'BenchmarkHeldKarpBound/^synth200$' -benchtime 5x -timeout 10m .)
+echo "$out"
+nsop=$(echo "$out" | awk '/BenchmarkHeldKarpBound\/synth200\/sparse/ {for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)}')
+if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 240000000) }'; then
+	echo "ci: Held-Karp bound time regression (${nsop:-no result} ns/op, ceiling 240000000)"
+	exit 1
+fi
+
 echo "== dispatch-alloc gate (a cache hit is a hash and a lookup)"
 # A cached engine request hashes its Inputs, finds the LRU entry and
 # copies the result in ~5 allocs/op. The ceiling is generous, but a hit
