@@ -72,7 +72,7 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 	f := func(blocksRaw, seedRaw uint16) bool {
 		// Half the cases sit above the solver's dense cutover (256
 		// cities), so both local-search representations are compared.
-		blocks := int(blocksRaw%34) + 2
+		blocks := int(blocksRaw>>1)%34 + 2
 		opts := tsp.PaperSolveOptions(int64(seedRaw))
 		if blocksRaw&1 == 1 {
 			blocks = 257 + int(blocksRaw>>1)%64

@@ -90,8 +90,10 @@ var (
 // the largest n for which that stays inside int64: 43,691 blocks.
 const MaxFuncBlocks = math.MaxInt64/(interp.MaxFuncCount*maxEventPenalty) + 1
 
-// maxEventPenalty bounds every per-execution penalty of the built-in
-// machine models: DeepPipe's conditional mispredict, 12 cycles.
+// maxEventPenalty is the largest single penalty of the built-in machine
+// models (DeepPipe's conditional mispredict, 12 cycles). A DTSP cost
+// charges each execution one such penalty; a fully displaced branch
+// takes the cheaper fixup, at most max(JumpCost, CondMispredict) each.
 const maxEventPenalty = 12
 
 // Options configures an Engine.

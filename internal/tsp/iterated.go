@@ -315,7 +315,8 @@ func runSeed(seed int64, run int, kind startKind) int64 {
 // At-bound: a dense At is one load, a sparse one a search of the row's
 // exceptions, and Or-opt reads arbitrary pairs. Densifying wins up to
 // about 800 cities; 256 keeps the copy at 512 KB and covers every
-// function balignd's workloads serve. DESIGN.md §7 records the curve.
+// function of the benchmark's balignd workloads. DESIGN.md §7 records
+// the curve.
 const denseSolveCutover = 256
 
 // runOutcome is one run's contribution to the deterministic merge.
@@ -332,7 +333,7 @@ type runOutcome struct {
 // configured multi-start iterated 3-opt protocol (or exact DP for small
 // instances). It accepts any cost representation and returns identical
 // results for dense and sparse views of the same instance (densifying a
-// tiny sparse instance preserves every At value, and all kernels are
+// small sparse instance preserves every At value, and all kernels are
 // pure functions of those values).
 //
 // The runs of the protocol are independent: each draws randomness from

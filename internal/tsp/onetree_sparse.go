@@ -43,7 +43,7 @@ import (
 // old position). Every instance, from three cities up, takes this one
 // path: a scan-based Prim used to serve instances of up to 128 cities,
 // but once locked-partner fusion and channel pruning landed it lost to
-// the heap at every size balignd serves (DESIGN.md §7). A full run()
+// the heap at every size balignd serves (DESIGN.md §15). A full run()
 // performs no allocations in steady state.
 type sparseOneTree struct {
 	sp *SparseMatrix

@@ -103,7 +103,7 @@ func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		// Half the cases sit just above denseSolveCutover, so the property
 		// checks the densified path AND genuinely sparse local search.
-		n := int(nRaw%34) + 2
+		n := int(nRaw>>1)%34 + 2
 		opt := PaperSolveOptions(int64(seedRaw))
 		if nRaw&1 == 1 {
 			n = denseSolveCutover + 1 + int(nRaw>>1)%64
