@@ -37,7 +37,6 @@ func runReport(args []string) int {
 		seed      = fs.Int64("seed", 1, "solver seed")
 		algSel    = fs.String("algorithm", "tsp", "aligner for live runs: tsp, exttsp, greedy, ...")
 		hkIters   = fs.Int("hk-iters", 3000, "Held-Karp subgradient iterations")
-		hkStall   = fs.Int("hk-stall", 50, "stop each Held-Karp ascent after this many iterates without improvement (0 = run the full schedule)")
 		parallel  = fs.Int("parallel", 0, "TSP solver parallelism for live runs: max concurrent local-search runs per function (-1 = all CPUs); bit-identical results, lower wall-clock in the solve-ms column")
 	)
 	fs.Parse(args)
@@ -65,7 +64,7 @@ func runReport(args []string) int {
 		}
 	} else {
 		var err error
-		events, err = reportRun(*srcPath, *benchName, *dataset, *data, *scalarN, *modelSel, *algSel, *seed, *hkIters, *hkStall, *parallel)
+		events, err = reportRun(*srcPath, *benchName, *dataset, *data, *scalarN, *modelSel, *algSel, *seed, *hkIters, *parallel)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "balign report:", err)
 			return 1
@@ -77,7 +76,7 @@ func runReport(args []string) int {
 
 // reportRun executes the profile -> align -> Held-Karp pipeline with
 // an in-memory telemetry sink and returns the collected events.
-func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel, algorithm string, seed int64, hkIters, hkStall, parallel int) ([]obs.Event, error) {
+func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel, algorithm string, seed int64, hkIters, parallel int) ([]obs.Event, error) {
 	mod, inputs, err := loadProgram(srcPath, benchName, dataset, data, scalarN)
 	if err != nil {
 		return nil, err
@@ -100,7 +99,7 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 		return nil, err
 	}
 	align.Run(context.Background(), aligner, mod, prof, model, align.RunOptions{
-		Bound: &tsp.HeldKarpOptions{Iterations: hkIters, StallWindow: hkStall},
+		Bound: &tsp.HeldKarpOptions{Iterations: hkIters},
 		Obs:   root,
 	})
 	root.End()

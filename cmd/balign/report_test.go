@@ -98,7 +98,7 @@ func TestRenderReportRequestID(t *testing.T) {
 // report` on a bundled benchmark and checks the solver and bound
 // telemetry join into a plausible table.
 func TestReportRunEndToEnd(t *testing.T) {
-	events, err := reportRun("", "compress", "", "", -1, "alpha21164", "tsp", 1, 30, 25, 2)
+	events, err := reportRun("", "compress", "", "", -1, "alpha21164", "tsp", 1, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestReportRunEndToEnd(t *testing.T) {
 // registry, and the algorithm column labels every row with the chain
 // merger's name.
 func TestReportRunExtTSP(t *testing.T) {
-	events, err := reportRun("", "compress", "", "", -1, "alpha21164", "exttsp", 1, 30, 0, 0)
+	events, err := reportRun("", "compress", "", "", -1, "alpha21164", "exttsp", 1, 30, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestReportRunExtTSP(t *testing.T) {
 	if !strings.Contains(out, "algorithm") || !strings.Contains(out, "exttsp") {
 		t.Errorf("report missing exttsp algorithm column:\n%s", out)
 	}
-	if _, err := reportRun("", "compress", "", "", -1, "alpha21164", "nonesuch", 1, 30, 0, 0); err == nil {
+	if _, err := reportRun("", "compress", "", "", -1, "alpha21164", "nonesuch", 1, 30, 0); err == nil {
 		t.Error("unknown algorithm should fail the live run")
 	}
 }

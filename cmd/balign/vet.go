@@ -36,7 +36,6 @@ func runVet(args []string) int {
 		seed      = fs.Int64("seed", 1, "solver seed")
 		bounds    = fs.Bool("bounds", true, "include the AP ≤ HK ≤ tour bound-chain check")
 		hkIters   = fs.Int("hk-iters", 200, "Held-Karp subgradient iterations for -bounds")
-		hkStall   = fs.Int("hk-stall", 30, "stop each Held-Karp ascent after this many iterates without improvement (0 = run the full schedule)")
 		verbose   = fs.Bool("v", false, "print warnings (lints) in addition to errors")
 	)
 	fs.Parse(args)
@@ -51,7 +50,7 @@ func runVet(args []string) int {
 		fmt.Fprintln(os.Stderr, "balign vet:", err)
 		return 1
 	}
-	bo := check.BoundsOptions{HKIterations: *hkIters, HKStallWindow: *hkStall}
+	bo := check.BoundsOptions{HKIterations: *hkIters}
 
 	exit := 0
 	if *all {

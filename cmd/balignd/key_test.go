@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,9 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"branchalign/internal/align"
 	"branchalign/internal/bench"
+	"branchalign/internal/check"
 	"branchalign/internal/engine"
+	"branchalign/internal/layout"
 	"branchalign/internal/testutil"
+	"branchalign/internal/tsp"
 )
 
 // requestKey is the engine key balignd derives for req.
@@ -125,6 +130,90 @@ func TestAlignRepeatIsCacheHit(t *testing.T) {
 		}
 		if fmt.Sprint(first.Funcs) != fmt.Sprint(again.Funcs) {
 			t.Errorf("%s: cached funcs differ from the solved ones", name)
+		}
+	}
+}
+
+// postAlignBody posts req and returns the status and the response body
+// with its one wall-clock field, elapsed_ms, dropped. The remaining
+// fields are re-encoded verbatim in key order, so two bodies compare
+// byte for byte.
+func postAlignBody(t *testing.T, ts *httptest.Server, req alignRequest) (int, []byte) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/align", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fields map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "elapsed_ms")
+	out, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestAlignBoundIsFunctionOfRequest: a bounded response depends on the
+// request alone. A fresh server and one that first served the same
+// program under seeds 2–5 answer the same request, at the default
+// Held-Karp depth, with the same bytes, and every function's served
+// bound sits between its AP bound and its tour cost.
+func TestAlignBoundIsFunctionOfRequest(t *testing.T) {
+	req := alignRequest{Bench: "eqntott", Seed: 1, Bound: true}
+
+	cold := httptest.NewServer(newServer(serverConfig{}))
+	defer cold.Close()
+	code, want := postAlignBody(t, cold, req)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, want)
+	}
+
+	used := httptest.NewServer(newServer(serverConfig{}))
+	defer used.Close()
+	for seed := int64(2); seed <= 5; seed++ {
+		r := req
+		r.Seed = seed
+		if code, body := postAlignBody(t, used, r); code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, code, body)
+		}
+	}
+	code, got := postAlignBody(t, used, req)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("response after seeds 2–5 differs from a fresh server's:\n got %s\nwant %s", got, want)
+	}
+
+	var res alignResponse
+	if err := json.Unmarshal(got, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit || res.Truncated {
+		t.Fatalf("cache_hit=%v truncated=%v, want a fresh full solve", res.CacheHit, res.Truncated)
+	}
+	ereq, err := engineRequest(req, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, prof, err := ereq.Load(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi, fs := range res.Funcs {
+		mat := align.BuildSparseMatrix(mod.Funcs[fi], prof.Funcs[fi], ereq.Model, nil)
+		ap := tsp.AssignmentBound(mat)
+		tour := tsp.CycleCost(mat, tsp.Tour(fs.Order))
+		if r := check.BoundChain(fs.Name, ap, layout.Cost(fs.Bound), tour); len(r.Findings) != 0 {
+			t.Errorf("AP ≤ HK ≤ tour broken:\n%s", r)
 		}
 	}
 }

@@ -514,13 +514,10 @@ func engineRequest(req alignRequest, loadTimeout time.Duration) (engine.Request,
 		Model:         model,
 		Algorithm:     algorithm,
 		Seed:          req.Seed,
-		Budget: tsp.Budget{
-			MaxKicks:        req.MaxKicks,
-			MaxHKIterations: 0, // the iterate count is HKIterations itself
-		},
-		Bound:        req.Bound,
-		HKIterations: req.HKIterations,
-		Parallelism:  req.Parallelism,
+		Budget:        tsp.Budget{MaxKicks: req.MaxKicks},
+		Bound:         req.Bound,
+		HKIterations:  req.HKIterations,
+		Parallelism:   req.Parallelism,
 	}, nil
 }
 

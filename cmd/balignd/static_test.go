@@ -150,30 +150,25 @@ func loopChainSource(depths ...int) string {
 	return b.String()
 }
 
-// TestAlignErrorKinds pins the machine-readable error discriminators
-// clients switch on.
-func TestAlignErrorKinds(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverConfig{}))
-	defer ts.Close()
+// errorKindCase is one malformed request and the typed error it gets.
+type errorKindCase struct {
+	name     string
+	req      alignRequest
+	wantCode int
+	wantKind string
+}
+
+// errorKindCases are the probes of TestAlignErrorKinds, shared with
+// FuzzAlignHandler as its seed corpus.
+func errorKindCases(tb testing.TB) []errorKindCase {
+	tb.Helper()
 	// A recorded profile whose edge counts would overflow the cost
 	// arithmetic (count × penalty wraps int64).
 	inflated, err := testutil.InflatedBranchyProfile(8, 1, 1<<61)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, n := range []int{5, 6, engine.MaxFuncBlocks + 1} {
-		mod, err := testutil.Compile(blocksSource(n))
-		if err != nil || len(mod.Funcs[0].Blocks) != n {
-			t.Fatalf("blocksSource(%d) does not compile to %d blocks (err %v)", n, n, err)
-		}
-	}
-
-	cases := []struct {
-		name     string
-		req      alignRequest
-		wantCode int
-		wantKind string
-	}{
+	return []errorKindCase{
 		{
 			name:     "unknown profile_mode",
 			req:      alignRequest{Source: testutil.BranchySource, ProfileMode: "oracle"},
@@ -244,7 +239,20 @@ func TestAlignErrorKinds(t *testing.T) {
 			wantKind: "budget_exceeded",
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestAlignErrorKinds pins the machine-readable error discriminators
+// clients switch on.
+func TestAlignErrorKinds(t *testing.T) {
+	ts := httptest.NewServer(newServer(serverConfig{}))
+	defer ts.Close()
+	for _, n := range []int{5, 6, engine.MaxFuncBlocks + 1} {
+		mod, err := testutil.Compile(blocksSource(n))
+		if err != nil || len(mod.Funcs[0].Blocks) != n {
+			t.Fatalf("blocksSource(%d) does not compile to %d blocks (err %v)", n, n, err)
+		}
+	}
+	for _, tc := range errorKindCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			body, code := postAlignError(t, ts, tc.req)
 			if code != tc.wantCode {

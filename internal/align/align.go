@@ -96,11 +96,8 @@ type RunOptions struct {
 	Budget tsp.Budget
 	// Bound, when non-nil, also bounds each function with Held-Karp on
 	// the same matrix its aligner used. Run sets the options' Context,
-	// Budget, Obs and Warm.
+	// Budget and Obs.
 	Bound *tsp.HeldKarpOptions
-	// Warm, when non-nil, holds one warm-start state per function for
-	// the bound ascents, which update them in place.
-	Warm []*tsp.HKWarmState
 	// Obs, when non-nil, is the parent span of every function's
 	// "align.build_matrix", "align.func" and "align.hk" spans.
 	Obs *obs.Span
@@ -143,9 +140,6 @@ func Run(ctx context.Context, a Aligner, mod *ir.Module, prof *interp.Profile, m
 		if o.Bound != nil {
 			ho := *o.Bound
 			ho.Context, ho.Budget, ho.Obs = ctx, o.Budget, o.Obs
-			if o.Warm != nil {
-				ho.Warm = o.Warm[fi]
-			}
 			r.Bound = FuncHeldKarpBound(f, fn.Matrix(), ho)
 		}
 		res.Layout.Funcs[fi] = fl

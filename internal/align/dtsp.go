@@ -210,10 +210,6 @@ type FuncBoundResult struct {
 	// instance: the 1-tree became a tour, or the function was small
 	// enough to bound by its true optimum.
 	Converged bool
-	// Stalled is true when the ascent's stall window (if enabled) ended
-	// the computation before its iteration schedule. The bound is still
-	// valid, just no tighter than where the ascent plateaued.
-	Stalled bool
 }
 
 // FuncHeldKarpBound computes the Held-Karp bound on f's DTSP instance mat
@@ -246,8 +242,7 @@ func FuncHeldKarpBound(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.HeldKarpOptio
 		c++
 	}
 	sp.End(obs.Int("bound", int64(c)), obs.Bool("truncated", hk.Truncated),
-		obs.Int("iterations", int64(hk.Iterations)), obs.Bool("converged", hk.Converged),
-		obs.Bool("stalled", hk.Stalled))
+		obs.Int("iterations", int64(hk.Iterations)), obs.Bool("converged", hk.Converged))
 	return FuncBoundResult{Bound: c, Truncated: hk.Truncated, Iterations: hk.Iterations,
-		Converged: hk.Converged, Stalled: hk.Stalled}
+		Converged: hk.Converged}
 }

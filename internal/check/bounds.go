@@ -16,32 +16,12 @@ type BoundsOptions struct {
 	// selects a cheap default of 200 — every iterate is a valid lower
 	// bound, so fewer iterations only loosen, never break, the chain).
 	HKIterations int
-	// Epsilon is the slack allowed in the chain comparisons. All
-	// quantities are integral penalty cycles, so 0 (the default) is the
-	// mathematically correct tolerance; a positive value is useful only
-	// for experiments with rescaled cost models.
-	Epsilon tsp.Cost
-	// MinBlocks skips functions with fewer blocks (<= 0 selects 3, the
-	// appendix's convention: one- and two-block layouts are forced, so
-	// their chains are vacuous).
-	MinBlocks int
-	// HKStallWindow, when positive, lets each Held-Karp ascent stop
-	// early once its best bound has plateaued for this many iterates
-	// (tsp.HeldKarpOptions.StallWindow). Early termination only loosens
-	// the bound, so the chain invariants this check audits are
-	// unaffected — it is purely a wall-clock knob for the vet path.
-	HKStallWindow int
 }
 
-func (o BoundsOptions) normalized() BoundsOptions {
-	if o.HKIterations <= 0 {
-		o.HKIterations = 200
-	}
-	if o.MinBlocks <= 0 {
-		o.MinBlocks = 3
-	}
-	return o
-}
+// minBoundBlocks is the smallest function Bounds audits, the appendix's
+// convention: one- and two-block layouts are forced, so their chains
+// are vacuous.
+const minBoundBlocks = 3
 
 // BoundChain checks the appendix's invariant chain on one instance: the
 // assignment-problem bound and the Held-Karp bound are both lower bounds
@@ -50,16 +30,17 @@ func (o BoundsOptions) normalized() BoundsOptions {
 // is reported as a warning when violated: it holds whenever the HK
 // subgradient has converged past the AP relaxation (and always when the
 // instance was solved exactly), but an undertrained HK value is loose,
-// not wrong.
-func BoundChain(name string, ap, hk, tour, eps tsp.Cost) *Report {
+// not wrong. All three are integral penalty cycles, so the comparisons
+// are exact.
+func BoundChain(name string, ap, hk, tour tsp.Cost) *Report {
 	r := &Report{}
-	if ap > tour+eps {
+	if ap > tour {
 		r.add(Error, ClassBounds, name, -1, "AP bound %d exceeds tour cost %d", ap, tour)
 	}
-	if hk > tour+eps {
+	if hk > tour {
 		r.add(Error, ClassBounds, name, -1, "Held-Karp bound %d exceeds tour cost %d", hk, tour)
 	}
-	if ap > hk+eps {
+	if ap > hk {
 		r.add(Warning, ClassBounds, name, -1, "AP bound %d exceeds Held-Karp bound %d (HK not converged)", ap, hk)
 	}
 	return r
@@ -77,10 +58,13 @@ func BoundChain(name string, ap, hk, tour, eps tsp.Cost) *Report {
 // merged in plan (function-index) order, so the report is identical to
 // the sequential loop's regardless of scheduling.
 func Bounds(mod *ir.Module, prof *interp.Profile, l *layout.Layout, m machine.Model, opts BoundsOptions) *Report {
-	opts = opts.normalized()
+	iters := opts.HKIterations
+	if iters <= 0 {
+		iters = 200
+	}
 	var eligible []int
 	for fi, f := range mod.Funcs {
-		if len(f.Blocks) >= opts.MinBlocks {
+		if len(f.Blocks) >= minBoundBlocks {
 			eligible = append(eligible, fi)
 		}
 	}
@@ -91,12 +75,9 @@ func Bounds(mod *ir.Module, prof *interp.Profile, l *layout.Layout, m machine.Mo
 		fp := prof.Funcs[fi]
 		mat := align.BuildSparseMatrix(f, fp, m, nil)
 		ap := tsp.AssignmentBound(mat)
-		hk := align.FuncHeldKarpBound(f, mat, tsp.HeldKarpOptions{
-			Iterations:  opts.HKIterations,
-			StallWindow: opts.HKStallWindow,
-		}).Bound
+		hk := align.FuncHeldKarpBound(f, mat, tsp.HeldKarpOptions{Iterations: iters}).Bound
 		tour := tsp.CycleCost(mat, tsp.Tour(l.Funcs[fi].Order))
-		per[k] = BoundChain(f.Name, ap, hk, tour, opts.Epsilon)
+		per[k] = BoundChain(f.Name, ap, hk, tour)
 	})
 	r := &Report{}
 	for _, p := range per {

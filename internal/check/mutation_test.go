@@ -274,22 +274,18 @@ func TestPlacementCatchesTamperedAddresses(t *testing.T) {
 
 func TestBoundChainCatchesInvertedBounds(t *testing.T) {
 	// Healthy: ap <= hk <= tour.
-	if r := check.BoundChain("f", 5, 8, 12, 0); !r.OK() || len(r.Findings) != 0 {
+	if r := check.BoundChain("f", 5, 8, 12); !r.OK() || len(r.Findings) != 0 {
 		t.Fatalf("healthy chain flagged:\n%s", r.String())
 	}
 	// A claimed tour below the AP bound breaks the chain twice.
-	r := check.BoundChain("f", 10, 12, 7, 0)
+	r := check.BoundChain("f", 10, 12, 7)
 	if r.Errors() != 2 || !hasClass(r, check.ClassBounds) {
 		t.Fatalf("inverted chain not caught:\n%s", r.String())
 	}
 	// An AP bound above HK is only a convergence warning.
-	r = check.BoundChain("f", 9, 6, 20, 0)
+	r = check.BoundChain("f", 9, 6, 20)
 	if r.Errors() != 0 || r.Warnings() != 1 {
 		t.Fatalf("AP > HK should be a warning:\n%s", r.String())
-	}
-	// Epsilon absorbs sub-tolerance violations.
-	if r := check.BoundChain("f", 10, 12, 11, 1); r.Errors() != 0 {
-		t.Fatalf("epsilon not honored:\n%s", r.String())
 	}
 }
 

@@ -127,7 +127,8 @@ type Request struct {
 	// Inputs is a canonical encoding of everything Load reads. The engine
 	// never interprets it: it hashes it, once, into the cache and
 	// single-flight key, so requests with equal Inputs (and equal mode,
-	// model, algorithm, seed and work caps) are one computation. Borrowed
+	// model, algorithm, seed, kick cap and bound settings) are one
+	// computation. Borrowed
 	// for the duration of the call.
 	Inputs []byte
 	// Load compiles the program and profiles it; it must be a pure
@@ -160,20 +161,18 @@ type Request struct {
 	// align.TSP aligner does). The zero seed is valid and deterministic.
 	Seed int64
 
-	// Budget bounds the per-function solves (and bound computations, for
-	// the iterate cap). The deadline also cooperates with the ctx passed
-	// to Align. Budgets are part of the cache key only through their
-	// work caps, never the wall-clock deadline: two requests that differ
-	// only in deadline are the same computation.
+	// Budget bounds the per-function solves and bound computations. The
+	// deadline also cooperates with the ctx passed to Align. Budgets are
+	// part of the cache key only through the kick cap, never the
+	// wall-clock deadline: two requests that differ only in deadline are
+	// the same computation.
 	Budget tsp.Budget
 
 	// Bound additionally computes the per-function Held-Karp lower
-	// bounds (HKIterations subgradient iterates, default 1000). The
-	// ascents warm-start from the engine's per-instance dual-state
-	// cache, so a later request on the same Inputs, profile mode and
-	// model — even with a different seed, algorithm or iteration
-	// budget — may report tighter (never weaker, never invalid) bounds
-	// than a cold engine would.
+	// bounds, each a cold ascent of HKIterations subgradient iterates
+	// (default 1000). The bounds are a function of the request alone:
+	// an untruncated bounded request gets the same bounds from a fresh
+	// engine as from one that has served any other requests.
 	Bound        bool
 	HKIterations int
 
@@ -251,18 +250,8 @@ type Engine struct {
 	met         metrics
 
 	mu       sync.Mutex
-	cache    *lru[*Result]
+	cache    *lru
 	inflight map[Key]*call
-	// warm caches Held-Karp warm-start states per instance
-	// (instanceKey): one dual vector per function, from the best iterate
-	// of the last bound computation on that (Inputs, profile mode,
-	// model). A later request on the same instance — different seed,
-	// algorithm or iteration budget — resumes its ascents from these
-	// states instead of re-climbing from zero, so its bounds converge
-	// in fewer iterates and are never weaker than the cached state's.
-	// Entries are immutable once stored (requests copy on read and
-	// replace on write), so readers never race writers.
-	warm *lru[[]*tsp.HKWarmState]
 }
 
 // call is one in-flight computation other identical requests can wait
@@ -289,8 +278,7 @@ func New(o Options) *Engine {
 	e := &Engine{
 		pool:        work.NewPool(o.Workers),
 		parallelism: o.Parallelism,
-		cache:       newLRU[*Result](entries),
-		warm:        newLRU[[]*tsp.HKWarmState](entries),
+		cache:       newLRU(entries),
 		inflight:    map[Key]*call{},
 	}
 	e.cache.onEvict = func() { e.met.evictions.Inc() }
@@ -336,8 +324,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inst := instanceKey(&req)
-	key := resultKey(inst, &req)
+	key := req.Key()
 	start := time.Now()
 	e.met.requests.Inc()
 
@@ -366,7 +353,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 			// directly with the expired context, which truncates at the
 			// first budget check and yields a valid best-effort layout.
 			e.met.cacheMisses.Inc()
-			res, err := e.recoverSolve(ctx, req, inst)
+			res, err := e.recoverSolve(ctx, req)
 			e.finishSolve(res, err)
 			e.met.observe(start, req.StaticProfile, "miss", req.Algorithm)
 			return res, err
@@ -393,7 +380,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.met.cacheMisses.Inc()
 	e.met.inFlight.Add(1)
 
-	res, err := e.recoverSolve(ctx, req, inst)
+	res, err := e.recoverSolve(ctx, req)
 
 	e.met.inFlight.Add(-1)
 	e.finishSolve(res, err)
@@ -413,32 +400,13 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 // one raised by Load, or by a per-function task and re-raised here by
 // work.Pool. A leader that unwound instead would leave its in-flight
 // entry unsettled, and every identical request would wait on it.
-func (e *Engine) recoverSolve(ctx context.Context, req Request, inst Key) (res *Result, err error) {
+func (e *Engine) recoverSolve(ctx context.Context, req Request) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("%w: panic: %v", ErrInternal, p)
 		}
 	}()
-	return e.solve(ctx, req, inst)
-}
-
-// warmStates returns private warm-start states for one request's bound
-// fan-out: deep copies of the cached per-function states under key (or
-// zero states on a miss), so the request's ascents can mutate them
-// freely while the cached entry stays immutable for concurrent readers.
-func (e *Engine) warmStates(key Key, n int) []*tsp.HKWarmState {
-	e.mu.Lock()
-	cached, _ := e.warm.get(key)
-	e.mu.Unlock()
-	states := make([]*tsp.HKWarmState, n)
-	for i := range states {
-		s := &tsp.HKWarmState{}
-		if i < len(cached) && cached[i] != nil {
-			s.Pi = append([]float64(nil), cached[i].Pi...)
-		}
-		states[i] = s
-	}
-	return states
+	return e.solve(ctx, req)
 }
 
 // finishSolve records one completed solve's outcome counters.
@@ -493,9 +461,8 @@ func load(req *Request) (*ir.Module, *interp.Profile, error) {
 
 // solve loads the request's module and profile, then lays out and
 // (optionally) bounds every function with one align.Run on the shared
-// worker pool. inst is the request's instance key, under which its
-// Held-Karp warm states live.
-func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, error) {
+// worker pool.
+func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
 	mod, prof, err := load(&req)
 	if err != nil {
 		return nil, err
@@ -520,22 +487,8 @@ func (e *Engine) solve(ctx context.Context, req Request, inst Key) (*Result, err
 			hkIters = 1000
 		}
 		ro.Bound = &tsp.HeldKarpOptions{Iterations: hkIters}
-		// Warm-start states: per-function dual vectors cached by
-		// instance identity (inst — Inputs, profile mode, model; not
-		// seed/algorithm/budget). Each request works on private copies
-		// and publishes them back after the run, so concurrent requests
-		// on the same instance never share mutable state.
-		ro.Warm = e.warmStates(inst, len(mod.Funcs))
 	}
 	run := align.Run(ctx, a, mod, prof, req.Model, ro)
-	if ro.Warm != nil {
-		// Publish the updated dual states for the next request on this
-		// instance. Concurrent requests race benignly: whichever slice
-		// lands last is a complete, valid set of states.
-		e.mu.Lock()
-		e.warm.put(inst, ro.Warm)
-		e.mu.Unlock()
-	}
 	if err := run.Layout.Validate(mod); err != nil {
 		return nil, fmt.Errorf("engine: solver produced invalid layout: %w", err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"branchalign/internal/align"
+	"branchalign/internal/check"
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
 	"branchalign/internal/layout"
@@ -185,37 +187,56 @@ func TestEngineBounds(t *testing.T) {
 	}
 }
 
-// TestEngineWarmStartTightensBounds pins the warm-start cache: a second
-// bounded request on the same instance (different seed, so it misses
-// the result cache) resumes its Held-Karp ascents from the first
-// request's dual states. The resumed ascent re-evaluates the cached
-// best iterate first, so the second request's bounds are at least as
-// tight as the first's — and still valid lower bounds.
-func TestEngineWarmStartTightensBounds(t *testing.T) {
+// TestEngineBoundIsFunctionOfRequest pins that a bounded response
+// depends on its request alone: the same request gets an identical
+// Result — layout, penalties, bound and every per-function FuncStat —
+// from a cold engine and from one that first served the same Inputs
+// under seeds 2–5. Both satisfy AP ≤ HK ≤ tour on every function.
+func TestEngineBoundIsFunctionOfRequest(t *testing.T) {
 	mod, prof := branchy(t)
-	e := New(Options{Workers: 2})
+	model := machine.Alpha21164()
+	ctx := context.Background()
 	req := Request{
-		Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1,
-		Bound: true, HKIterations: 60,
+		Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 1,
+		Bound: true, HKIterations: 300,
 	}
-	first, err := e.Align(context.Background(), req)
+
+	cold, err := New(Options{Workers: 2}).Align(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Seed = 2
-	second, err := e.Align(context.Background(), req)
+	e := New(Options{Workers: 2})
+	for seed := int64(2); seed <= 5; seed++ {
+		r := req
+		r.Seed = seed
+		if _, err := e.Align(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := e.Align(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.CacheHit || second.Coalesced {
-		t.Fatal("different seed unexpectedly shared the first result")
+	if after.CacheHit || after.Coalesced || after.Truncated {
+		t.Fatalf("hit=%v coalesced=%v truncated=%v, want a fresh full solve",
+			after.CacheHit, after.Coalesced, after.Truncated)
 	}
-	if second.Bound < first.Bound {
-		t.Fatalf("warm-started bound %d below cold bound %d", second.Bound, first.Bound)
+	if !reflect.DeepEqual(cold, after) {
+		t.Errorf("bound %d after other seeds, %d from a cold engine", after.Bound, cold.Bound)
+		for fi := range cold.Funcs {
+			if !reflect.DeepEqual(cold.Funcs[fi], after.Funcs[fi]) {
+				t.Errorf("func %d: %+v after other seeds, %+v cold", fi, after.Funcs[fi], cold.Funcs[fi])
+			}
+		}
 	}
-	for _, fs := range second.Funcs {
-		if fs.Bound > fs.Cost {
-			t.Fatalf("func %s: warm bound %d exceeds tour cost %d", fs.Name, fs.Bound, fs.Cost)
+	for _, res := range []*Result{cold, after} {
+		for fi, fs := range res.Funcs {
+			mat := align.BuildSparseMatrix(mod.Funcs[fi], prof.Funcs[fi], model, nil)
+			ap := tsp.AssignmentBound(mat)
+			tour := tsp.CycleCost(mat, tsp.Tour(fs.Order))
+			if r := check.BoundChain(fs.Name, ap, layout.Cost(fs.Bound), tour); len(r.Findings) != 0 {
+				t.Errorf("AP ≤ HK ≤ tour broken:\n%s", r)
+			}
 		}
 	}
 }

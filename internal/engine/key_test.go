@@ -30,7 +30,6 @@ func TestRequestKey(t *testing.T) {
 		"algorithm":      func(r *Request) { r.Algorithm = "exttsp" },
 		"seed":           func(r *Request) { r.Seed = 2 },
 		"max kicks":      func(r *Request) { r.Budget.MaxKicks = 5 },
-		"max hk iters":   func(r *Request) { r.Budget.MaxHKIterations = 5 },
 		"bound":          func(r *Request) { r.Bound = true },
 		"hk iterations":  func(r *Request) { r.HKIterations = 10 },
 		"bytes to model": func(r *Request) { r.Inputs, r.Model.Name = []byte("a"), "b"+r.Model.Name },
@@ -58,26 +57,6 @@ func TestRequestKey(t *testing.T) {
 		if r.Key() != key {
 			t.Errorf("%s: key changed", name)
 		}
-	}
-
-	// The warm-start key is the instance alone: seed, algorithm and caps
-	// do not move it, Inputs and profile mode do.
-	inst := instanceKey(&base)
-	for _, mut := range []func(*Request){
-		func(r *Request) { r.Seed = 9 },
-		func(r *Request) { r.Algorithm = "exttsp" },
-		func(r *Request) { r.Bound, r.HKIterations = true, 50 },
-	} {
-		r := base
-		mut(&r)
-		if instanceKey(&r) != inst {
-			t.Error("instance key depends on a solver knob")
-		}
-	}
-	static := base
-	static.StaticProfile = true
-	if instanceKey(&static) == inst {
-		t.Error("static and measured requests share an instance key")
 	}
 }
 

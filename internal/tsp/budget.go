@@ -19,12 +19,9 @@ type Budget struct {
 	// Deadline is an absolute wall-clock cutoff. Zero means none.
 	Deadline time.Time
 	// MaxKicks caps the total double-bridge kick rounds across all
-	// local-search runs of one Solve call. 0 means unlimited.
+	// local-search runs of one Solve call. 0 means unlimited. A
+	// Held-Karp ascent's iterate count is HeldKarpOptions.Iterations.
 	MaxKicks int64
-	// MaxHKIterations caps the subgradient iterates of one Held-Karp
-	// bound computation. 0 means unlimited (the iteration schedule of
-	// HeldKarpOptions still applies).
-	MaxHKIterations int
 }
 
 // cancelCheck is the shared boundary test for cancellation signals. It is
@@ -50,7 +47,7 @@ func (c *cancelCheck) cancelled() bool {
 		default:
 		}
 	}
-	//balignlint:ignore wall-clock deadlines are opt-in nondeterminism; reproducible runs budget by MaxKicks/MaxHKIterations
+	//balignlint:ignore wall-clock deadlines are opt-in nondeterminism; reproducible runs budget by MaxKicks and Iterations
 	return !c.deadline.IsZero() && time.Now().After(c.deadline)
 }
 

@@ -9,7 +9,7 @@ import (
 // unlimited returns a budget that cannot trip within a test run, used to
 // pin that the budget plumbing itself changes nothing.
 func unlimited() Budget {
-	return Budget{Deadline: time.Now().Add(24 * time.Hour), MaxKicks: 1 << 40, MaxHKIterations: 1 << 30}
+	return Budget{Deadline: time.Now().Add(24 * time.Hour), MaxKicks: 1 << 40}
 }
 
 // TestSolveBudgetPlumbingBitIdentical pins the anytime refactor's core
@@ -127,23 +127,25 @@ func TestHeldKarpBoundPlumbingBitIdentical(t *testing.T) {
 	}
 }
 
+// TestHeldKarpBoundMaxIterates: Iterations is the ascent's iterate cap.
+// A short ascent runs exactly its schedule, is not truncated (nothing cut
+// it short), and its bound is valid and no tighter than a longer one's.
 func TestHeldKarpBoundMaxIterates(t *testing.T) {
 	m := randMatrix(10, 300, 4)
 	_, opt := SolveExact(m)
 	full := HeldKarpBound(m, HeldKarpOptions{UpperBound: opt, Iterations: 200})
-	capped := HeldKarpBound(m, HeldKarpOptions{
-		UpperBound: opt, Iterations: 200, Budget: Budget{MaxHKIterations: 3}})
+	capped := HeldKarpBound(m, HeldKarpOptions{UpperBound: opt, Iterations: 3})
 	if capped.Iterations > 3 {
-		t.Fatalf("ran %d iterates, budget was 3", capped.Iterations)
+		t.Fatalf("ran %d iterates, schedule was 3", capped.Iterations)
 	}
-	if !capped.Truncated {
-		t.Fatal("iterate-capped ascent not marked truncated")
+	if capped.Truncated {
+		t.Fatal("an ascent that ran its own schedule marked truncated")
 	}
 	if capped.Bound > float64(opt)+1e-6 {
-		t.Fatalf("truncated bound %v exceeds optimum %d", capped.Bound, opt)
+		t.Fatalf("short-ascent bound %v exceeds optimum %d", capped.Bound, opt)
 	}
 	if capped.Bound > full.Bound+1e-6 {
-		t.Fatalf("truncated bound %v beats full ascent %v", capped.Bound, full.Bound)
+		t.Fatalf("short-ascent bound %v beats full ascent %v", capped.Bound, full.Bound)
 	}
 }
 

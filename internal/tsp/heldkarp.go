@@ -28,41 +28,9 @@ type HeldKarpOptions struct {
 	// iterate always runs, so a cancelled call still returns a real
 	// (if weak) bound.
 	Context context.Context
-	// Budget bounds the ascent (wall-clock deadline, max subgradient
-	// iterates). The zero Budget is unlimited.
+	// Budget bounds the ascent by its wall-clock deadline. The zero
+	// Budget is unlimited.
 	Budget Budget
-	// Warm, when non-nil, warm-starts the ascent from the dual state of
-	// a previous call on the same instance and receives the updated
-	// state when the call returns. A state whose vector length does not
-	// match the instance's node count is ignored (cold start) and then
-	// overwritten, so a stale state is never worse than no state. Every
-	// pi vector yields a valid lower bound, so warm-starting can only
-	// change how quickly the ascent reaches a tight bound — never the
-	// validity of what it returns. Instances under three cities run no
-	// ascent and leave the state untouched.
-	Warm *HKWarmState
-	// StallWindow, when positive, ends the ascent early once the best
-	// bound has gone StallWindow consecutive iterates without improving
-	// by more than hkStallEpsilon times the instance's upper-bound
-	// magnitude. Zero disables early termination (the default): the
-	// full iteration schedule runs. Early termination only truncates
-	// the maximization, so the returned bound remains a valid lower
-	// bound — merely as tight as the ascent had gotten.
-	StallWindow int
-}
-
-// HKWarmState carries the dual state of a Held-Karp ascent so a later
-// call on the same instance can resume from it instead of re-climbing
-// from pi = 0. The zero value is a valid cold state. States are keyed
-// by instance identity (the caller's responsibility): a state from a
-// different instance is detected only when the node counts differ.
-type HKWarmState struct {
-	// Pi is the node-potential vector of the best iterate seen, in the
-	// 2n-node space of the symmetric transformation. Re-evaluating the
-	// 1-tree at this vector reproduces the previous call's best bound
-	// exactly, so a warm-started ascent never reports a weaker bound
-	// than the state it resumed from.
-	Pi []float64
 }
 
 // BoundResult reports the outcome of a Held-Karp bound computation.
@@ -78,19 +46,10 @@ type BoundResult struct {
 	// Converged is true when the 1-tree became a tour, making the bound
 	// provably exact for the relaxed instance.
 	Converged bool
-	// Stalled is true when StallWindow ended the ascent before its
-	// iteration schedule (and before convergence). The bound is still
-	// valid; the remaining schedule was judged unlikely to tighten it.
-	Stalled bool
 }
 
-const (
-	// hkInitialAlpha is the initial step-size multiplier.
-	hkInitialAlpha = 2.0
-	// hkStallEpsilon is the relative improvement threshold of the
-	// StallWindow rule.
-	hkStallEpsilon = 1e-6
-)
+// hkInitialAlpha is the initial step-size multiplier.
+const hkInitialAlpha = 2.0
 
 // hkSchedule returns the iteration count and step-halving period of the
 // ascent, from the node count of the instance being relaxed.
@@ -107,63 +66,6 @@ func hkSchedule(nodes, iterations int) (iters, period int) {
 		period = 5
 	}
 	return iters, period
-}
-
-// stallTracker implements the epsilon-over-window early-termination
-// rule: stop once the best bound has gone a full window of iterates
-// without improving by more than an epsilon fraction of the instance's
-// cost scale. The scale is fixed up front (the upper bound's magnitude)
-// rather than derived from the current bound: early iterates of shifted
-// instances sit far below zero, and a threshold keyed to the moving
-// bound would inflate exactly while the ascent makes its fastest
-// progress. Tracking the *best* bound (not the per-iterate bound) makes
-// the rule robust to the oscillation inherent in subgradient steps.
-//
-// Counting is armed only once the best bound has cleared the floor —
-// the raw-space value below which the bound is trivially useless (a
-// directed bound that would clamp to zero). The initial alpha=2 steps
-// overshoot on shifted instances, and the ascent legitimately spends
-// 100+ iterates below its own first iterate while the step size decays;
-// stopping there would save wall clock but certify nothing.
-type stallTracker struct {
-	window int
-	thresh float64
-	floor  float64
-	count  int
-}
-
-// newStallTracker widens window to at least one full step-halving
-// period: the ascent routinely plateaus for most of a period before a
-// halving unlocks further progress, so a smaller window cannot tell
-// "converged" from "waiting for alpha to decay".
-func newStallTracker(window, period int, scale, floor float64) stallTracker {
-	if window > 0 && window < period {
-		window = period
-	}
-	if scale < 0 {
-		scale = -scale
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	return stallTracker{window: window, thresh: hkStallEpsilon * scale, floor: floor}
-}
-
-// observe records one iterate's improvement of the best bound (gain;
-// +Inf on the first iterate) and reports whether the ascent should
-// stop. Iterates spent at or below the floor never count toward the
-// window.
-func (s *stallTracker) observe(best, gain float64) bool {
-	if s.window <= 0 || best <= s.floor {
-		s.count = 0
-		return false
-	}
-	if gain > s.thresh {
-		s.count = 0
-	} else {
-		s.count++
-	}
-	return s.count >= s.window
 }
 
 // HeldKarpBound computes the Held-Karp lower bound on the optimal tour of
@@ -214,9 +116,6 @@ func HeldKarpBound(c Costs, opt HeldKarpOptions) BoundResult {
 // best raw bound (and every recorded trajectory point) back into
 // directed terms. sp is the "tsp.heldkarp" span, which ascend ends.
 func ascend(sp *obs.Span, pi []float64, deg []int, oneTree func() float64, opt HeldKarpOptions, dirUB Cost, shift float64) BoundResult {
-	if opt.Warm != nil && len(opt.Warm.Pi) == len(pi) {
-		copy(pi, opt.Warm.Pi)
-	}
 	boundSeries := sp.Series("hk_bound")
 	stepSeries := sp.Series("hk_step")
 	iters, period := hkSchedule(len(pi), opt.Iterations)
@@ -225,21 +124,10 @@ func ascend(sp *obs.Span, pi []float64, deg []int, oneTree func() float64, opt H
 	best := math.Inf(-1)
 	res := BoundResult{}
 	cc := newCancelCheck(opt.Context, opt.Budget)
-	maxIt := opt.Budget.MaxHKIterations
-	// The stall threshold is scaled by the directed upper bound — the
-	// instance's true cost magnitude. The raw ascent values sit near
-	// -shift and would swamp any relative epsilon. The arming floor is
-	// -shift: raw best above it means the directed bound is positive,
-	// i.e. actually worth stopping at.
-	st := newStallTracker(opt.StallWindow, period, float64(dirUB), -shift)
 	for it := 0; it < iters; it++ {
 		// Iterate-boundary budget check. The first iterate always runs
 		// (it is cheap and guarantees a real bound); later iterates stop
 		// as soon as the budget trips — best is already valid.
-		if maxIt > 0 && res.Iterations >= maxIt {
-			res.Truncated = true
-			break
-		}
 		if res.Iterations > 0 && cc.cancelled() {
 			res.Truncated = true
 			break
@@ -251,22 +139,14 @@ func ascend(sp *obs.Span, pi []float64, deg []int, oneTree func() float64, opt H
 			piSum += p
 		}
 		bound := w - 2*piSum
-		gain := bound - best
 		if bound > best {
 			best = bound
-			if opt.Warm != nil {
-				opt.Warm.Pi = append(opt.Warm.Pi[:0], pi...)
-			}
 			boundSeries.Add(int64(it), bound+shift)
 		}
 		if isTour(deg) {
 			// The 1-tree is a tour: the bound is exact.
 			res.Converged = true
 			sp.SetAttrs(obs.Bool("converged", true))
-			break
-		}
-		if st.observe(best, gain) {
-			res.Stalled = true
 			break
 		}
 		step := subgradientStep(pi, deg, alpha, ub, bound)
@@ -283,7 +163,7 @@ func ascend(sp *obs.Span, pi []float64, deg []int, oneTree func() float64, opt H
 	res.Bound = best + shift
 	sp.Count("hk.iterations", int64(res.Iterations))
 	sp.End(obs.Float("bound", res.Bound), obs.Int("iterations", int64(res.Iterations)),
-		obs.Bool("truncated", res.Truncated), obs.Bool("stalled", res.Stalled))
+		obs.Bool("truncated", res.Truncated))
 	return res
 }
 

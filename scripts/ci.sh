@@ -1,7 +1,9 @@
 #!/bin/sh
-# Tier-1 gate, shell form of `make ci`: formatting, go vet, full build,
-# race-detector test suite, and the invariant checker over every bundled
-# benchmark. Run from anywhere; exits non-zero on the first failure.
+# Tier-1 gate (`make ci` runs this script): formatting, go vet, full
+# build, race-detector test suite, benchmark liveness with allocation
+# and time ceilings, example, metrics and trace smokes, and the
+# invariant checker over every bundled benchmark. Run from anywhere;
+# exits non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -120,6 +122,17 @@ echo "$out"
 allocs=$(echo "$out" | awk '/BenchmarkInterpreter\/doduc_re/ {print $(NF-1)}')
 if [ -z "$allocs" ] || [ "$allocs" -gt 4096 ]; then
 	echo "ci: interpreter allocation regression (${allocs:-no result} allocs/op, ceiling 4096)"
+	exit 1
+fi
+
+echo "== interp-time gate (a profiling run stays within 4x its recorded median)"
+# Same run as the allocation gate. results/BENCH_interp.json records a
+# 137.8 ms/op median for doduc/re on a 2-vCPU VM; the 550 ms/op ceiling
+# absorbs slower hosts and noise, not a dispatch loop that got four
+# times slower. A single iteration is timed, so the ceiling is loose.
+nsop=$(echo "$out" | awk '/BenchmarkInterpreter\/doduc_re/ {for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)}')
+if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 550000000) }'; then
+	echo "ci: interpreter time regression (${nsop:-no result} ns/op, ceiling 550000000)"
 	exit 1
 fi
 
