@@ -63,7 +63,7 @@ func FuzzAlignHandler(f *testing.F) {
 		select {
 		case <-done:
 		case <-time.After(time.Minute):
-			t.Fatalf("no answer a minute after the request (server timeout %v):\n%s", limit, body)
+			t.Fatalf("no answer a minute after the request (server timeout %v): %.300q", limit, body)
 		}
 
 		switch code := rec.Code; {
@@ -79,7 +79,7 @@ func FuzzAlignHandler(f *testing.F) {
 				t.Fatalf("status %d with error %q, kind %q", code, e.Error, e.Kind)
 			}
 		default:
-			t.Fatalf("status %d for body %q: %s", code, body, rec.Body)
+			t.Fatalf("status %d for body %.300q: %.300s", code, body, rec.Body)
 		}
 	})
 }
