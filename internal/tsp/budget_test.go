@@ -128,7 +128,7 @@ func TestHeldKarpBoundPlumbingBitIdentical(t *testing.T) {
 }
 
 // TestHeldKarpBoundMaxIterates: Iterations is the ascent's iterate cap.
-// A short ascent runs exactly its schedule, is not truncated (nothing cut
+// A short ascent runs at most its schedule, is not truncated (nothing cut
 // it short), and its bound is valid and no tighter than a longer one's.
 func TestHeldKarpBoundMaxIterates(t *testing.T) {
 	m := randMatrix(10, 300, 4)
