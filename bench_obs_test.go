@@ -59,14 +59,18 @@ func BenchmarkSolveTelemetry(b *testing.B) {
 func BenchmarkHeldKarpTelemetry(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	n := 60
-	m := tsp.NewMatrix(n)
+	b0 := tsp.NewSparseBuilder(n)
 	for i := 0; i < n; i++ {
+		var cols []int
+		var vals []tsp.Cost
 		for j := 0; j < n; j++ {
 			if i != j {
-				m.Set(i, j, tsp.Cost(1+rng.Intn(1000)))
+				cols, vals = append(cols, j), append(vals, tsp.Cost(1+rng.Intn(1000)))
 			}
 		}
+		b0.AddRow(0, cols, vals)
 	}
+	m := b0.Finish()
 	opt := tsp.HeldKarpOptions{Iterations: 100}
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -1,14 +1,12 @@
-// Kernel benchmarks for the DTSP cost representation. The neighbor-list
-// and small-solve families have a "dense" and a "sparse" sub-benchmark
-// over the same instance (the dense one is SparseMatrix.Dense of the
-// sparse one), so the two kernel paths can be snapshotted separately:
+// Kernel benchmarks for the DTSP cost representation, tsp.SparseMatrix,
+// which every solver kernel reads. Every row is named <family>/<instance>/sparse,
+// so the whole set is snapshotted with
 //
-//	scripts/bench.sh baseline '//dense'   # dense-kernel numbers
-//	scripts/bench.sh sparse   '//sparse'  # sparse-kernel numbers
+//	scripts/bench.sh sparse '//sparse'
 //
-// (see results/BENCH_<label>.json; `make bench` wraps the script). The
-// synthetic large-function sweep has no dense variants beyond 5000 blocks:
-// a dense 20k-block instance alone is 3.2 GB of matrix.
+// (see results/BENCH_<label>.json; `make bench` wraps the script).
+// results/BENCH_baseline.json is the historical snapshot of the dense
+// kernels this representation replaced.
 package branchalign
 
 import (
@@ -82,37 +80,29 @@ func BenchmarkMatrixBuild(b *testing.B) {
 }
 
 // BenchmarkNeighbors measures candidate-list construction on prebuilt
-// instances (the dense path re-sorts every row; the sparse path merges
-// exceptions with the k cheapest defaults).
+// instances: each row's exceptions merged with its k cheapest defaults.
 func BenchmarkNeighbors(b *testing.B) {
 	m := machine.Alpha21164()
-	run := func(name string, c tsp.Costs) {
-		forbid := tsp.ForbidCost(c)
+	run := func(name string, sp *tsp.SparseMatrix) {
+		forbid := sp.Forbid()
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tsp.BuildNeighbors(c, tsp.DefaultNeighborCount, forbid)
+				tsp.BuildNeighbors(sp, tsp.DefaultNeighborCount, forbid)
 			}
 		})
 	}
 	f, fp := largestBundledFunc(b)
-	sp := align.BuildSparseMatrix(f, fp, m, nil)
-	run("largest/dense", sp.Dense())
-	run("largest/sparse", sp)
+	run("largest/sparse", align.BuildSparseMatrix(f, fp, m, nil))
 	for _, blocks := range []int{5000, 10000, 20000} {
 		f, fp := synthFunc(b, blocks)
-		sp := align.BuildSparseMatrix(f, fp, m, nil)
-		if blocks <= 5000 {
-			run(fmt.Sprintf("synth%d/dense", blocks), sp.Dense())
-		}
-		run(fmt.Sprintf("synth%d/sparse", blocks), sp)
+		run(fmt.Sprintf("synth%d/sparse", blocks), align.BuildSparseMatrix(f, fp, m, nil))
 	}
 }
 
 // BenchmarkSolveSmall runs the paper's full multi-start protocol on every
-// function of the compress benchmark (all small, the common case) — the
-// guard that the Costs interface indirection does not regress
-// small-function solves.
+// function of the compress benchmark (all small, the common case): the
+// exact DP and short local searches.
 func BenchmarkSolveSmall(b *testing.B) {
 	m := machine.Alpha21164()
 	bm, err := bench.ByName("compress")
@@ -127,29 +117,35 @@ func BenchmarkSolveSmall(b *testing.B) {
 	if _, err := interp.Run(mod, bm.DataSets[0].Make(), interp.Options{Profile: prof}); err != nil {
 		b.Fatal(err)
 	}
-	var dense []*tsp.Matrix
 	var sparse []*tsp.SparseMatrix
 	for fi, f := range mod.Funcs {
 		if len(f.Blocks) < 2 {
 			continue
 		}
-		sp := align.BuildSparseMatrix(f, prof.Funcs[fi], m, nil)
-		sparse = append(sparse, sp)
-		dense = append(dense, sp.Dense())
+		sparse = append(sparse, align.BuildSparseMatrix(f, prof.Funcs[fi], m, nil))
 	}
 	opts := tsp.PaperSolveOptions(1)
-	b.Run("all/dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, mat := range dense {
-				tsp.Solve(mat, opts)
-			}
-		}
-	})
 	b.Run("all/sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, mat := range sparse {
 				tsp.Solve(mat, opts)
 			}
+		}
+	})
+}
+
+// BenchmarkSolve runs the paper's full protocol, sequentially, on one
+// 200-block function: the size balignd serves (synth_recorded's
+// functions have 140 to 220 blocks). scripts/ci.sh holds it under a time
+// ceiling.
+func BenchmarkSolve(b *testing.B) {
+	f, fp := synthFunc(b, 200)
+	sp := align.BuildSparseMatrix(f, fp, machine.Alpha21164(), nil)
+	opts := tsp.PaperSolveOptions(1)
+	opts.Parallelism = 1
+	b.Run("synth200/sparse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tsp.Solve(sp, opts)
 		}
 	})
 }

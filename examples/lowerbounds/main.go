@@ -64,18 +64,12 @@ func main() {
 	// A synthetic pathological case: two hot disjoint loops. The AP bound
 	// is the pair of 2-cycles; no tour can match it.
 	fmt.Println()
-	m := tsp.NewMatrix(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i != j {
-				m.Set(i, j, 1000)
-			}
-		}
+	// Every row costs 1000 except the edge to its loop partner.
+	sb := tsp.NewSparseBuilder(4)
+	for _, partner := range []int{1, 0, 3, 2} {
+		sb.AddRow(1000, []int{partner}, []tsp.Cost{1})
 	}
-	m.Set(0, 1, 1)
-	m.Set(1, 0, 1)
-	m.Set(2, 3, 1)
-	m.Set(3, 2, 1)
+	m := sb.Finish()
 	_, opt := tsp.SolveExact(m)
 	fmt.Printf("two-disjoint-loops instance: AP bound %d, true optimum %d (gap %.0fx)\n",
 		tsp.AssignmentBound(m), opt, float64(opt)/float64(tsp.AssignmentBound(m)))

@@ -66,12 +66,12 @@ func TestQuickSparseMatrixMatchesDenseOnSynthCFGs(t *testing.T) {
 
 // TestQuickSolverIdenticalOnSparseAndDenseInstances: the full multi-start
 // solver, the Held-Karp bound and the assignment bound return identical
-// results on the sparse and dense representations of the same function.
+// results on the sparse instance of a function and on its dense encoding,
+// which stores every entry as an exception.
 func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 	m := machine.Alpha21164()
 	f := func(blocksRaw, seedRaw uint16) bool {
-		// Half the cases sit above the solver's dense cutover (256
-		// cities), so both local-search representations are compared.
+		// Half the cases have a few hundred blocks.
 		blocks := int(blocksRaw>>1)%34 + 2
 		opts := tsp.PaperSolveOptions(int64(seedRaw))
 		if blocksRaw&1 == 1 {
@@ -86,7 +86,7 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 		}
 		fn := mod.Funcs[0]
 		sp := BuildSparseMatrix(fn, prof.Funcs[0], m, nil)
-		dense := sp.Dense()
+		dense := denseEncoding(sp)
 
 		rs := tsp.Solve(sp, opts)
 		rd := tsp.Solve(dense, opts)
@@ -104,6 +104,24 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// denseEncoding re-encodes s with every off-diagonal entry stored as an
+// exception, as a dense matrix holds them.
+func denseEncoding(s *tsp.SparseMatrix) *tsp.SparseMatrix {
+	n := s.Len()
+	b := tsp.NewSparseBuilder(n)
+	for i := 0; i < n; i++ {
+		var cols []int
+		var vals []tsp.Cost
+		for j := 0; j < n; j++ {
+			if j != i {
+				cols, vals = append(cols, j), append(vals, s.At(i, j))
+			}
+		}
+		b.AddRow(0, cols, vals)
+	}
+	return b.Finish()
 }
 
 // TestQuickBoundChainOnSparsePath: with all bound consumers on the sparse

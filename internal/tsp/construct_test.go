@@ -33,7 +33,7 @@ func TestNearestNeighborPicksCheapest(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 2, 1)
 	m.Set(2, 3, 1)
-	tour := NearestNeighbor(m, 0, nil)
+	tour := NearestNeighbor(m.Sparse(), 0, nil)
 	want := Tour{0, 1, 2, 3}
 	for i := range want {
 		if tour[i] != want[i] {
@@ -80,8 +80,8 @@ func TestGreedyEdgeFollowsObviousCycle(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Set(i, (i+1)%n, 1)
 	}
-	tour := GreedyEdge(m, nil)
-	if got := CycleCost(m, tour); got != Cost(n) {
+	tour := GreedyEdge(m.Sparse(), nil)
+	if got := cycleCost(m, tour); got != Cost(n) {
 		t.Fatalf("GreedyEdge cost %d, want %d (tour %v)", got, n, tour)
 	}
 }

@@ -9,21 +9,24 @@ const MaxExactCities = 20
 // SolveExact computes an optimal directed Hamiltonian cycle with the
 // Held-Karp dynamic program. It panics for instances larger than
 // MaxExactCities.
-func SolveExact(m Costs) (Tour, Cost) {
-	n := m.Len()
+func SolveExact(s *SparseMatrix) (Tour, Cost) {
+	n := s.Len()
 	if n > MaxExactCities {
 		panic(fmt.Sprintf("tsp: SolveExact: %d cities exceeds limit %d", n, MaxExactCities))
 	}
 	if n == 1 {
 		return Tour{0}, 0
 	}
-	if s, ok := m.(*SparseMatrix); ok {
-		// The DP reads every entry Θ(2^n) times; the few hundred bytes of
-		// dense matrix are repaid immediately by array-indexed At.
-		m = s.Dense()
-	}
 	if n == 2 {
-		return Tour{0, 1}, m.At(0, 1) + m.At(1, 0)
+		return Tour{0, 1}, s.At(0, 1) + s.At(1, 0)
+	}
+	// The DP reads every entry Θ(2^n) times; a flat table of at most
+	// 20×20 costs is repaid immediately by array-indexed reads.
+	c := make([]Cost, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			c[i*n+j] = s.At(i, j)
+		}
 	}
 	// dp[mask*k+j]: cheapest path from city 0 through exactly the cities
 	// in mask (a subset of {1..n-1}), ending at city j+1 — index j ranges
@@ -39,7 +42,7 @@ func SolveExact(m Costs) (Tour, Cost) {
 		parent[i] = -1
 	}
 	for j := 0; j < k; j++ {
-		dp[(1<<j)*k+j] = m.At(0, j+1)
+		dp[(1<<j)*k+j] = c[j+1]
 	}
 	for mask := 1; mask < size; mask++ {
 		for j := 0; j < k; j++ {
@@ -47,12 +50,13 @@ func SolveExact(m Costs) (Tour, Cost) {
 			if cur >= inf || mask&(1<<j) == 0 {
 				continue
 			}
+			row := c[(j+1)*n+1 : (j+2)*n] // costs from city j+1 to cities 1..n-1
 			for nxt := 0; nxt < k; nxt++ {
 				if mask&(1<<nxt) != 0 {
 					continue
 				}
 				at := (mask|1<<nxt)*k + nxt
-				cand := cur + m.At(j+1, nxt+1)
+				cand := cur + row[nxt]
 				if cand < dp[at] {
 					dp[at] = cand
 					parent[at] = int8(j)
@@ -64,7 +68,7 @@ func SolveExact(m Costs) (Tour, Cost) {
 	best := inf
 	last := -1
 	for j := 0; j < k; j++ {
-		cand := dp[full*k+j] + m.At(j+1, 0)
+		cand := dp[full*k+j] + c[(j+1)*n]
 		if cand < best {
 			best = cand
 			last = j

@@ -26,12 +26,12 @@ func TestSolveExactMatchesBruteForce(t *testing.T) {
 
 func TestSolveExactTinyInstances(t *testing.T) {
 	m1 := NewMatrix(1)
-	tour, cost := SolveExact(m1)
+	tour, cost := SolveExact(m1.Sparse())
 	if cost != 0 || len(tour) != 1 || tour[0] != 0 {
 		t.Fatalf("n=1: got tour %v cost %d", tour, cost)
 	}
 	m2 := fromRows([][]Cost{{0, 3}, {4, 0}})
-	tour, cost = SolveExact(m2)
+	tour, cost = SolveExact(m2.Sparse())
 	if cost != 7 || !tour.Valid(2) {
 		t.Fatalf("n=2: got tour %v cost %d, want cost 7", tour, cost)
 	}
@@ -44,7 +44,7 @@ func TestSolveExactRespectsAsymmetry(t *testing.T) {
 		{10, 0, 1},
 		{1, 10, 0},
 	})
-	tour, cost := SolveExact(m)
+	tour, cost := SolveExact(m.Sparse())
 	if cost != 3 {
 		t.Fatalf("cost %d, want 3 (tour %v)", cost, tour)
 	}
@@ -56,7 +56,7 @@ func TestSolveExactPanicsAboveLimit(t *testing.T) {
 			t.Fatal("SolveExact should panic above MaxExactCities")
 		}
 	}()
-	SolveExact(NewMatrix(MaxExactCities + 1))
+	SolveExact(NewMatrix(MaxExactCities + 1).Sparse())
 }
 
 func TestSolveBruteForcePanicsAboveLimit(t *testing.T) {
@@ -89,7 +89,7 @@ func solveBruteForce(m Costs) (Tour, Cost) {
 	rec = func(k int) {
 		if k == len(perm) {
 			t := append(Tour{0}, perm...)
-			c := CycleCost(m, t)
+			c := cycleCost(m, t)
 			if best == nil || c < bestCost {
 				best = t.Clone()
 				bestCost = c

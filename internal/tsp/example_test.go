@@ -10,18 +10,13 @@ import (
 // the paper's multi-start iterated 3-opt protocol (small instances are
 // solved exactly by dynamic programming).
 func ExampleSolve() {
-	// A cheap directed ring 0->1->2->3->0 hidden in an expensive clique.
-	m := tsp.NewMatrix(4)
+	// A cheap directed ring 0->1->2->3->0 hidden in an expensive clique:
+	// every row defaults to 100, with its ring successor the exception.
+	b := tsp.NewSparseBuilder(4)
 	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i != j {
-				m.Set(i, j, 100)
-			}
-		}
+		b.AddRow(100, []int{(i + 1) % 4}, []tsp.Cost{1})
 	}
-	for i := 0; i < 4; i++ {
-		m.Set(i, (i+1)%4, 1)
-	}
+	m := b.Finish()
 	res := tsp.Solve(m, tsp.PaperSolveOptions(1))
 	res.Tour.RotateTo(0)
 	fmt.Println(res.Tour, res.Cost, res.Exact)
@@ -31,17 +26,11 @@ func ExampleSolve() {
 // ExampleHeldKarpBound bounds a directed instance from below; on this
 // ring the bound is tight.
 func ExampleHeldKarpBound() {
-	m := tsp.NewMatrix(5)
+	b := tsp.NewSparseBuilder(5)
 	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if i != j {
-				m.Set(i, j, 50)
-			}
-		}
+		b.AddRow(50, []int{(i + 1) % 5}, []tsp.Cost{2})
 	}
-	for i := 0; i < 5; i++ {
-		m.Set(i, (i+1)%5, 2)
-	}
+	m := b.Finish()
 	res := tsp.HeldKarpBound(m, tsp.HeldKarpOptions{UpperBound: 10})
 	fmt.Printf("%.0f\n", res.Bound)
 	// Output: 10
@@ -51,18 +40,11 @@ func ExampleHeldKarpBound() {
 // AP-based bounds: two cheap disjoint loops make the cycle-cover bound
 // far below any tour.
 func ExampleAssignmentBound() {
-	m := tsp.NewMatrix(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i != j {
-				m.Set(i, j, 100)
-			}
-		}
+	b := tsp.NewSparseBuilder(4)
+	for _, partner := range []int{1, 0, 3, 2} {
+		b.AddRow(100, []int{partner}, []tsp.Cost{1})
 	}
-	m.Set(0, 1, 1)
-	m.Set(1, 0, 1)
-	m.Set(2, 3, 1)
-	m.Set(3, 2, 1)
+	m := b.Finish()
 	_, opt := tsp.SolveExact(m)
 	fmt.Println(tsp.AssignmentBound(m), opt)
 	// Output: 4 202
@@ -76,12 +58,18 @@ func ExampleSymmetrize() {
 		{7, 0, 2},
 		{3, 7, 0},
 	}
-	m := tsp.NewMatrix(len(rows))
+	b := tsp.NewSparseBuilder(len(rows))
 	for i, row := range rows {
+		var cols []int
+		var vals []tsp.Cost
 		for j, c := range row {
-			m.Set(i, j, c)
+			if j != i && c != 7 {
+				cols, vals = append(cols, j), append(vals, c)
+			}
 		}
+		b.AddRow(7, cols, vals)
 	}
+	m := b.Finish()
 	s := tsp.Symmetrize(m)
 	dir := tsp.Tour{0, 1, 2}
 	emb := s.FromDirected(dir)

@@ -78,13 +78,13 @@ func hkSchedule(nodes, iterations int) (iters, period int) {
 //
 // The 2n×2n symmetric matrix is never materialized. The instance is first
 // converted to canonical sparse form (Sparsify), which makes the result a
-// pure function of the cost values: dense and sparse representations of
-// the same instance yield identical bounds. Each iterate builds the
+// pure function of the cost values: any two encodings of the same
+// instance yield identical bounds. Each iterate builds the
 // implicit 1-tree in O(E + n log n) instead of Θ(n²) (see sparseOneTree),
 // which is what makes the bound affordable on multi-thousand-block
 // functions. Instances under three cities have a single tour, whose cost
 // is returned as a converged bound without any ascent.
-func HeldKarpBound(c Costs, opt HeldKarpOptions) BoundResult {
+func HeldKarpBound(c *SparseMatrix, opt HeldKarpOptions) BoundResult {
 	n := c.Len()
 	if n < 3 {
 		var tour Cost

@@ -104,11 +104,11 @@ func oneTree(m *Matrix, pi []float64, deg []int, ws *oneTreeWorkspace) float64 {
 func heldKarpSym(m *Matrix, opt HeldKarpOptions) BoundResult {
 	n := m.Len()
 	if n < 3 {
-		return BoundResult{Bound: float64(CycleCost(m, IdentityTour(n))), Converged: true}
+		return BoundResult{Bound: float64(cycleCost(m, IdentityTour(n))), Converged: true}
 	}
 	ub := opt.UpperBound
 	if ub == 0 {
-		ub = CycleCost(m, NearestNeighbor(m, 0, nil))
+		ub = cycleCost(m, NearestNeighbor(m.Sparse(), 0, nil))
 	}
 	pi := make([]float64, n)
 	deg := make([]int, n)

@@ -8,7 +8,7 @@ import (
 func TestHeldKarpSymNeverExceedsOptimum(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := randSymMatrix(9, 200, seed)
-		_, opt := SolveExact(m)
+		_, opt := SolveExact(m.Sparse())
 		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt}).Bound
 		if bound > float64(opt)+1e-6 {
 			t.Fatalf("seed %d: HK bound %.3f exceeds optimum %d", seed, bound, opt)
@@ -45,7 +45,7 @@ func TestHeldKarpSymReasonablyTightOnRandomMetric(t *testing.T) {
 	// loose 20% to keep the test robust).
 	for seed := int64(0); seed < 4; seed++ {
 		m := randSymMatrix(10, 500, seed+50)
-		_, opt := SolveExact(m)
+		_, opt := SolveExact(m.Sparse())
 		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt}).Bound
 		if bound < 0.8*float64(opt) {
 			t.Errorf("seed %d: HK bound %.1f is below 80%% of optimum %d", seed, bound, opt)
@@ -70,14 +70,14 @@ func TestHeldKarpDirectedBoundsDTSPOptimum(t *testing.T) {
 func TestHeldKarpTinyInstances(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		c    Costs
+		c    *SparseMatrix
 		want float64
 	}{
-		{"one/dense", NewMatrix(1), 0},
-		{"one/sparse", Sparsify(NewMatrix(1)), 0},
-		{"two/symmetric", fromRows([][]Cost{{0, 2}, {2, 0}}), 4},
-		{"two/asymmetric", fromRows([][]Cost{{0, 3}, {9, 0}}), 12},
-		{"two/sparse", Sparsify(fromRows([][]Cost{{0, 3}, {9, 0}})), 12},
+		{"one/dense", explicit(NewMatrix(1).Sparse()), 0},
+		{"one/sparse", NewMatrix(1).Sparse(), 0},
+		{"two/symmetric", fromRows([][]Cost{{0, 2}, {2, 0}}).Sparse(), 4},
+		{"two/asymmetric", explicit(fromRows([][]Cost{{0, 3}, {9, 0}}).Sparse()), 12},
+		{"two/sparse", fromRows([][]Cost{{0, 3}, {9, 0}}).Sparse(), 12},
 	} {
 		got := HeldKarpBound(tc.c, HeldKarpOptions{})
 		want := BoundResult{Bound: tc.want, Converged: true}

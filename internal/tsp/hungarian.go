@@ -12,7 +12,7 @@ import "context"
 //
 // The implementation is the standard O(n^3) Hungarian algorithm with
 // potentials and shortest augmenting paths.
-func AssignmentBound(m Costs) Cost {
+func AssignmentBound(m *SparseMatrix) Cost {
 	sigma, _ := AssignmentSolve(nil, m)
 	var total Cost
 	for i, j := range sigma {
@@ -25,7 +25,7 @@ func AssignmentBound(m Costs) Cost {
 // the city assigned to follow city i) with self-assignments forbidden.
 // It polls ctx once per row (each row costs O(n^2)) and returns
 // ctx.Err() when cancelled; a nil ctx never cancels.
-func AssignmentSolve(ctx context.Context, m Costs) ([]int, error) {
+func AssignmentSolve(ctx context.Context, m *SparseMatrix) ([]int, error) {
 	n := m.Len()
 	if n == 1 {
 		return []int{0}, nil

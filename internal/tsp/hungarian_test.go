@@ -7,7 +7,7 @@ import (
 
 // bruteAssignment finds the minimum-cost fixed-point-free permutation by
 // exhaustive search.
-func bruteAssignment(m *Matrix) Cost {
+func bruteAssignment(m Costs) Cost {
 	n := m.Len()
 	used := make([]bool, n)
 	const inf = Cost(1) << 62
@@ -92,7 +92,7 @@ func TestAssignmentTightOnRing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Set(i, (i+1)%n, 1)
 	}
-	if got := AssignmentBound(m); got != Cost(n) {
+	if got := AssignmentBound(m.Sparse()); got != Cost(n) {
 		t.Fatalf("AP on ring = %d, want %d", got, n)
 	}
 }
@@ -113,8 +113,8 @@ func TestAssignmentLooseOnTwoCycleInstance(t *testing.T) {
 	m.Set(1, 0, 1)
 	m.Set(2, 3, 1)
 	m.Set(3, 2, 1)
-	ap := AssignmentBound(m)
-	_, opt := SolveExact(m)
+	ap := AssignmentBound(m.Sparse())
+	_, opt := SolveExact(m.Sparse())
 	if ap != 4 {
 		t.Fatalf("AP = %d, want 4 (two 2-cycles)", ap)
 	}
@@ -125,7 +125,7 @@ func TestAssignmentLooseOnTwoCycleInstance(t *testing.T) {
 
 func TestAssignmentSingleCity(t *testing.T) {
 	m := NewMatrix(1)
-	if got := AssignmentBound(m); got != 0 {
+	if got := AssignmentBound(m.Sparse()); got != 0 {
 		t.Fatalf("AP on single city = %d, want 0", got)
 	}
 }

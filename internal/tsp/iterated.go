@@ -26,7 +26,7 @@ import (
 // untouched). Six At reads replace the O(n) CycleCost rescan the kick
 // loop would pay per kick (see ThreeOpt.SetTourCost). With a nil m cost
 // is passed through.
-func doubleBridge(dst, t Tour, rng *rand.Rand, m Costs, cost Cost) (Tour, Cost) {
+func doubleBridge(dst, t Tour, rng *rand.Rand, m *SparseMatrix, cost Cost) (Tour, Cost) {
 	n := len(t)
 	if n < 4 {
 		return append(dst[:0], t...), cost
@@ -87,9 +87,9 @@ type solveWorkspace struct {
 // recycled from a previous run on the same instance. The run statistics
 // are returned in all cases; they cost a handful of integer updates per
 // kick, far off the 3-opt inner loop.
-func iteratedThreeOpt(m Costs, nb *Neighbors, ws *solveWorkspace, start Tour, iters int, rng *rand.Rand, sp *obs.Span, rb *runBudget, orOpt bool) (Tour, Cost, runTelemetry) {
+func iteratedThreeOpt(m *SparseMatrix, nb *Neighbors, ws *solveWorkspace, start Tour, iters int, rng *rand.Rand, sp *obs.Span, rb *runBudget, orOpt bool) (Tour, Cost, runTelemetry) {
 	if nb == nil {
-		nb = BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
+		nb = BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
 	}
 	if ws == nil {
 		ws = &solveWorkspace{}
@@ -310,15 +310,6 @@ func runSeed(seed int64, run int, kind startKind) int64 {
 	return int64(x)
 }
 
-// denseSolveCutover is the instance size up to which Solve materializes
-// a sparse instance densely before running local search. The kernels are
-// At-bound: a dense At is one load, a sparse one a search of the row's
-// exceptions, and Or-opt reads arbitrary pairs. Densifying wins up to
-// about 800 cities; 256 keeps the copy at 512 KB and covers every
-// function of the benchmark's balignd workloads. DESIGN.md §7 records
-// the curve.
-const denseSolveCutover = 256
-
 // runOutcome is one run's contribution to the deterministic merge.
 // executed distinguishes runs skipped by cancellation (which sequential
 // execution would also have skipped) from completed ones.
@@ -331,10 +322,8 @@ type runOutcome struct {
 
 // Solve finds a low-cost directed Hamiltonian cycle for m using the
 // configured multi-start iterated 3-opt protocol (or exact DP for small
-// instances). It accepts any cost representation and returns identical
-// results for dense and sparse views of the same instance (densifying a
-// small sparse instance preserves every At value, and all kernels are
-// pure functions of those values).
+// instances). Every kernel is a pure function of the At values, so two
+// encodings of the same instance give identical results.
 //
 // The runs of the protocol are independent: each draws randomness from
 // its own stream (see runSeed) and they execute concurrently when
@@ -346,15 +335,9 @@ type runOutcome struct {
 // time-based truncation (Context, Budget.Deadline), which by nature
 // depends on when each run observes the cutoff; Budget.MaxKicks
 // truncation is partitioned deterministically and stays bit-identical.
-func Solve(m Costs, opt SolveOptions) Result {
+func Solve(m *SparseMatrix, opt SolveOptions) Result {
 	n := m.Len()
-	sp := opt.Obs.Child("tsp.solve", obs.Int("cities", int64(n)))
-	if s, ok := m.(*SparseMatrix); ok {
-		sp.SetAttrs(obs.Int("exceptions", int64(s.Exceptions())))
-		if n <= denseSolveCutover {
-			m = s.Dense()
-		}
-	}
+	sp := opt.Obs.Child("tsp.solve", obs.Int("cities", int64(n)), obs.Int("exceptions", int64(m.Exceptions())))
 	if opt.ExactThreshold > 0 && n <= opt.ExactThreshold {
 		t, c := SolveExact(m)
 		sp.Count("tsp.exact_solves", 1)
@@ -369,7 +352,7 @@ func Solve(m Costs, opt SolveOptions) Result {
 	if opt.MaxIterations > 0 && iters > opt.MaxIterations {
 		iters = opt.MaxIterations
 	}
-	nb := BuildNeighbors(m, opt.NeighborK, ForbidCost(m))
+	nb := BuildNeighbors(m, opt.NeighborK, m.Forbid())
 	greedyMax := opt.GreedyMaxCities
 	if greedyMax <= 0 {
 		greedyMax = 4096

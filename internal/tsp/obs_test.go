@@ -28,13 +28,13 @@ func obsInstance(n int, seed int64) *Matrix {
 func TestSolveTelemetry(t *testing.T) {
 	m := obsInstance(30, 7)
 	opt := PaperSolveOptions(3)
-	plain := Solve(m, opt)
+	plain := Solve(m.Sparse(), opt)
 
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	root := tr.Start("test")
 	opt.Obs = root
-	traced := Solve(m, opt)
+	traced := Solve(m.Sparse(), opt)
 	root.End()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestSolveTelemetryExact(t *testing.T) {
 	root := tr.Start("test")
 	opt := PaperSolveOptions(1)
 	opt.Obs = root
-	res := Solve(m, opt)
+	res := Solve(m.Sparse(), opt)
 	root.End()
 	tr.Close()
 	spans := findEvents(sink, "span", "tsp.solve")
@@ -121,13 +121,13 @@ func TestSolveTelemetryExact(t *testing.T) {
 func TestHeldKarpTelemetry(t *testing.T) {
 	m := obsInstance(20, 11)
 	opt := HeldKarpOptions{Iterations: 60}
-	plain := HeldKarpBound(m, opt).Bound
+	plain := HeldKarpBound(m.Sparse(), opt).Bound
 
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	root := tr.Start("test")
 	opt.Obs = root
-	traced := HeldKarpBound(m, opt).Bound
+	traced := HeldKarpBound(m.Sparse(), opt).Bound
 	root.End()
 	tr.Close()
 

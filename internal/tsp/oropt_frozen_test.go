@@ -228,8 +228,8 @@ const forbidHi = Cost(1) << 30
 // denseWithForbidden returns randMatrix(n, maxCost, seed) with about a
 // third of its edges forbidden. Every in-edge of city 0 is forbidden, so
 // its In list is empty; the rest of the identity cycle stays cheap.
-func denseWithForbidden(n int, maxCost, seed int64) *Matrix {
-	m := randMatrix(n, maxCost, seed)
+func denseWithForbidden(n int, maxCost, seed int64) *SparseMatrix {
+	m := randDense(n, maxCost, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -238,7 +238,7 @@ func denseWithForbidden(n int, maxCost, seed int64) *Matrix {
 			}
 		}
 	}
-	return m
+	return m.Sparse()
 }
 
 // sparseWithForbidden returns a sparse instance whose odd rows default to
@@ -267,17 +267,17 @@ func sparseWithForbidden(n int, maxCost, seed int64) *SparseMatrix {
 // lockstepInstance is a cost matrix with the neighbor lists to search it.
 type lockstepInstance struct {
 	name string
-	m    Costs
+	m    *SparseMatrix
 	nb   *Neighbors
 }
 
 // lockstepInstances covers dense and sparse instances from a handful of
-// cities to sizes past denseSolveCutover, where Solve searches the sparse
-// representation itself, plus tie-heavy cost ranges, narrow candidate
-// lists and instances with forbidden edges.
+// cities to a few hundred, plus tie-heavy cost ranges, narrow candidate
+// lists and instances with forbidden edges. The dense ones are random
+// full matrices in canonical sparse form, so most of their rows are wide.
 func lockstepInstances() []lockstepInstance {
 	var out []lockstepInstance
-	sizes := []int{4, 5, 8, 13, 23, 24, 25, 40, 90, denseSolveCutover + 1, 300}
+	sizes := []int{4, 5, 8, 13, 23, 24, 25, 40, 90, 257, 300}
 	for _, n := range sizes {
 		for seed := int64(0); seed < 3; seed++ {
 			s := seed*101 + int64(n)
@@ -288,11 +288,11 @@ func lockstepInstances() []lockstepInstance {
 			fd := denseWithForbidden(n, 1000, s)
 			fs := sparseWithForbidden(n, 1000, s)
 			out = append(out,
-				lockstepInstance{fmt.Sprintf("dense/n%d/s%d", n, seed), dense, BuildNeighbors(dense, 0, ForbidCost(dense))},
-				lockstepInstance{fmt.Sprintf("dense-k4/n%d/s%d", n, seed), dense, BuildNeighbors(dense, 4, ForbidCost(dense))},
-				lockstepInstance{fmt.Sprintf("ties/n%d/s%d", n, seed), ties, BuildNeighbors(ties, 0, ForbidCost(ties))},
-				lockstepInstance{fmt.Sprintf("sparse/n%d/s%d", n, seed), sparse, BuildNeighbors(sparse, 0, ForbidCost(sparse))},
-				lockstepInstance{fmt.Sprintf("sparse-ties/n%d/s%d", n, seed), sparseTies, BuildNeighbors(sparseTies, 5, ForbidCost(sparseTies))},
+				lockstepInstance{fmt.Sprintf("dense/n%d/s%d", n, seed), dense, BuildNeighbors(dense, 0, dense.Forbid())},
+				lockstepInstance{fmt.Sprintf("dense-k4/n%d/s%d", n, seed), dense, BuildNeighbors(dense, 4, dense.Forbid())},
+				lockstepInstance{fmt.Sprintf("ties/n%d/s%d", n, seed), ties, BuildNeighbors(ties, 0, ties.Forbid())},
+				lockstepInstance{fmt.Sprintf("sparse/n%d/s%d", n, seed), sparse, BuildNeighbors(sparse, 0, sparse.Forbid())},
+				lockstepInstance{fmt.Sprintf("sparse-ties/n%d/s%d", n, seed), sparseTies, BuildNeighbors(sparseTies, 5, sparseTies.Forbid())},
 				lockstepInstance{fmt.Sprintf("forbid-dense/n%d/s%d", n, seed), fd, BuildNeighbors(fd, 0, forbidHi)},
 				lockstepInstance{fmt.Sprintf("forbid-sparse/n%d/s%d", n, seed), fs, BuildNeighbors(fs, 0, forbidHi)},
 			)
@@ -345,7 +345,7 @@ func TestLocalSearchMatchesFrozen(t *testing.T) {
 					if got.MoveStats() != want.MoveStats() || prod.MoveStats() != want.MoveStats() {
 						t.Fatalf("%s: move stats %+v / %+v, frozen %+v", where, got.MoveStats(), prod.MoveStats(), want.MoveStats())
 					}
-					if CycleCost(inst.m, wt) != want.Cost() {
+					if cycleCost(inst.m, wt) != want.Cost() {
 						t.Fatalf("%s: frozen cost %d does not match its tour", where, want.Cost())
 					}
 					var c Cost
@@ -366,7 +366,7 @@ func TestSolveExactMatchesFrozen(t *testing.T) {
 	for n := 2; n <= 12; n++ {
 		for seed := int64(0); seed < 4; seed++ {
 			s := seed*37 + int64(n)
-			for _, m := range []Costs{
+			for _, m := range []*SparseMatrix{
 				randMatrix(n, 1000, s),
 				randMatrix(n, 3, s),
 				randMatrix(n, 1, s),

@@ -17,7 +17,7 @@ import (
 
 // solveAt runs the paper protocol (local search forced, no exact-DP
 // shortcut) at the given parallelism.
-func solveAt(m Costs, seed int64, par int, budget Budget) Result {
+func solveAt(m *SparseMatrix, seed int64, par int, budget Budget) Result {
 	opt := PaperSolveOptions(seed)
 	opt.ExactThreshold = 0
 	opt.PatchingStarts = 1
@@ -35,7 +35,7 @@ func resultsEqual(a, b Result) bool { return reflect.DeepEqual(a, b) }
 func TestSolveParallelismBitIdentical(t *testing.T) {
 	for _, n := range []int{13, 30, 61} {
 		for _, sparse := range []bool{false, true} {
-			var m Costs = randMatrix(n, 1000, int64(n))
+			m := randMatrix(n, 1000, int64(n))
 			name := "dense"
 			if sparse {
 				m = randSparse(n, 1000, 0.15, int64(n))
@@ -93,7 +93,7 @@ func TestSolveParallelQuick(t *testing.T) {
 	property := func(nSeed, solveSeed int64, sparse bool, budgetRaw int64) bool {
 		rng := rand.New(rand.NewSource(nSeed))
 		n := 13 + rng.Intn(20)
-		var m Costs = randMatrix(n, 2000, nSeed)
+		m := randMatrix(n, 2000, nSeed)
 		if sparse {
 			m = randSparse(n, 2000, 0.2, nSeed)
 		}

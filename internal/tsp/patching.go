@@ -18,7 +18,7 @@ import "context"
 // Both phases are O(n^3) in the worst case, so ctx is polled once per
 // assignment row and once per patch; a cancelled ctx returns ctx.Err()
 // and no tour, and a nil ctx never cancels.
-func SolvePatching(ctx context.Context, m Costs) (Tour, Cost, error) {
+func SolvePatching(ctx context.Context, m *SparseMatrix) (Tour, Cost, error) {
 	n := m.Len()
 	if n == 1 {
 		return Tour{0}, 0, nil

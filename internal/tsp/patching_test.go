@@ -45,7 +45,7 @@ func TestPatchingOptimalWhenAPIsATour(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Set(i, (i+1)%n, 1)
 	}
-	_, cost := mustPatch(m)
+	_, cost := mustPatch(m.Sparse())
 	if cost != Cost(n) {
 		t.Fatalf("patching cost %d, want %d", cost, n)
 	}
@@ -85,8 +85,9 @@ func TestPatchingLosesOnLoopyInstances(t *testing.T) {
 			m.Set(c+1, c+2, 1)
 			m.Set(c+2, c, 1)
 		}
-		_, patched := mustPatch(m)
-		_, threeOpt := iteratedPure(m, GreedyEdge(m, nil), 3*n, rng)
+		sp := m.Sparse()
+		_, patched := mustPatch(sp)
+		_, threeOpt := iteratedPure(sp, GreedyEdge(sp, nil), 3*n, rng)
 		if threeOpt < patched {
 			worse++
 		}
@@ -100,7 +101,7 @@ func TestPatchingLosesOnLoopyInstances(t *testing.T) {
 }
 
 // mustPatch is SolvePatching under a context that never cancels.
-func mustPatch(m Costs) (Tour, Cost) {
+func mustPatch(m *SparseMatrix) (Tour, Cost) {
 	tour, cost, err := SolvePatching(context.Background(), m)
 	if err != nil {
 		panic(err)

@@ -2,48 +2,76 @@ package tsp
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 )
 
-// Costs is the cost-oracle view of a DTSP instance: everything the solver
-// kernels in this package need. *Matrix (dense, the reference
-// implementation) and *SparseMatrix both implement it, and every kernel
-// accepts either, so dense/sparse equivalence can be checked by running
-// the same kernel on both representations.
-type Costs interface {
-	// Len returns the number of cities.
-	Len() int
-	// At returns the cost of the directed edge i->j. The diagonal reads
-	// as 0 and is ignored by all algorithms.
-	At(i, j int) Cost
-}
-
-// SparseMatrix is a structurally sparse asymmetric cost matrix: each row i
-// has a default cost def[i] that applies to every column, except for a
-// short sorted list of per-row exception columns. The branch-alignment
-// reduction (Section 2.2) produces exactly this shape — c(B, X) takes at
-// most outdegree(B)+1 distinct values per row: one per CFG successor of B
-// plus the row-constant "displaced" cost — so the whole instance is
-// O(V+E) memory instead of Θ(n²).
+// SparseMatrix is the asymmetric cost matrix every solver kernel in this
+// package reads: each row i has a default cost that applies to every
+// column, except for a short sorted list of per-row exception columns.
+// The branch-alignment reduction (Section 2.2) produces exactly this
+// shape — c(B, X) takes at most outdegree(B)+1 distinct values per row:
+// one per CFG successor of B plus the row-constant "displaced" cost — so
+// the whole instance is O(V+E) memory instead of Θ(n²).
 //
 // Rows are stored CSR-style: the exceptions of row i are
 // cols[rowStart[i]:rowStart[i+1]] (strictly increasing column indices)
-// with matching vals. The diagonal is never stored and At(i, i) returns
-// 0, matching the untouched diagonal of a dense Matrix.
+// with matching vals. Each row also has a 32-byte head holding its
+// default and, when the row has at most two exceptions (every row of a
+// two-way branch or fall-through block), those exceptions inline, so At
+// on such a row is a single cache line and the compiler inlines it into
+// the local-search loops. Wider rows (switches) are searched in the CSR
+// arrays. The diagonal is never stored and At(i, i) returns 0.
 type SparseMatrix struct {
 	n        int
-	def      []Cost
+	heads    []rowHead
 	rowStart []int
 	cols     []int
 	vals     []Cost
 }
 
+// rowHead is one row's default plus up to two inline exceptions. A slot
+// whose column is noCol is empty; c1 == wideRow marks a row with more
+// than two exceptions, found only in the CSR arrays.
+type rowHead struct {
+	def    Cost
+	v0, v1 Cost
+	c0, c1 int32
+}
+
+const (
+	noCol   = -1
+	wideRow = -2
+)
+
 // Len returns the number of cities.
 func (s *SparseMatrix) Len() int { return s.n }
 
 // At returns the cost of the directed edge i->j.
-func (s *SparseMatrix) At(i, j int) Cost {
+func (s *SparseMatrix) At(i, j int) Cost { return s.at(i, j, (*SparseMatrix).search) }
+
+// at is At with its out-of-line search passed in. The compiler prices a
+// call through a function parameter at a fraction of a direct call, which
+// keeps At under the inlining budget: the kernels' hot loops read a
+// narrow row without a call, and only a wide row or the diagonal pays
+// one.
+func (s *SparseMatrix) at(i, j int, search func(*SparseMatrix, int, int) Cost) Cost {
+	h := &s.heads[i]
+	if c := int32(j); c == h.c0 {
+		return h.v0
+	} else if c == h.c1 {
+		return h.v1
+	}
+	if h.c1 == wideRow || i == j {
+		return search(s, i, j)
+	}
+	return h.def
+}
+
+// search is At for the diagonal and for rows with more than two
+// exceptions: a scan of short rows, a binary search of long ones, so one
+// read stays O(log outdegree) on a wide switch row.
+func (s *SparseMatrix) search(i, j int) Cost {
 	if i == j {
 		return 0
 	}
@@ -57,19 +85,17 @@ func (s *SparseMatrix) At(i, j int) Cost {
 				break
 			}
 		}
-		return s.def[i]
+		return s.heads[i].def
 	}
-	row := s.cols[lo:hi]
-	k := sort.SearchInts(row, j)
-	if k < len(row) && row[k] == j {
+	if k, ok := slices.BinarySearch(s.cols[lo:hi], j); ok {
 		return s.vals[lo+k]
 	}
-	return s.def[i]
+	return s.heads[i].def
 }
 
 // RowDefault returns the default cost of row i (the cost of i->j for
 // every j that is not an exception column).
-func (s *SparseMatrix) RowDefault(i int) Cost { return s.def[i] }
+func (s *SparseMatrix) RowDefault(i int) Cost { return s.heads[i].def }
 
 // Row returns the exception columns and values of row i. The returned
 // slices alias internal storage and must not be modified.
@@ -80,13 +106,17 @@ func (s *SparseMatrix) Row(i int) (cols []int, vals []Cost) {
 // Exceptions returns the total number of stored exception entries.
 func (s *SparseMatrix) Exceptions() int { return len(s.cols) }
 
-// Forbid returns one plus the sum of all positive off-diagonal entries,
-// the same quantity Matrix.Forbid computes, in O(V+E) time.
+// Forbid returns a cost strictly larger than the cost of any tour that
+// avoids forbidden edges: one plus the sum of all positive off-diagonal
+// entries, in O(V+E) time. Using it for "must not use" edges keeps every
+// optimal (and every locally optimal) tour away from them whenever a
+// feasible tour exists, without risking overflow the way a fixed huge
+// constant would.
 func (s *SparseMatrix) Forbid() Cost {
 	var sum Cost
 	for i := 0; i < s.n; i++ {
 		lo, hi := s.rowStart[i], s.rowStart[i+1]
-		if d := s.def[i]; d > 0 {
+		if d := s.heads[i].def; d > 0 {
 			sum += d * Cost(s.n-1-(hi-lo))
 		}
 		for k := lo; k < hi; k++ {
@@ -98,20 +128,6 @@ func (s *SparseMatrix) Forbid() Cost {
 	return sum + 1
 }
 
-// Dense materializes the instance as a dense Matrix (for tests and for
-// generic symmetric algorithms).
-func (s *SparseMatrix) Dense() *Matrix {
-	m := NewMatrix(s.n)
-	for i := 0; i < s.n; i++ {
-		for j := 0; j < s.n; j++ {
-			if i != j {
-				m.Set(i, j, s.At(i, j))
-			}
-		}
-	}
-	return m
-}
-
 // SparseBuilder assembles a SparseMatrix row by row.
 type SparseBuilder struct {
 	m    *SparseMatrix
@@ -119,14 +135,15 @@ type SparseBuilder struct {
 }
 
 // NewSparseBuilder returns a builder for an n-city sparse matrix. AddRow
-// must be called exactly n times, in row order.
+// must be called exactly n times, in row order. Row heads store columns
+// as int32, so n may not exceed math.MaxInt32.
 func NewSparseBuilder(n int) *SparseBuilder {
-	if n < 1 {
-		panic(fmt.Sprintf("tsp: NewSparseBuilder(%d): need at least one city", n))
+	if n < 1 || int64(n) > math.MaxInt32 {
+		panic(fmt.Sprintf("tsp: NewSparseBuilder(%d): need 1 to %d cities", n, math.MaxInt32))
 	}
 	return &SparseBuilder{m: &SparseMatrix{
 		n:        n,
-		def:      make([]Cost, 0, n),
+		heads:    make([]rowHead, 0, n),
 		rowStart: append(make([]int, 0, n+1), 0),
 	}}
 }
@@ -150,7 +167,18 @@ func (b *SparseBuilder) AddRow(def Cost, cols []int, vals []Cost) {
 			panic(fmt.Sprintf("tsp: SparseBuilder.AddRow: columns not strictly increasing in row %d", i))
 		}
 	}
-	b.m.def = append(b.m.def, def)
+	h := rowHead{def: def, c0: noCol, c1: noCol}
+	switch len(cols) {
+	case 0:
+	case 1:
+		h.c0, h.v0 = int32(cols[0]), vals[0]
+	case 2:
+		h.c0, h.v0 = int32(cols[0]), vals[0]
+		h.c1, h.v1 = int32(cols[1]), vals[1]
+	default:
+		h.c1 = wideRow
+	}
+	b.m.heads = append(b.m.heads, h)
 	b.m.cols = append(b.m.cols, cols...)
 	b.m.vals = append(b.m.vals, vals...)
 	b.m.rowStart = append(b.m.rowStart, len(b.m.cols))
@@ -166,39 +194,15 @@ func (b *SparseBuilder) Finish() *SparseMatrix {
 	return b.m
 }
 
-// ForbidCost returns Forbid for any cost representation: one plus the sum
-// of all positive off-diagonal entries. It dispatches to the O(V+E)
-// sparse computation or the dense one when possible.
-func ForbidCost(c Costs) Cost {
-	switch m := c.(type) {
-	case *Matrix:
-		return m.Forbid()
-	case *SparseMatrix:
-		return m.Forbid()
-	}
-	n := c.Len()
-	var sum Cost
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				if v := c.At(i, j); v > 0 {
-					sum += v
-				}
-			}
-		}
-	}
-	return sum + 1
-}
-
-// Sparsify converts any cost representation to the canonical sparse form:
-// in every row the default is the most frequent off-diagonal value
-// (smallest value on ties) and every other entry is an exception. The
-// canonical form is a pure function of the At values, so dense and sparse
-// representations of the same instance sparsify identically — which is
-// what makes algorithms that branch on the default/exception split (the
-// implicit Held-Karp 1-tree) return bit-identical results for both.
-func Sparsify(c Costs) *SparseMatrix {
-	n := c.Len()
+// Sparsify returns the canonical form of s: in every row the default is
+// the most frequent off-diagonal value (smallest value on ties) and every
+// other entry is an exception. The canonical form is a pure function of
+// the At values, so two encodings of the same instance sparsify
+// identically — which is what makes algorithms that branch on the
+// default/exception split (the implicit Held-Karp 1-tree) return
+// bit-identical results for both.
+func Sparsify(s *SparseMatrix) *SparseMatrix {
+	n := s.n
 	b := NewSparseBuilder(n)
 	if n == 1 {
 		// A single-city row has no off-diagonal entries; canonicalize its
@@ -206,97 +210,70 @@ func Sparsify(c Costs) *SparseMatrix {
 		b.AddRow(0, nil, nil)
 		return b.Finish()
 	}
+	var elect electScratch
+	// A matrix already in canonical form is returned as-is: the
+	// canonical form is a pure function of the At values, so the
+	// rebuild below would reproduce s row for row. A row is canonical
+	// when no exception equals the row default and the default wins the
+	// election — guaranteed without running it when the default's
+	// multiplicity strictly exceeds the whole exception count.
+	// SparseMatrix is immutable after Finish, so aliasing the input is
+	// safe.
+	canonical := true
+check:
+	for i := 0; i < n; i++ {
+		cols, vals := s.Row(i)
+		def := s.RowDefault(i)
+		for _, v := range vals {
+			if v == def {
+				canonical = false
+				break check
+			}
+		}
+		if defCount := n - 1 - len(cols); defCount <= len(cols) {
+			if elect.mostFrequent(def, Cost(defCount), vals) != def {
+				canonical = false
+				break check
+			}
+		}
+	}
+	if canonical {
+		return s
+	}
 	// Row scratch, reused across rows: AddRow copies its arguments, and
 	// Sparsify sits on the per-function bound path where per-row makes
 	// add up across a module's worth of small instances.
 	ec := make([]int, 0, n-1)
 	ev := make([]Cost, 0, n-1)
-	var elect electScratch
-	if s, ok := c.(*SparseMatrix); ok {
-		// A matrix already in canonical form is returned as-is: the
-		// canonical form is a pure function of the At values, so the
-		// rebuild below would reproduce s row for row. A row is
-		// canonical when no exception equals the row default and the
-		// default wins the election — guaranteed without running it
-		// when the default's multiplicity strictly exceeds the whole
-		// exception count. SparseMatrix is immutable after Finish, so
-		// aliasing the input is safe.
-		canonical := true
-	check:
-		for i := 0; i < n; i++ {
-			cols, vals := s.Row(i)
-			def := s.def[i]
-			for _, v := range vals {
-				if v == def {
-					canonical = false
-					break check
-				}
-			}
-			if defCount := n - 1 - len(cols); defCount <= len(cols) {
-				if elect.mostFrequent(def, Cost(defCount), vals) != def {
-					canonical = false
-					break check
-				}
-			}
-		}
-		if canonical {
-			return s
-		}
-		for i := 0; i < n; i++ {
-			cols, vals := s.Row(i)
-			def := elect.mostFrequent(s.def[i], Cost(n-1-len(cols)), vals)
-			if def == s.def[i] {
-				ec, ev = ec[:0], ev[:0]
-				for k, c := range cols {
-					if vals[k] != def {
-						ec = append(ec, c)
-						ev = append(ev, vals[k])
-					}
-				}
-				b.AddRow(def, ec, ev)
-				continue
-			}
-			// The elected default was an exception value, which can only
-			// happen when exceptions dominate the row; rebuilding the row
-			// by scanning all columns stays O(exceptions) amortized.
-			ec, ev = ec[:0], ev[:0]
-			k := 0
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				v := s.def[i]
-				if k < len(cols) && cols[k] == j {
-					v = vals[k]
-					k++
-				}
-				if v != def {
-					ec = append(ec, j)
-					ev = append(ev, v)
+	for i := 0; i < n; i++ {
+		cols, vals := s.Row(i)
+		rowDef := s.RowDefault(i)
+		def := elect.mostFrequent(rowDef, Cost(n-1-len(cols)), vals)
+		ec, ev = ec[:0], ev[:0]
+		if def == rowDef {
+			for k, c := range cols {
+				if vals[k] != def {
+					ec = append(ec, c)
+					ev = append(ev, vals[k])
 				}
 			}
 			b.AddRow(def, ec, ev)
+			continue
 		}
-		return b.Finish()
-	}
-	vals := make([]Cost, 0, n-1)
-	for i := 0; i < n; i++ {
-		vals = vals[:0]
-		for j := 0; j < n; j++ {
-			if j != i {
-				vals = append(vals, c.At(i, j))
-			}
-		}
-		var def Cost
-		if len(vals) > 0 {
-			def = elect.mostFrequent(vals[0], 0, vals)
-		}
-		ec, ev = ec[:0], ev[:0]
+		// The elected default was an exception value, which can only
+		// happen when exceptions dominate the row; rebuilding the row by
+		// scanning all columns stays O(exceptions) amortized.
+		k := 0
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			if v := c.At(i, j); v != def {
+			v := rowDef
+			if k < len(cols) && cols[k] == j {
+				v = vals[k]
+				k++
+			}
+			if v != def {
 				ec = append(ec, j)
 				ev = append(ev, v)
 			}

@@ -1,8 +1,10 @@
 package tsp
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,11 +42,69 @@ func TestSparseMatrixAtMatchesDense(t *testing.T) {
 				}
 			}
 		}
-		return sp.Forbid() == d.Forbid() && ForbidCost(sp) == ForbidCost(d)
+		return sp.Forbid() == d.Forbid()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuickSparseAtByRowWidth checks At against the dense oracle on rows
+// of every width the row head distinguishes: 0, 1 and 2 exceptions are
+// stored inline, 3 and 9 are scanned, n-1 is binary searched. Every
+// column of every row is read, the diagonal included.
+func TestQuickSparseAtByRowWidth(t *testing.T) {
+	f := func(nRaw, seedRaw uint16) bool {
+		n := int(nRaw%40) + 12
+		rng := rand.New(rand.NewSource(int64(seedRaw)))
+		widths := []int{0, 1, 2, 3, 9, n - 1}
+		b := NewSparseBuilder(n)
+		for i := 0; i < n; i++ {
+			cols := rng.Perm(n - 1)[:widths[i%len(widths)]]
+			for k := range cols {
+				if cols[k] >= i {
+					cols[k]++ // skip the diagonal
+				}
+			}
+			slices.Sort(cols)
+			vals := make([]Cost, len(cols))
+			for k := range vals {
+				vals[k] = Cost(rng.Int63n(1000)) - 500
+			}
+			b.AddRow(Cost(rng.Int63n(1000)), cols, vals)
+		}
+		sp := b.Finish()
+		d := sp.Dense()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if sp.At(i, j) != d.At(i, j) {
+					t.Logf("n=%d row %d (%d exceptions): At(%d, %d) = %d, dense %d",
+						n, i, widths[i%len(widths)], i, j, sp.At(i, j), d.At(i, j))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSparseBuilderRejectsUnindexableSize: row heads store columns as
+// int32, so a builder for more cities than an int32 can index panics
+// instead of truncating columns.
+func TestSparseBuilderRejectsUnindexableSize(t *testing.T) {
+	big := int64(math.MaxInt32) + 1
+	if int64(int(big)) != big {
+		t.Skip("int is 32 bits: no such n exists")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSparseBuilder(MaxInt32+1) should panic")
+		}
+	}()
+	NewSparseBuilder(int(big))
 }
 
 func TestSparsifyIsCanonical(t *testing.T) {
@@ -52,8 +112,7 @@ func TestSparsifyIsCanonical(t *testing.T) {
 		n := int(nRaw%20) + 1
 		sp := randSparse(n, 6, 0.5, int64(seedRaw)+17) // few values -> default elections matter
 		a := Sparsify(sp)
-		bb := Sparsify(sp.Dense())
-		if !reflect.DeepEqual(a, bb) {
+		if !reflect.DeepEqual(a, sp.Dense().Sparse()) || !reflect.DeepEqual(a, Sparsify(explicit(sp))) {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -75,38 +134,41 @@ func TestQuickNeighborsAndConstructionsAgreeOnSparse(t *testing.T) {
 		n := int(nRaw%24) + 2
 		sp := randSparse(n, 200, 0.25, int64(seedRaw)+3)
 		d := sp.Dense()
-		forbid := ForbidCost(sp)
+		forbid := sp.Forbid()
 		na := BuildNeighbors(sp, 5, forbid)
-		nd := BuildNeighbors(d, 5, forbid)
+		nd := buildNeighborsDense(d, 5, forbid)
 		if !reflect.DeepEqual(na, nd) {
 			return false
 		}
 		start := int(seedRaw) % n
-		if !reflect.DeepEqual(NearestNeighbor(sp, start, nil), NearestNeighbor(d, start, nil)) {
+		if !reflect.DeepEqual(NearestNeighbor(sp, start, nil), nearestNeighborDense(d, start, nil)) {
 			return false
 		}
 		r1 := rand.New(rand.NewSource(int64(seedRaw)))
 		r2 := rand.New(rand.NewSource(int64(seedRaw)))
-		if !reflect.DeepEqual(NearestNeighbor(sp, start, r1), NearestNeighbor(d, start, r2)) {
+		if !reflect.DeepEqual(NearestNeighbor(sp, start, r1), nearestNeighborDense(d, start, r2)) {
 			return false
 		}
 		r1 = rand.New(rand.NewSource(int64(seedRaw) + 1))
 		r2 = rand.New(rand.NewSource(int64(seedRaw) + 1))
-		return reflect.DeepEqual(GreedyEdge(sp, r1), GreedyEdge(d, r2))
+		return reflect.DeepEqual(GreedyEdge(sp, r1), GreedyEdge(explicit(sp), r2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestQuickSolveIdenticalOnSparseAndDense: Solve is a function of the At
+// values alone, so a sparse instance and its explicit encoding (every
+// entry stored, as a dense matrix would hold it, so every read takes the
+// wide-row search) give identical results.
 func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
-		// Half the cases sit just above denseSolveCutover, so the property
-		// checks the densified path AND genuinely sparse local search.
+		// Half the cases have a few hundred cities.
 		n := int(nRaw>>1)%34 + 2
 		opt := PaperSolveOptions(int64(seedRaw))
 		if nRaw&1 == 1 {
-			n = denseSolveCutover + 1 + int(nRaw>>1)%64
+			n = 257 + int(nRaw>>1)%64
 			// Two starts and capped kicks keep the large sizes quick.
 			opt.GreedyStarts, opt.NNStarts, opt.IdentityStarts = 1, 1, 0
 			opt.MaxIterations = 40
@@ -114,7 +176,7 @@ func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 		sp := randSparse(n, 300, 0.2, int64(seedRaw)+11)
 		opt.ExactThreshold = 6 // exercise both the exact and local-search paths
 		ra := Solve(sp, opt)
-		rd := Solve(sp.Dense(), opt)
+		rd := Solve(explicit(sp), opt)
 		return reflect.DeepEqual(ra, rd)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -126,7 +188,7 @@ func TestQuickHeldKarpDirectedIdenticalOnSparseAndDense(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		n := int(nRaw%12) + 3
 		sp := randSparse(n, 120, 0.3, int64(seedRaw)+29)
-		d := sp.Dense()
+		d := explicit(sp)
 		opt := HeldKarpOptions{Iterations: 60}
 		if HeldKarpBound(sp, opt) != HeldKarpBound(d, opt) {
 			return false
@@ -161,7 +223,7 @@ func TestSparseThreeOptMatchesDense(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		n := 15 + int(seed)
 		sp := randSparse(n, 400, 0.2, seed+57)
-		d := sp.Dense()
+		d := explicit(sp)
 		start := IdentityTour(n)
 		oa := NewThreeOpt(sp, nil, start.Clone())
 		od := NewThreeOpt(d, nil, start.Clone())

@@ -26,7 +26,7 @@ type Sym struct {
 
 // Symmetrize wraps m in its 2-city symmetric transformation.
 func Symmetrize(m Costs) *Sym {
-	return &Sym{orig: m, forbid: ForbidCost(m)}
+	return &Sym{orig: m, forbid: m.Forbid()}
 }
 
 // Len returns the number of cities of the symmetric instance (2x the

@@ -138,7 +138,7 @@ func TestThreeOptMatchesSymmetricModel(t *testing.T) {
 		if !symmetric(symM) {
 			t.Fatal("materialized sym matrix is not symmetric")
 		}
-		symTour, symOpt := SolveExact(symM)
+		symTour, symOpt := SolveExact(symM.Sparse())
 		if want := dirOpt - Cost(m.Len())*s.LockCost(); symOpt != want {
 			t.Fatalf("seed %d: symmetric optimum %d != shifted directed optimum %d", seed, symOpt, want)
 		}

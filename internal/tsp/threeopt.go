@@ -30,7 +30,7 @@ import "math/bits"
 // second move family, Or-opt segment relocation (see oropt.go), shares
 // the same queue and don't-look bits when enabled.
 type ThreeOpt struct {
-	m  Costs
+	m  *SparseMatrix
 	nb *Neighbors
 	n  int
 	tl *TwoLevel
@@ -100,9 +100,9 @@ func (o *ThreeOpt) recordSplice(l int) {
 // (pass nil to build default lists) starting from tour t. The tour is
 // copied. nb must have been built over m: the search reads candidate
 // edge costs from nb's cost tables, not from m.
-func NewThreeOpt(m Costs, nb *Neighbors, t Tour) *ThreeOpt {
+func NewThreeOpt(m *SparseMatrix, nb *Neighbors, t Tour) *ThreeOpt {
 	if nb == nil {
-		nb = BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
+		nb = BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
 	}
 	n := m.Len()
 	o := &ThreeOpt{

@@ -8,7 +8,7 @@ import (
 
 // iteratedPure runs one iterated-3-opt run of the solver (pure 3-opt, no
 // telemetry, no budget) and returns its best tour and cost.
-func iteratedPure(m Costs, start Tour, iters int, rng *rand.Rand) (Tour, Cost) {
+func iteratedPure(m *SparseMatrix, start Tour, iters int, rng *rand.Rand) (Tour, Cost) {
 	t, c, _ := iteratedThreeOpt(m, nil, nil, start, iters, rng, nil, nil, false)
 	return t, c
 }
@@ -59,7 +59,7 @@ func TestThreeOptReachesOptimumOnRingInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	start := IdentityTour(n)
 	rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })
-	tour, cost := iteratedPure(m, start, 4*n, rng)
+	tour, cost := iteratedPure(m.Sparse(), start, 4*n, rng)
 	if !tour.Valid(n) {
 		t.Fatal("invalid tour")
 	}
@@ -89,7 +89,7 @@ func TestThreeOptFlipsTriangle(t *testing.T) {
 		{100, 1, 0},
 	})
 	// Identity (0,1,2) costs 300; reversed (0,2,1) costs 3.
-	o := NewThreeOpt(m, nil, IdentityTour(3))
+	o := NewThreeOpt(m.Sparse(), nil, IdentityTour(3))
 	got := o.Optimize()
 	if got != 3 {
 		t.Fatalf("3-opt on triangle: cost %d, want 3 (tour %v)", got, o.AppendTour(nil))

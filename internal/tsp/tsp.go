@@ -4,10 +4,10 @@
 //
 // The package provides:
 //
-//   - asymmetric cost matrices behind the Costs interface: SparseMatrix,
-//     the form the branch-alignment reduction builds, and the dense
-//     Matrix, which Solve and SolveExact use for small instances and
-//     tests use as an oracle,
+//   - SparseMatrix, the one cost representation: a per-row default plus
+//     a few exception columns, the O(V+E) form the branch-alignment
+//     reduction builds, read by every kernel below (the tests keep a
+//     dense matrix as the oracle it is checked against),
 //   - tour-construction heuristics (nearest neighbor and greedy edge
 //     matching, both with optional randomization),
 //   - a reversal-free directed 3-opt local search, which is exactly the
@@ -22,7 +22,7 @@
 //     in tests and to solve small procedures outright.
 //
 // All costs are int64 penalty cycles. Infeasible edges are expressed with
-// large-but-finite costs (see Matrix.Forbid) so that arithmetic never
+// large-but-finite costs (see SparseMatrix.Forbid) so that arithmetic never
 // overflows for realistic instance sizes.
 package tsp
 
@@ -31,46 +31,6 @@ import "fmt"
 // Cost is the unit of edge cost. For branch alignment a Cost is a number
 // of pipeline penalty cycles.
 type Cost = int64
-
-// Matrix is a dense, possibly asymmetric cost matrix over n cities.
-// Matrix values are row-major: cost of the directed edge i->j is stored at
-// index i*n+j. The diagonal is ignored by all algorithms in this package.
-type Matrix struct {
-	n int
-	c []Cost
-}
-
-// NewMatrix returns an n-city matrix with all costs zero.
-func NewMatrix(n int) *Matrix {
-	if n < 1 {
-		panic(fmt.Sprintf("tsp: NewMatrix(%d): need at least one city", n))
-	}
-	return &Matrix{n: n, c: make([]Cost, n*n)}
-}
-
-// Len returns the number of cities.
-func (m *Matrix) Len() int { return m.n }
-
-// At returns the cost of the directed edge i->j.
-func (m *Matrix) At(i, j int) Cost { return m.c[i*m.n+j] }
-
-// Set assigns the cost of the directed edge i->j.
-func (m *Matrix) Set(i, j int, c Cost) { m.c[i*m.n+j] = c }
-
-// Forbid returns a cost strictly larger than the cost of any tour that
-// avoids forbidden edges: one plus the sum of all positive entries. Using
-// it for "must not use" edges keeps every optimal (and every locally
-// optimal) tour away from them whenever a feasible tour exists, without
-// risking overflow the way a fixed huge constant would.
-func (m *Matrix) Forbid() Cost {
-	var sum Cost
-	for _, v := range m.c {
-		if v > 0 {
-			sum += v
-		}
-	}
-	return sum + 1
-}
 
 // Tour is a cyclic permutation of the cities 0..n-1. Tour[k] is the k-th
 // city visited; the tour closes from the last city back to the first.
@@ -85,7 +45,7 @@ func (t Tour) Clone() Tour {
 
 // CycleCost returns the cost of traversing t as a directed cycle under m:
 // the sum of m.At(t[k], t[k+1]) plus the closing edge.
-func CycleCost(m Costs, t Tour) Cost {
+func CycleCost(m *SparseMatrix, t Tour) Cost {
 	if len(t) == 0 {
 		return 0
 	}

@@ -22,9 +22,15 @@ func (t Tour) Valid(n int) bool {
 	return true
 }
 
-// randMatrix returns a deterministic random asymmetric matrix with costs
+// randMatrix returns a deterministic random asymmetric instance with costs
+// in [0, maxCost): randDense's matrix in canonical sparse form.
+func randMatrix(n int, maxCost int64, seed int64) *SparseMatrix {
+	return randDense(n, maxCost, seed).Sparse()
+}
+
+// randDense returns a deterministic random asymmetric matrix with costs
 // in [0, maxCost).
-func randMatrix(n int, maxCost int64, seed int64) *Matrix {
+func randDense(n int, maxCost int64, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewMatrix(n)
 	for i := 0; i < n; i++ {
@@ -155,10 +161,10 @@ func TestCycleCost(t *testing.T) {
 		{3, 10, 0},
 	})
 	tour := Tour{0, 1, 2}
-	if got := CycleCost(m, tour); got != 1+2+3 {
+	if got := cycleCost(m, tour); got != 1+2+3 {
 		t.Errorf("CycleCost = %d, want 6", got)
 	}
-	if got := CycleCost(m, Tour{}); got != 0 {
+	if got := cycleCost(m, Tour{}); got != 0 {
 		t.Errorf("CycleCost(empty) = %d, want 0", got)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // index, Θ(n) rebuild per applied move. Search logic is line-for-line the
 // one in improveFrom; only the tour representation differs.
 type arrayThreeOpt struct {
-	m   Costs
+	m   *SparseMatrix
 	nb  *Neighbors
 	n   int
 	t   Tour
@@ -33,9 +33,9 @@ type arrayThreeOpt struct {
 	accepted int64
 }
 
-func newArrayThreeOpt(m Costs, nb *Neighbors, t Tour) *arrayThreeOpt {
+func newArrayThreeOpt(m *SparseMatrix, nb *Neighbors, t Tour) *arrayThreeOpt {
 	if nb == nil {
-		nb = BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
+		nb = BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
 	}
 	n := m.Len()
 	o := &arrayThreeOpt{
@@ -276,7 +276,7 @@ func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		n := int(nRaw%60) + 4
 		m := randMatrix(n, 1000, int64(seedRaw))
-		nb := BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
+		nb := BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
 		rng := rand.New(rand.NewSource(int64(seedRaw) + 17))
 		start := IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })
