@@ -19,7 +19,7 @@ import (
 // with matching vals. Each row also has a 32-byte head holding its
 // default and, when the row has at most two exceptions (every row of a
 // two-way branch or fall-through block), those exceptions inline, so At
-// on such a row is a single cache line and the compiler inlines it into
+// on such a row reads the head alone, and the compiler inlines it into
 // the local-search loops. Wider rows (switches) are searched in the CSR
 // arrays. The diagonal is never stored and At(i, i) returns 0.
 type SparseMatrix struct {
