@@ -73,6 +73,22 @@ if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 240000000) }'; then
 	exit 1
 fi
 
+echo "== solve-time gate (a served-size solve stays within 4x its recorded median)"
+# The paper's protocol, sequential, on a 200-block function: the size
+# balignd serves. results/BENCH_sparse.json records a 440.1 ms/op
+# median on a 2-vCPU VM; the 1,760 ms/op ceiling absorbs slower hosts
+# and noise, not a kernel whose At stopped inlining or a solve that lost
+# a constant factor. BenchmarkLargeSolve runs a few kicks on huge
+# functions and BenchmarkSolveSmall mostly the exact DP, so neither
+# would see a slower search at served sizes.
+out=$(go test -run '^$' -bench '^BenchmarkSolve$/^synth200$' -benchtime 3x -timeout 10m .)
+echo "$out"
+nsop=$(echo "$out" | awk '/BenchmarkSolve\/synth200\/sparse/ {for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)}')
+if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 1760000000) }'; then
+	echo "ci: served-size solve time regression (${nsop:-no result} ns/op, ceiling 1760000000)"
+	exit 1
+fi
+
 echo "== dispatch-alloc gate (a cache hit is a hash and a lookup)"
 # A cached engine request hashes its Inputs, finds the LRU entry and
 # copies the result in ~5 allocs/op. The ceiling is generous, but a hit
