@@ -110,7 +110,8 @@ func (s *SparseMatrix) Dense() *Matrix {
 }
 
 // explicit re-encodes s with every off-diagonal entry stored as an
-// exception: the same instance, with every At on a wide row.
+// exception: the same instance, whose rows are all wide from four
+// cities up, so every off-diagonal read takes the out-of-line search.
 func explicit(s *SparseMatrix) *SparseMatrix {
 	n := s.n
 	b := NewSparseBuilder(n)

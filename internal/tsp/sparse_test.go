@@ -160,8 +160,8 @@ func TestQuickNeighborsAndConstructionsAgreeOnSparse(t *testing.T) {
 
 // TestQuickSolveIdenticalOnSparseAndDense: Solve is a function of the At
 // values alone, so a sparse instance and its explicit encoding (every
-// entry stored, as a dense matrix would hold it, so every read takes the
-// wide-row search) give identical results.
+// entry stored, as a dense matrix holds it, so reads take the wide-row
+// search) give identical results.
 func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		// Half the cases have a few hundred cities.

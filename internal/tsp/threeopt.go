@@ -130,8 +130,7 @@ func (o *ThreeOpt) SetTour(t Tour) {
 
 // SetTourCost is SetTour for callers that already know the tour's cost —
 // the kick loop derives the kicked cost from the double bridge's six-edge
-// delta, skipping SetTour's O(n) cost rescan (n At calls, each a
-// binary search on sparse instances).
+// delta, skipping SetTour's O(n) cost rescan (n At calls).
 func (o *ThreeOpt) SetTourCost(t Tour, c Cost) {
 	o.setTour(t, c)
 }
