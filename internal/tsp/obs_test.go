@@ -7,9 +7,10 @@ import (
 	"branchalign/internal/obs"
 )
 
-// obsInstance builds a random asymmetric instance large enough to take
-// the local-search path (above ExactThreshold and denseSolveCutover).
-func obsInstance(n int, seed int64) *Matrix {
+// obsInstance builds a random asymmetric instance. Under
+// PaperSolveOptions one of more than 12 cities takes the local-search
+// path, and a smaller one the exact DP.
+func obsInstance(n int, seed int64) *SparseMatrix {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewMatrix(n)
 	for i := 0; i < n; i++ {
@@ -19,7 +20,7 @@ func obsInstance(n int, seed int64) *Matrix {
 			}
 		}
 	}
-	return m
+	return m.Sparse()
 }
 
 // TestSolveTelemetry pins the solver's event shape: a tsp.solve span,
@@ -28,13 +29,13 @@ func obsInstance(n int, seed int64) *Matrix {
 func TestSolveTelemetry(t *testing.T) {
 	m := obsInstance(30, 7)
 	opt := PaperSolveOptions(3)
-	plain := Solve(m.Sparse(), opt)
+	plain := Solve(m, opt)
 
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	root := tr.Start("test")
 	opt.Obs = root
-	traced := Solve(m.Sparse(), opt)
+	traced := Solve(m, opt)
 	root.End()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -104,7 +105,7 @@ func TestSolveTelemetryExact(t *testing.T) {
 	root := tr.Start("test")
 	opt := PaperSolveOptions(1)
 	opt.Obs = root
-	res := Solve(m.Sparse(), opt)
+	res := Solve(m, opt)
 	root.End()
 	tr.Close()
 	spans := findEvents(sink, "span", "tsp.solve")
@@ -121,13 +122,13 @@ func TestSolveTelemetryExact(t *testing.T) {
 func TestHeldKarpTelemetry(t *testing.T) {
 	m := obsInstance(20, 11)
 	opt := HeldKarpOptions{Iterations: 60}
-	plain := HeldKarpBound(m.Sparse(), opt).Bound
+	plain := HeldKarpBound(m, opt).Bound
 
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	root := tr.Start("test")
 	opt.Obs = root
-	traced := HeldKarpBound(m.Sparse(), opt).Bound
+	traced := HeldKarpBound(m, opt).Bound
 	root.End()
 	tr.Close()
 
