@@ -136,8 +136,8 @@ func BenchmarkSolveSmall(b *testing.B) {
 
 // BenchmarkSolve runs the paper's full protocol, sequentially, on one
 // 200-block function: the size balignd serves (synth_recorded's
-// functions have 140 to 220 blocks). scripts/ci.sh holds it under a time
-// ceiling.
+// functions have 40 to 200 blocks, 140 to 220 per module). scripts/ci.sh
+// holds it under a time ceiling.
 func BenchmarkSolve(b *testing.B) {
 	f, fp := synthFunc(b, 200)
 	sp := align.BuildSparseMatrix(f, fp, machine.Alpha21164(), nil)

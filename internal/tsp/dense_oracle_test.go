@@ -178,13 +178,6 @@ func nearestNeighborDense(m Costs, start int, rng *rand.Rand) Tour {
 	return tour
 }
 
-// nearestNeighborSparse is NearestNeighbor on the sparse representation:
-// from the current city, the candidate successors are the unvisited
-// exception columns plus the first three unvisited non-exception columns
-// (all non-exception columns cost the row default, so the three with the
-// smallest indices are exactly the ones the dense scan's stable best-3
-// buffer would keep). O(V+E + n·k) over the whole tour instead of Θ(n²).
-
 // buildNeighborsDense is BuildNeighbors by a full scan of every row and
 // column: each row selects its k cheapest columns through a bounded
 // (cost, index)-keyed max-heap.

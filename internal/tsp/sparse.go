@@ -20,8 +20,11 @@ import (
 // default and, when the row has at most two exceptions (every row of a
 // two-way branch or fall-through block), those exceptions inline, so At
 // on such a row reads the head alone, and the compiler inlines it into
-// the local-search loops. Wider rows (switches) are searched in the CSR
-// arrays. The diagonal is never stored and At(i, i) returns 0.
+// the local-search loops. align.BuildSparseMatrix never emits a wider
+// row (a switch row has one exception); rows of hand-built instances
+// with three or more exceptions are searched in the CSR arrays, so one
+// read stays O(log outdegree) whatever the caller builds. The diagonal
+// is never stored and At(i, i) returns 0.
 type SparseMatrix struct {
 	n        int
 	heads    []rowHead
@@ -70,7 +73,7 @@ func (s *SparseMatrix) at(i, j int, search func(*SparseMatrix, int, int) Cost) C
 
 // search is At for the diagonal and for rows with more than two
 // exceptions: a scan of short rows, a binary search of long ones, so one
-// read stays O(log outdegree) on a wide switch row.
+// read stays O(log outdegree) on a wide row.
 func (s *SparseMatrix) search(i, j int) Cost {
 	if i == j {
 		return 0

@@ -73,14 +73,26 @@ if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 240000000) }'; then
 	exit 1
 fi
 
+echo "== at-inline gate (SparseMatrix.At inlines into the local-search loops)"
+# The kernels are At-bound, and At stays under the inlining budget only
+# because its out-of-line search is passed as a function parameter
+# (internal/tsp/sparse.go). A non-inlined At costs local search ~12%,
+# too little for the solve-time gate below to see, so check the
+# compiler's decision directly.
+if ! go build -gcflags=-m ./internal/tsp 2>&1 | grep -Eq 'can inline \(\*SparseMatrix\)\.At( |$)'; then
+	echo "ci: (*tsp.SparseMatrix).At no longer inlines"
+	exit 1
+fi
+
 echo "== solve-time gate (a served-size solve stays within 4x its recorded median)"
 # The paper's protocol, sequential, on a 200-block function: the size
 # balignd serves. results/BENCH_sparse.json records a 440.1 ms/op
 # median on a 2-vCPU VM; the 1,760 ms/op ceiling absorbs slower hosts
-# and noise, not a kernel whose At stopped inlining or a solve that lost
-# a constant factor. BenchmarkLargeSolve runs a few kicks on huge
-# functions and BenchmarkSolveSmall mostly the exact DP, so neither
-# would see a slower search at served sizes.
+# and noise, so it catches only a solve that lost a large constant
+# factor (a quadratic scan, a lost neighbor list), not a few percent.
+# BenchmarkLargeSolve runs a few kicks on huge functions and
+# BenchmarkSolveSmall mostly the exact DP, so neither would see a
+# slower search at served sizes.
 out=$(go test -run '^$' -bench '^BenchmarkSolve$/^synth200$' -benchtime 3x -timeout 10m .)
 echo "$out"
 nsop=$(echo "$out" | awk '/BenchmarkSolve\/synth200\/sparse/ {for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)}')
