@@ -27,7 +27,7 @@ func solveInstance(b *testing.B) (*tsp.SparseMatrix, tsp.SolveOptions) {
 	f, fp := largestBundledFunc(b)
 	m := machine.Alpha21164()
 	mat := align.BuildSparseMatrix(f, fp, m, nil)
-	return mat, tsp.PaperSolveOptions(1)
+	return mat, tsp.SolveOptions{Seed: 1}
 }
 
 func BenchmarkSolveTelemetry(b *testing.B) {

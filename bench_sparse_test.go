@@ -124,7 +124,7 @@ func BenchmarkSolveSmall(b *testing.B) {
 		}
 		sparse = append(sparse, align.BuildSparseMatrix(f, prof.Funcs[fi], m, nil))
 	}
-	opts := tsp.PaperSolveOptions(1)
+	opts := tsp.SolveOptions{Seed: 1}
 	b.Run("all/sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, mat := range sparse {
@@ -141,7 +141,7 @@ func BenchmarkSolveSmall(b *testing.B) {
 func BenchmarkSolve(b *testing.B) {
 	f, fp := synthFunc(b, 200)
 	sp := align.BuildSparseMatrix(f, fp, machine.Alpha21164(), nil)
-	opts := tsp.PaperSolveOptions(1)
+	opts := tsp.SolveOptions{Seed: 1}
 	opts.Parallelism = 1
 	b.Run("synth200/sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -188,30 +188,20 @@ func BenchmarkHeldKarpBound(b *testing.B) {
 // whole-solver scaling story the sparse representation exists for. No
 // dense variant: the instance alone would be gigabytes.
 //
-// The /sparse rows run pure 3-opt (DisableOrOpt) — the same move
-// sequence every pre-two-level snapshot ran, so they isolate the tour
-// data structure's speedup. The /oropt rows run the production default
-// (Or-opt interleaved), which converges deeper per iteration and
-// therefore spends more time per solve for a better tour.
+// A 20-kick budget stops the paper protocol 20 kicks into its first run,
+// which above 4,096 cities starts from a randomized nearest-neighbor
+// tour. The rows run the production kernel (Or-opt interleaved with
+// 3-opt); their /oropt names are kept so older snapshots stay
+// comparable.
 func BenchmarkLargeSolve(b *testing.B) {
 	m := machine.Alpha21164()
 	for _, blocks := range []int{5000, 20000} {
 		f, fp := synthFunc(b, blocks)
 		sp := align.BuildSparseMatrix(f, fp, m, nil)
-		opts := tsp.PaperSolveOptions(1)
-		opts.GreedyStarts, opts.NNStarts, opts.IdentityStarts = 0, 1, 0
-		opts.MaxIterations = 20
-		opts.DisableOrOpt = true
-		b.Run(fmt.Sprintf("synth%d/sparse", blocks), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tsp.Solve(sp, opts)
-			}
-		})
-		orOpts := opts
-		orOpts.DisableOrOpt = false
+		opts := tsp.SolveOptions{Seed: 1, Budget: tsp.Budget{MaxKicks: 20}}
 		b.Run(fmt.Sprintf("synth%d/oropt", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tsp.Solve(sp, orOpts)
+				tsp.Solve(sp, opts)
 			}
 		})
 	}

@@ -181,8 +181,7 @@ func synthInstance(b *testing.B, blocks int) *tsp.SparseMatrix {
 // 60-block synthetic procedure.
 func BenchmarkIteratedThreeOpt(b *testing.B) {
 	mat := synthInstance(b, 60)
-	opts := tsp.PaperSolveOptions(1)
-	opts.ExactThreshold = 0
+	opts := tsp.SolveOptions{Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tsp.Solve(mat, opts)

@@ -95,19 +95,21 @@ func BuildSparseMatrix(f *ir.Func, fp *interp.FuncProfile, m machine.Model, sp *
 }
 
 // TSP is the paper's aligner: reduce each function to a DTSP and solve it
-// with multi-start iterated 3-opt (exactly for small functions).
+// with the paper's multi-start iterated 3-opt protocol (exactly for small
+// functions; see tsp.Solve).
 type TSP struct {
-	// Opts configures the solver; the zero value selects the paper's
-	// protocol (10 runs, 2N iterations) with seed 1. Function i solves
-	// with Opts.Seed+i. Its Context, Budget, Pool and Obs come from the
-	// run (see Func), so Opts.Parallelism composes with the per-function
-	// fan-out: both layers draw workers from the same pool.
-	Opts tsp.SolveOptions
+	// Seed seeds the solver; function i solves with Seed+i.
+	Seed int64
+	// Parallelism is each solve's tsp.SolveOptions.Parallelism. The
+	// solve's Context, Budget, Pool and Obs come from the run (see Func),
+	// so it composes with the per-function fan-out: both layers draw
+	// workers from the same pool.
+	Parallelism int
 }
 
-// NewTSP returns a TSP aligner with the paper's solver protocol.
+// NewTSP returns a TSP aligner with the given seed.
 func NewTSP(seed int64) *TSP {
-	return &TSP{Opts: tsp.PaperSolveOptions(seed)}
+	return &TSP{Seed: seed}
 }
 
 // Name implements Aligner.
@@ -117,13 +119,8 @@ func (*TSP) Name() string { return "tsp" }
 // fn.Budget) truncates the solve at its next kick boundary and returns
 // the best-so-far order.
 func (t *TSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
-	opts := t.Opts
-	if opts.GreedyStarts == 0 && opts.NNStarts == 0 && opts.IdentityStarts == 0 {
-		def := tsp.PaperSolveOptions(1)
-		def.Parallelism = opts.Parallelism
-		opts = def
-	}
-	opts.Context, opts.Budget, opts.Pool, opts.Obs = ctx, fn.Budget, fn.Pool, fn.Obs
+	opts := tsp.SolveOptions{Seed: t.Seed, Parallelism: t.Parallelism,
+		Context: ctx, Budget: fn.Budget, Pool: fn.Pool, Obs: fn.Obs}
 	r := SolveFunc(fn.IR, fn.Matrix(), opts, int64(fn.Index))
 	return FuncResult{Order: r.Order, Exact: r.Exact, Truncated: r.Truncated, Kicks: r.Kicks}
 }
@@ -225,7 +222,7 @@ func FuncHeldKarpBound(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.HeldKarpOptio
 		sp.End(obs.Int("bound", 0), obs.Bool("exact", true), obs.Bool("converged", true))
 		return FuncBoundResult{Exact: true, Converged: true}
 	}
-	if n <= 12 {
+	if n <= tsp.ExactMaxCities {
 		_, opt := tsp.SolveExact(mat)
 		sp.End(obs.Int("bound", opt), obs.Bool("exact", true), obs.Bool("converged", true))
 		return FuncBoundResult{Bound: opt, Exact: true, Converged: true}

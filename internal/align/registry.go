@@ -64,10 +64,6 @@ func init() {
 	Register("greedy", func(Options) Aligner { return PettisHansen{} })
 	Register("calder-grunwald", func(Options) Aligner { return &CalderGrunwald{} })
 	Register("ap-patch", func(Options) Aligner { return APPatch{} })
-	Register("tsp", func(o Options) Aligner {
-		t := NewTSP(o.Seed)
-		t.Opts.Parallelism = o.Parallelism
-		return t
-	})
+	Register("tsp", func(o Options) Aligner { return &TSP{Seed: o.Seed, Parallelism: o.Parallelism} })
 	Register("exttsp", func(Options) Aligner { return &ExtTSP{} })
 }

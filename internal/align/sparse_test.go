@@ -73,12 +73,12 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 	f := func(blocksRaw, seedRaw uint16) bool {
 		// Half the cases have a few hundred blocks.
 		blocks := int(blocksRaw>>1)%34 + 2
-		opts := tsp.PaperSolveOptions(int64(seedRaw))
+		opts := tsp.SolveOptions{Seed: int64(seedRaw)}
 		if blocksRaw&1 == 1 {
 			blocks = 257 + int(blocksRaw>>1)%64
-			// Two starts and capped kicks keep the large sizes quick.
-			opts.GreedyStarts, opts.NNStarts, opts.IdentityStarts = 1, 1, 0
-			opts.MaxIterations = 40
+			// A kick budget keeps the large sizes quick: it stops the
+			// protocol 40 kicks into its first run.
+			opts.Budget.MaxKicks = 40
 		}
 		mod, prof, err := bench.Synthesize(bench.DefaultSynth(blocks, int64(seedRaw)+501))
 		if err != nil {
@@ -137,7 +137,7 @@ func TestQuickBoundChainOnSparsePath(t *testing.T) {
 		}
 		fn := mod.Funcs[0]
 		sp := BuildSparseMatrix(fn, prof.Funcs[0], m, nil)
-		res := SolveFunc(fn, sp, tsp.PaperSolveOptions(7), 0)
+		res := SolveFunc(fn, sp, tsp.SolveOptions{Seed: 7}, 0)
 		tour := tsp.CycleCost(sp, tsp.Tour(res.Order))
 		hk := FuncHeldKarpBound(fn, sp, tsp.HeldKarpOptions{Iterations: 200}).Bound
 		ap := tsp.AssignmentBound(sp)

@@ -100,8 +100,8 @@ func (s *Suite) AppendixSynthetic(count, blocks int) (*AppendixStats, error) {
 // Held-Karp bound and the AP bound share one matrix.
 func (s *Suite) instance(benchName string, f *ir.Func, fp *interp.FuncProfile, seedOffset int64) InstanceStats {
 	mat := align.BuildSparseMatrix(f, fp, s.Model, s.Obs)
-	opts, hk := tsp.PaperSolveOptions(s.Seed), s.HKOpts
-	opts.Obs, hk.Obs = s.Obs, s.Obs
+	opts, hk := tsp.SolveOptions{Seed: s.Seed, Obs: s.Obs}, s.HKOpts
+	hk.Obs = s.Obs
 	res := align.SolveFunc(f, mat, opts, seedOffset)
 	return InstanceStats{
 		Bench:      benchName,

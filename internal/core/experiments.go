@@ -97,7 +97,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		row.MatrixMS = msSince(t0)
 
 		t0 = time.Now()
-		opts := tsp.PaperSolveOptions(s.Seed)
+		opts := tsp.SolveOptions{Seed: s.Seed}
 		orders := make([][]int, len(mod.Funcs))
 		for fi := range mod.Funcs {
 			res := tsp.Solve(mats[fi], opts)

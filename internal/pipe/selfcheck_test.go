@@ -103,34 +103,29 @@ func TestSelfCheckCatchesTamperedProfile(t *testing.T) {
 	}
 }
 
-// TestSelfCheckOrOptLayouts runs the full pipeline under SelfCheck with
-// the solver's Or-opt family on (the default) and off: both layouts must
-// pass the layout audit and the post-run flow-conservation check, and
-// for each the self-checked simulation must equal the unchecked one.
-// This is the end-to-end gate on the Or-opt move family — an invalid
-// relocation would corrupt a block order or break flow conservation and
-// fail here.
+// TestSelfCheckOrOptLayouts runs the full pipeline under SelfCheck on
+// the TSP aligner's layout, whose solver interleaves the Or-opt family
+// with 3-opt: the layout must pass the layout audit and the post-run
+// flow-conservation check, and the self-checked simulation must equal
+// the unchecked one. This is the end-to-end gate on the Or-opt move
+// family — an invalid relocation would corrupt a block order or break
+// flow conservation and fail here.
 func TestSelfCheckOrOptLayouts(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
-	for _, disable := range []bool{false, true} {
-		al := align.NewTSP(1)
-		al.Opts.DisableOrOpt = disable
-		l := align.Run(context.Background(), al, mod, prof, m, align.RunOptions{}).Layout
+	l := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
 
-		cfg := DefaultConfig()
-		plain, _, err := Run(mod, l, inputs, cfg, interp.Options{})
-		if err != nil {
-			t.Fatalf("DisableOrOpt=%v: %v", disable, err)
-		}
-		cfg.SelfCheck = true
-		checked, _, err := Run(mod, l, inputs, cfg, interp.Options{})
-		if err != nil {
-			t.Fatalf("DisableOrOpt=%v: self-checked run failed: %v", disable, err)
-		}
-		if checked != plain {
-			t.Errorf("DisableOrOpt=%v: SelfCheck changed simulation stats:\nplain   %+v\nchecked %+v",
-				disable, plain, checked)
-		}
+	cfg := DefaultConfig()
+	plain, _, err := Run(mod, l, inputs, cfg, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SelfCheck = true
+	checked, _, err := Run(mod, l, inputs, cfg, interp.Options{})
+	if err != nil {
+		t.Fatalf("self-checked run failed: %v", err)
+	}
+	if checked != plain {
+		t.Errorf("SelfCheck changed simulation stats:\nplain   %+v\nchecked %+v", plain, checked)
 	}
 }

@@ -19,8 +19,7 @@ func unlimited() Budget {
 func TestSolveBudgetPlumbingBitIdentical(t *testing.T) {
 	for _, n := range []int{15, 40} {
 		m := randMatrix(n, 1000, int64(n))
-		opt := PaperSolveOptions(7)
-		opt.ExactThreshold = 0 // force the local-search path even for n=15
+		opt := SolveOptions{Seed: 7}
 		plain := Solve(m, opt)
 
 		budgeted := opt
@@ -49,8 +48,7 @@ func TestSolveCancelledContextReturnsValidTour(t *testing.T) {
 	m := randMatrix(30, 1000, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the solve starts
-	opt := PaperSolveOptions(1)
-	opt.ExactThreshold = 0
+	opt := SolveOptions{Seed: 1}
 	opt.Context = ctx
 	res := Solve(m, opt)
 	if !res.Truncated {
@@ -66,8 +64,7 @@ func TestSolveCancelledContextReturnsValidTour(t *testing.T) {
 
 func TestSolveExpiredDeadlineReturnsValidTour(t *testing.T) {
 	m := randMatrix(25, 500, 11)
-	opt := PaperSolveOptions(1)
-	opt.ExactThreshold = 0
+	opt := SolveOptions{Seed: 1}
 	opt.Budget = Budget{Deadline: time.Now().Add(-time.Second)}
 	res := Solve(m, opt)
 	if !res.Truncated {
@@ -80,8 +77,7 @@ func TestSolveExpiredDeadlineReturnsValidTour(t *testing.T) {
 
 func TestSolveMaxKicksCapsWork(t *testing.T) {
 	m := randMatrix(30, 1000, 5)
-	opt := PaperSolveOptions(1)
-	opt.ExactThreshold = 0
+	opt := SolveOptions{Seed: 1}
 	opt.Budget = Budget{MaxKicks: 7}
 	res := Solve(m, opt)
 	if res.Kicks > 7 {
@@ -96,7 +92,7 @@ func TestSolveMaxKicksCapsWork(t *testing.T) {
 
 	// The budgeted prefix follows the identical random stream, so its
 	// result can never beat the full protocol's.
-	full := Solve(m, PaperSolveOptions(1))
+	full := Solve(m, SolveOptions{Seed: 1})
 	if res.Cost < full.Cost {
 		t.Fatalf("truncated cost %d beats full solve %d", res.Cost, full.Cost)
 	}
@@ -106,7 +102,7 @@ func TestSolveExactPathIgnoresBudget(t *testing.T) {
 	m := randMatrix(8, 100, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := PaperSolveOptions(1) // ExactThreshold 12 covers n=8
+	opt := SolveOptions{Seed: 1} // n=8 is within ExactMaxCities
 	opt.Context = ctx
 	res := Solve(m, opt)
 	if !res.Exact || res.Truncated {

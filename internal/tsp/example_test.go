@@ -17,7 +17,7 @@ func ExampleSolve() {
 		b.AddRow(100, []int{(i + 1) % 4}, []tsp.Cost{1})
 	}
 	m := b.Finish()
-	res := tsp.Solve(m, tsp.PaperSolveOptions(1))
+	res := tsp.Solve(m, tsp.SolveOptions{Seed: 1})
 	res.Tour.RotateTo(0)
 	fmt.Println(res.Tour, res.Cost, res.Exact)
 	// Output: [0 1 2 3] 4 true

@@ -7,9 +7,9 @@ import (
 	"branchalign/internal/obs"
 )
 
-// obsInstance builds a random asymmetric instance. Under
-// PaperSolveOptions one of more than 12 cities takes the local-search
-// path, and a smaller one the exact DP.
+// obsInstance builds a random asymmetric instance. Solve takes the
+// local-search path on one of more than ExactMaxCities cities, and the
+// exact DP on a smaller one.
 func obsInstance(n int, seed int64) *SparseMatrix {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewMatrix(n)
@@ -28,7 +28,7 @@ func obsInstance(n int, seed int64) *SparseMatrix {
 // convergence series, and identical solver output with tracing on.
 func TestSolveTelemetry(t *testing.T) {
 	m := obsInstance(30, 7)
-	opt := PaperSolveOptions(3)
+	opt := SolveOptions{Seed: 3}
 	plain := Solve(m, opt)
 
 	sink := &obs.MemorySink{}
@@ -103,7 +103,7 @@ func TestSolveTelemetryExact(t *testing.T) {
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	root := tr.Start("test")
-	opt := PaperSolveOptions(1)
+	opt := SolveOptions{Seed: 1}
 	opt.Obs = root
 	res := Solve(m, opt)
 	root.End()

@@ -41,7 +41,7 @@ package tsp
 // Gating: Or-opt changes tours (it strictly improves a 3-opt local
 // optimum or leaves it unchanged), so unlike the phase-1 two-level swap
 // it is NOT bit-identical to the historical kernel. It is enabled by the
-// production solver (SolveOptions.DisableOrOpt gates it off) and
+// production solver (ThreeOpt.SetOrOpt; Solve always turns it on) and
 // quality-gated by quality_test.go (HK-gap mean <= 0.3%) and the
 // check/vet invariants; see DESIGN.md section 12.
 

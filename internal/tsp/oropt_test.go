@@ -31,28 +31,3 @@ func TestQuickOrOptImprovesLocalOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickSolveOrOptGating pins DisableOrOpt: a gated-off solve
-// reports zero Or-opt activity, and both settings return valid tours
-// with consistent incrementally-maintained costs.
-func TestQuickSolveOrOptGating(t *testing.T) {
-	f := func(nRaw, seedRaw uint16) bool {
-		n := int(nRaw%25) + 13 // above ExactThreshold so local search runs
-		m := randMatrix(n, 1000, int64(seedRaw)+5)
-		opt := PaperSolveOptions(int64(seedRaw))
-		opt.MaxIterations = 10
-		on := Solve(m, opt)
-		opt.DisableOrOpt = true
-		off := Solve(m, opt)
-		if off.OrMovesTried != 0 || off.OrMovesAccepted != 0 {
-			return false
-		}
-		if !on.Tour.Valid(n) || !off.Tour.Valid(n) {
-			return false
-		}
-		return CycleCost(m, on.Tour) == on.Cost && CycleCost(m, off.Tour) == off.Cost
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}

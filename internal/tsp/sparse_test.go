@@ -166,15 +166,16 @@ func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		// Half the cases have a few hundred cities.
 		n := int(nRaw>>1)%34 + 2
-		opt := PaperSolveOptions(int64(seedRaw))
+		opt := SolveOptions{Seed: int64(seedRaw)}
 		if nRaw&1 == 1 {
 			n = 257 + int(nRaw>>1)%64
-			// Two starts and capped kicks keep the large sizes quick.
-			opt.GreedyStarts, opt.NNStarts, opt.IdentityStarts = 1, 1, 0
-			opt.MaxIterations = 40
+			// A kick budget keeps the large sizes quick: it stops the
+			// protocol 40 kicks into its first run.
+			opt.Budget.MaxKicks = 40
 		}
+		// Sizes up to ExactMaxCities take the exact DP, the rest local
+		// search.
 		sp := randSparse(n, 300, 0.2, int64(seedRaw)+11)
-		opt.ExactThreshold = 6 // exercise both the exact and local-search paths
 		ra := Solve(sp, opt)
 		rd := Solve(explicit(sp), opt)
 		return reflect.DeepEqual(ra, rd)

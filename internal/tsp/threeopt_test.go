@@ -162,7 +162,7 @@ func TestDoubleBridgeActuallyPerturbs(t *testing.T) {
 
 func TestSolvePaperProtocol(t *testing.T) {
 	m := randMatrix(30, 1000, 424242)
-	res := Solve(m, PaperSolveOptions(1))
+	res := Solve(m, SolveOptions{Seed: 1})
 	if !res.Tour.Valid(30) {
 		t.Fatal("Solve returned invalid tour")
 	}
@@ -187,7 +187,7 @@ func TestSolvePaperProtocol(t *testing.T) {
 
 func TestSolveUsesExactForSmallInstances(t *testing.T) {
 	m := randMatrix(8, 1000, 3)
-	res := Solve(m, PaperSolveOptions(1))
+	res := Solve(m, SolveOptions{Seed: 1})
 	if !res.Exact {
 		t.Fatal("8-city instance should be solved exactly")
 	}
@@ -199,8 +199,8 @@ func TestSolveUsesExactForSmallInstances(t *testing.T) {
 
 func TestSolveDeterministic(t *testing.T) {
 	m := randMatrix(25, 1000, 99)
-	a := Solve(m, PaperSolveOptions(7))
-	b := Solve(m, PaperSolveOptions(7))
+	a := Solve(m, SolveOptions{Seed: 7})
+	b := Solve(m, SolveOptions{Seed: 7})
 	if a.Cost != b.Cost {
 		t.Fatalf("same seed, different costs: %d vs %d", a.Cost, b.Cost)
 	}
