@@ -50,8 +50,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 20m .
 
 # Record a benchmark snapshot to results/BENCH_<LABEL>.json; restrict
-# with BENCH=<regex>. Example (the dense-vs-sparse kernel comparison):
-#   make bench-snapshot LABEL=baseline "BENCH=//dense"
+# with BENCH=<regex>. Example (the sparse-kernel rows before and after a
+# change, each taken on its own checkout):
+#   make bench-snapshot LABEL=sparse_pre "BENCH=//sparse"
 #   make bench-snapshot LABEL=sparse "BENCH=//sparse"
 LABEL ?= local
 BENCH ?= .

@@ -157,7 +157,7 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	model, err := pickModel(*modelSel)
+	model, err := machine.ByName(*modelSel)
 	if err != nil {
 		return err
 	}
@@ -432,15 +432,6 @@ func loadProgram(srcPath, benchName, dataset, data string, scalarN int64) (*ir.M
 		return nil, nil, fmt.Errorf("entry main must have signature (), (n) or (input[], n)")
 	}
 	return mod, inputs, nil
-}
-
-func pickModel(name string) (machine.Model, error) {
-	for _, m := range machine.Models() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return machine.Model{}, fmt.Errorf("unknown model %q", name)
 }
 
 func pickAligners(sel string, seed int64, parallel int) ([]align.Aligner, error) {

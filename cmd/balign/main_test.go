@@ -8,18 +8,6 @@ import (
 	"branchalign/internal/ir"
 )
 
-func TestPickModel(t *testing.T) {
-	for _, name := range []string{"alpha21164", "shallow", "deep"} {
-		m, err := pickModel(name)
-		if err != nil || m.Name != name {
-			t.Errorf("pickModel(%q) = %v, %v", name, m.Name, err)
-		}
-	}
-	if _, err := pickModel("vax"); err == nil {
-		t.Error("expected error for unknown model")
-	}
-}
-
 func TestPickAligners(t *testing.T) {
 	cases := map[string]int{"all": 5, "original": 0, "greedy": 1, "cg": 1, "calder-grunwald": 1, "ap-patch": 1, "patch": 1, "tsp": 1, "exttsp": 1}
 	for sel, want := range cases {

@@ -14,6 +14,7 @@ import (
 	"branchalign/internal/align"
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
+	"branchalign/internal/machine"
 	"branchalign/internal/obs"
 	"branchalign/internal/stats"
 	"branchalign/internal/tsp"
@@ -81,7 +82,7 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 	if err != nil {
 		return nil, err
 	}
-	model, err := pickModel(modelSel)
+	model, err := machine.ByName(modelSel)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +207,7 @@ func renderReport(events []obs.Event) string {
 		bound, gap, hkit, hkcv := "-", "-", "-", "-"
 		if r.hasHK {
 			bound = fmt.Sprintf("%d", r.bound)
-			gap = fmt.Sprintf("%.2f", gapPct(r.cost, r.bound))
+			gap = fmt.Sprintf("%.2f", stats.GapPct(r.cost, r.bound))
 			// Exact bounds (small functions) run no ascent: iterations
 			// stays "-" and converged is trivially true.
 			if r.hkIters > 0 {
@@ -239,7 +240,7 @@ func renderReport(events []obs.Event) string {
 		bound, gap, hkit := "-", "-", "-"
 		if allHK {
 			bound = fmt.Sprintf("%d", tot.bound)
-			gap = fmt.Sprintf("%.2f", gapPct(tot.cost, tot.bound))
+			gap = fmt.Sprintf("%.2f", stats.GapPct(tot.cost, tot.bound))
 			hkit = fmt.Sprintf("%d", tot.hkIters)
 		}
 		table.Rowf("total (%d)||%d|%d|%s|%s|%s|||||%s/%s|%s/%s|%s",
@@ -305,20 +306,6 @@ func solveMS(durUS int64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2f", float64(durUS)/1000)
-}
-
-// gapPct is the relative optimality gap (tour - bound) / tour in percent,
-// clamped at zero (the bound never exceeds the tour, but rounding can
-// graze it).
-func gapPct(cost, bound int64) float64 {
-	if cost <= 0 {
-		return 0
-	}
-	g := float64(cost-bound) / float64(cost) * 100
-	if g < 0 {
-		return 0
-	}
-	return g
 }
 
 // eventLines filters a trace stream down to its NDJSON event lines

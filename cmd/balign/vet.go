@@ -40,7 +40,7 @@ func runVet(args []string) int {
 	)
 	fs.Parse(args)
 
-	model, err := pickModel(*modelSel)
+	model, err := machine.ByName(*modelSel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "balign vet:", err)
 		return 1

@@ -494,7 +494,11 @@ func engineRequest(req alignRequest, loadTimeout time.Duration) (engine.Request,
 	if err != nil {
 		return engine.Request{}, err
 	}
-	model, err := pickModel(req.Model)
+	modelName := req.Model
+	if modelName == "" {
+		modelName = "alpha21164"
+	}
+	model, err := machine.ByName(modelName)
 	if err != nil {
 		return engine.Request{}, err
 	}
@@ -708,16 +712,4 @@ func buildProfile(ctx context.Context, mod *ir.Module, inputs []interp.Input, ra
 		return nil, 0, fmt.Errorf("profiling run failed: %w", err)
 	}
 	return prof, res.Steps, nil
-}
-
-func pickModel(name string) (machine.Model, error) {
-	if name == "" {
-		name = "alpha21164"
-	}
-	for _, m := range machine.Models() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return machine.Model{}, fmt.Errorf("unknown model %q", name)
 }

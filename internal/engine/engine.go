@@ -42,6 +42,7 @@ import (
 	"branchalign/internal/machine"
 	"branchalign/internal/obs"
 	"branchalign/internal/staticprof"
+	"branchalign/internal/stats"
 	"branchalign/internal/tsp"
 	"branchalign/internal/work"
 )
@@ -515,21 +516,9 @@ func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
 		}
 		if req.Bound {
 			st.Bound = int64(fr.Bound.Bound)
-			st.GapPct = gapPct(st.Cost, st.Bound)
+			st.GapPct = stats.GapPct(st.Cost, st.Bound)
 		}
 		res.Funcs[fi] = st
 	}
 	return res, nil
-}
-
-// gapPct is the relative optimality gap in percent, clamped at zero.
-func gapPct(cost, bound int64) float64 {
-	if cost <= 0 {
-		return 0
-	}
-	g := float64(cost-bound) / float64(cost) * 100
-	if g < 0 {
-		return 0
-	}
-	return g
 }

@@ -95,3 +95,26 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("register mispredict row penalty = %d, want 3", rows[7].Penalty)
 	}
 }
+
+// TestByName: every built-in model is found under its own name, and an
+// unknown or empty name is an error naming it.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		wantErr string
+	}{
+		{"alpha21164", ""},
+		{"shallow", ""},
+		{"deep", ""},
+		{"vax", `unknown model "vax"`},
+		{"", `unknown model ""`},
+	} {
+		m, err := ByName(tc.name)
+		switch {
+		case tc.wantErr == "" && (err != nil || m.Name != tc.name):
+			t.Errorf("ByName(%q) = %q, %v", tc.name, m.Name, err)
+		case tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr):
+			t.Errorf("ByName(%q) error = %v, want %s", tc.name, err, tc.wantErr)
+		}
+	}
+}

@@ -34,6 +34,20 @@ func PercentRemoved(normalized float64) float64 {
 	return (1 - normalized) * 100
 }
 
+// GapPct is the relative optimality gap (cost - bound) / cost in
+// percent, clamped at zero (a bound never exceeds its tour, but rounding
+// can graze it). A non-positive cost has no gap.
+func GapPct(cost, bound int64) float64 {
+	if cost <= 0 {
+		return 0
+	}
+	g := float64(cost-bound) / float64(cost) * 100
+	if g < 0 {
+		return 0
+	}
+	return g
+}
+
 // Table renders rows of cells as an aligned text table. The first row is
 // the header; a separator line is drawn beneath it.
 type Table struct {

@@ -27,6 +27,23 @@ func TestRatioAndPercent(t *testing.T) {
 	}
 }
 
+func TestGapPct(t *testing.T) {
+	for _, tc := range []struct {
+		cost, bound int64
+		want        float64
+	}{
+		{200, 150, 25},
+		{100, 100, 0},
+		{100, 101, 0}, // a bound above the tour clamps to zero
+		{0, 0, 0},
+		{-5, -10, 0},
+	} {
+		if got := GapPct(tc.cost, tc.bound); got != tc.want {
+			t.Errorf("GapPct(%d, %d) = %v, want %v", tc.cost, tc.bound, got, tc.want)
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("bench", "value")
 	tb.Row("com.in", "11.8M")

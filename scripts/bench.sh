@@ -5,19 +5,24 @@
 #
 #   scripts/bench.sh <label> [bench-regex]
 #
-# e.g. the dense-vs-sparse kernel comparison recorded in results/:
+# e.g. the sparse-kernel rows (every sub-benchmark named .../sparse, the
+# set results/BENCH_sparse.json holds), taken before and after a change
+# on their own checkouts:
 #
-#   scripts/bench.sh baseline '//dense'
-#   scripts/bench.sh sparse   '//sparse'
+#   scripts/bench.sh sparse_pre '//sparse'
+#   scripts/bench.sh sparse     '//sparse'
 #
 # Labels with a recorded comparison get a default regex, so the
 # before/after pair is always measured on the same benchmark set:
 #
 #   scripts/bench.sh threeopt        # BenchmarkLargeSolve (vs threeopt_pre)
+#   (BenchmarkLargeSolve no longer has the pure-3-opt /sparse rows that
+#   threeopt_pre and BENCH_sparse.json hold; its /oropt rows keep their
+#   names, so those stay comparable with existing snapshots.)
 #   scripts/bench.sh engine          # BenchmarkEngineDispatch
 #   scripts/bench.sh interp          # BenchmarkInterpreter (vs interp_pre)
 #
-# BENCHTIME overrides -benchtime (default 20x: the sparse/dense kernel
+# BENCHTIME overrides -benchtime (default 20x: the solver kernel
 # benchmarks are deterministic per iteration, so a fixed iteration count
 # keeps large and small instances comparable). COUNT (default 1) runs
 # each benchmark that many times; a row then records the median ns/op
