@@ -31,10 +31,9 @@ func BenchmarkExtTSPScore(b *testing.B) {
 	}
 	m := machine.Alpha21164()
 	l := layout.Identity(mod, prof, m)
-	p := layout.DefaultExtTSPParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		layout.ModuleExtTSPScore(mod, l, prof, p)
+		layout.ModuleExtTSPScore(mod, l, prof)
 	}
 }
 

@@ -198,7 +198,7 @@ func BenchmarkLargeSolve(b *testing.B) {
 	for _, blocks := range []int{5000, 20000} {
 		f, fp := synthFunc(b, blocks)
 		sp := align.BuildSparseMatrix(f, fp, m, nil)
-		opts := tsp.SolveOptions{Seed: 1, Budget: tsp.Budget{MaxKicks: 20}}
+		opts := tsp.SolveOptions{Seed: 1, MaxKicks: 20}
 		b.Run(fmt.Sprintf("synth%d/oropt", blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tsp.Solve(sp, opts)

@@ -234,12 +234,12 @@ func benchAlign(b *testing.B, a align.Aligner) {
 	m := machine.Alpha21164()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		align.Run(context.Background(), a, mod, prof, m, align.RunOptions{})
+		align.Run(context.Background(), a, mod, prof, m, align.RunOptions{Seed: 1})
 	}
 }
 
 func BenchmarkGreedyAlign(b *testing.B) { benchAlign(b, align.PettisHansen{}) }
-func BenchmarkTSPAlign(b *testing.B)    { benchAlign(b, align.NewTSP(1)) }
+func BenchmarkTSPAlign(b *testing.B)    { benchAlign(b, align.TSP{}) }
 
 // BenchmarkInterpreter measures the profiling interpreter the way
 // balignd runs it on a cache miss: a fresh edge profile, the daemon's
@@ -333,10 +333,10 @@ func BenchmarkScalability(b *testing.B) {
 			b.Fatal(err)
 		}
 		m := machine.Alpha21164()
-		a := align.NewTSP(1)
+		a := align.TSP{}
 		b.Run(sizeName(blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				align.Run(context.Background(), a, mod, prof, m, align.RunOptions{})
+				align.Run(context.Background(), a, mod, prof, m, align.RunOptions{Seed: 1})
 			}
 		})
 	}

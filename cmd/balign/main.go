@@ -232,7 +232,7 @@ func run(args []string) (err error) {
 		printLoops(mod, prof)
 	}
 
-	aligners, err := pickAligners(*alignSel, *seed, *parallel)
+	aligners, err := pickAligners(*alignSel)
 	if err != nil {
 		return err
 	}
@@ -274,7 +274,7 @@ func run(args []string) (err error) {
 	var boundRun *align.Result
 	for _, a := range aligners {
 		asp := root.Child("align", obs.String("aligner", a.Name()))
-		o := align.RunOptions{Obs: asp}
+		o := align.RunOptions{Seed: *seed, Parallelism: *parallel, Obs: asp}
 		if *bound && a.Name() == "tsp" {
 			o.Bound = &hkOpts
 		}
@@ -406,7 +406,6 @@ func loadProgram(srcPath, benchName, dataset, data string, scalarN int64) (*ir.M
 	if err != nil {
 		return nil, nil, err
 	}
-	entry := mod.Funcs[mod.EntryFunc]
 	var arr []int64
 	if data != "" {
 		for _, part := range strings.Split(data, ",") {
@@ -421,27 +420,20 @@ func loadProgram(srcPath, benchName, dataset, data string, scalarN int64) (*ir.M
 	if n < 0 {
 		n = int64(len(arr))
 	}
-	var inputs []interp.Input
-	switch {
-	case len(entry.Params) == 0:
-	case len(entry.Params) == 1 && entry.Params[0] == ir.ParamScalar:
-		inputs = []interp.Input{interp.ScalarInput(n)}
-	case len(entry.Params) == 2 && entry.Params[0] == ir.ParamArray && entry.Params[1] == ir.ParamScalar:
-		inputs = []interp.Input{interp.ArrayInput(arr), interp.ScalarInput(n)}
-	default:
-		return nil, nil, fmt.Errorf("entry main must have signature (), (n) or (input[], n)")
+	inputs, err := interp.EntryInputs(mod, arr, n)
+	if err != nil {
+		return nil, nil, err
 	}
 	return mod, inputs, nil
 }
 
-func pickAligners(sel string, seed int64, parallel int) ([]align.Aligner, error) {
-	o := align.Options{Seed: seed, Parallelism: parallel}
+func pickAligners(sel string) ([]align.Aligner, error) {
 	build := func(names ...string) ([]align.Aligner, error) {
 		out := make([]align.Aligner, 0, len(names))
 		for _, name := range names {
-			a, err := align.New(name, o)
+			a, err := align.ByName(name)
 			if err != nil {
-				return nil, fmt.Errorf("unknown aligner %q (known: %v)", name, align.Names())
+				return nil, err
 			}
 			out = append(out, a)
 		}

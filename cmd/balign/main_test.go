@@ -11,7 +11,7 @@ import (
 func TestPickAligners(t *testing.T) {
 	cases := map[string]int{"all": 5, "original": 0, "greedy": 1, "cg": 1, "calder-grunwald": 1, "ap-patch": 1, "patch": 1, "tsp": 1, "exttsp": 1}
 	for sel, want := range cases {
-		as, err := pickAligners(sel, 1, 2)
+		as, err := pickAligners(sel)
 		if err != nil {
 			t.Errorf("pickAligners(%q): %v", sel, err)
 			continue
@@ -20,7 +20,7 @@ func TestPickAligners(t *testing.T) {
 			t.Errorf("pickAligners(%q) returned %d aligners, want %d", sel, len(as), want)
 		}
 	}
-	if _, err := pickAligners("quantum", 1, 0); err == nil {
+	if _, err := pickAligners("quantum"); err == nil {
 		t.Error("expected error for unknown aligner")
 	}
 }

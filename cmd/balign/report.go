@@ -95,13 +95,15 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 	tr := obs.New(sink)
 	root := tr.Start("balign.report", obs.String("model", modelSel),
 		obs.String("algorithm", algorithm), obs.Int("seed", seed))
-	aligner, err := align.New(algorithm, align.Options{Seed: seed, Parallelism: parallel})
+	aligner, err := align.ByName(algorithm)
 	if err != nil {
 		return nil, err
 	}
 	align.Run(context.Background(), aligner, mod, prof, model, align.RunOptions{
-		Bound: &tsp.HeldKarpOptions{Iterations: hkIters},
-		Obs:   root,
+		Seed:        seed,
+		Parallelism: parallel,
+		Bound:       &tsp.HeldKarpOptions{Iterations: hkIters},
+		Obs:         root,
 	})
 	root.End()
 	if err := tr.Close(); err != nil {

@@ -45,7 +45,7 @@ func runVet(args []string) int {
 		fmt.Fprintln(os.Stderr, "balign vet:", err)
 		return 1
 	}
-	aligners, err := pickVetAligners(*alignSel, *seed)
+	aligners, err := pickVetAligners(*alignSel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "balign vet:", err)
 		return 1
@@ -63,7 +63,7 @@ func runVet(args []string) int {
 			// The smaller data set keeps -all fast; the audited invariants
 			// are input-independent.
 			ds := b.DataSets[len(b.DataSets)-1]
-			if !vetProgram(b.Name, mod, ds.Make(), aligners, model, *bounds, bo, *verbose) {
+			if !vetProgram(b.Name, mod, ds.Make(), aligners, model, *seed, *bounds, bo, *verbose) {
 				exit = 1
 			}
 		}
@@ -78,16 +78,17 @@ func runVet(args []string) int {
 	if name == "" {
 		name = *srcPath
 	}
-	if !vetProgram(name, mod, inputs, aligners, model, *bounds, bo, *verbose) {
+	if !vetProgram(name, mod, inputs, aligners, model, *seed, *bounds, bo, *verbose) {
 		exit = 1
 	}
 	return exit
 }
 
 // vetProgram profiles one module and audits it under every aligner's
-// layout, printing findings; bounds adds the lower-bound chain, tuned by
-// bo. It reports whether no invariant was broken.
-func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []align.Aligner, model machine.Model, bounds bool, bo check.BoundsOptions, verbose bool) bool {
+// layout, solved with seed, printing findings; bounds adds the
+// lower-bound chain, tuned by bo. It reports whether no invariant was
+// broken.
+func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []align.Aligner, model machine.Model, seed int64, bounds bool, bo check.BoundsOptions, verbose bool) bool {
 	prof := interp.NewProfile(mod)
 	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
 		fmt.Fprintf(os.Stderr, "balign vet: %s: profiling run failed: %v\n", name, err)
@@ -107,7 +108,7 @@ func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []a
 	base.Merge(check.Flow(mod, est))
 	ok := printVetReport(name, base, verbose)
 	for _, a := range aligners {
-		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
+		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{Seed: seed}).Layout
 		r := check.Layouts(mod, prof, l, model)
 		if bounds {
 			r.Merge(check.Bounds(mod, prof, l, model, bo))
@@ -137,10 +138,10 @@ func printVetReport(target string, r *check.Report, verbose bool) bool {
 // experiment driver, "original" is a vettable layout here (the identity
 // order still gets its patch, placement, cost and bound audits), and
 // "all" includes it.
-func pickVetAligners(sel string, seed int64) ([]align.Aligner, error) {
+func pickVetAligners(sel string) ([]align.Aligner, error) {
 	switch sel {
 	case "all":
-		all, err := pickAligners("all", seed, 0)
+		all, err := pickAligners("all")
 		if err != nil {
 			return nil, err
 		}
@@ -148,5 +149,5 @@ func pickVetAligners(sel string, seed int64) ([]align.Aligner, error) {
 	case "original":
 		return []align.Aligner{align.Original{}}, nil
 	}
-	return pickAligners(sel, seed, 0)
+	return pickAligners(sel)
 }

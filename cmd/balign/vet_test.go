@@ -9,7 +9,7 @@ import (
 func TestPickVetAligners(t *testing.T) {
 	cases := map[string]int{"all": 6, "original": 1, "greedy": 1, "tsp": 1, "exttsp": 1}
 	for sel, want := range cases {
-		as, err := pickVetAligners(sel, 1)
+		as, err := pickVetAligners(sel)
 		if err != nil {
 			t.Errorf("pickVetAligners(%q): %v", sel, err)
 			continue
@@ -18,7 +18,7 @@ func TestPickVetAligners(t *testing.T) {
 			t.Errorf("pickVetAligners(%q) returned %d aligners, want %d", sel, len(as), want)
 		}
 	}
-	if _, err := pickVetAligners("quantum", 1); err == nil {
+	if _, err := pickVetAligners("quantum"); err == nil {
 		t.Error("expected error for unknown aligner")
 	}
 }

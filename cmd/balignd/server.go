@@ -23,7 +23,6 @@ import (
 	"branchalign/internal/minic"
 	"branchalign/internal/obs"
 	"branchalign/internal/stats"
-	"branchalign/internal/tsp"
 )
 
 // serverConfig carries the knobs the flags set.
@@ -194,8 +193,9 @@ type alignRequest struct {
 	// at one setting is served for every other.
 	Parallelism int `json:"parallelism,omitempty"`
 
-	// TimeoutMS and MaxKicks budget the solve; see tsp.Budget. A
-	// deadline hit yields a valid truncated result, not an error.
+	// TimeoutMS and MaxKicks budget the solve: the request's context
+	// deadline and engine.Request.MaxKicks. A deadline hit yields a
+	// valid truncated result, not an error.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	MaxKicks  int64 `json:"max_kicks,omitempty"`
 
@@ -518,7 +518,7 @@ func engineRequest(req alignRequest, loadTimeout time.Duration) (engine.Request,
 		Model:         model,
 		Algorithm:     algorithm,
 		Seed:          req.Seed,
-		Budget:        tsp.Budget{MaxKicks: req.MaxKicks},
+		MaxKicks:      req.MaxKicks,
 		Bound:         req.Bound,
 		HKIterations:  req.HKIterations,
 		Parallelism:   req.Parallelism,
@@ -669,30 +669,15 @@ func buildModule(p *program) (*ir.Module, []interp.Input, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("lowering source: %w", err)
 	}
-	inputs, err := shapeInputs(mod, p.data, p.n)
+	n := int64(len(p.data))
+	if p.n != nil {
+		n = *p.n
+	}
+	inputs, err := interp.EntryInputs(mod, p.data, n)
 	if err != nil {
 		return nil, nil, err
 	}
 	return mod, inputs, nil
-}
-
-// shapeInputs matches the program entry signature against the provided
-// data, exactly as the balign CLI does.
-func shapeInputs(mod *ir.Module, data []int64, scalarN *int64) ([]interp.Input, error) {
-	entry := mod.Funcs[mod.EntryFunc]
-	n := int64(len(data))
-	if scalarN != nil {
-		n = *scalarN
-	}
-	switch {
-	case len(entry.Params) == 0:
-		return nil, nil
-	case len(entry.Params) == 1 && entry.Params[0] == ir.ParamScalar:
-		return []interp.Input{interp.ScalarInput(n)}, nil
-	case len(entry.Params) == 2 && entry.Params[0] == ir.ParamArray && entry.Params[1] == ir.ParamScalar:
-		return []interp.Input{interp.ArrayInput(data), interp.ScalarInput(n)}, nil
-	}
-	return nil, fmt.Errorf("entry main must have signature (), (n) or (input[], n)")
 }
 
 // buildProfile returns the training profile, with the interpreter steps

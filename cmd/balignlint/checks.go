@@ -208,30 +208,45 @@ func importName(f *ast.File, path string) (string, *ast.ImportSpec) {
 
 // suppress drops findings covered by a //balignlint:ignore comment on
 // the same line or the line directly above, in any of the given files.
-func suppress(fset *token.FileSet, files []*ast.File, findings []finding) []finding {
-	ignored := map[string]bool{}
+// It returns the findings it kept and, as stale-ignore findings, the
+// directives that covered none.
+func suppress(fset *token.FileSet, files []*ast.File, findings []finding) (kept, stale []finding) {
+	type directive struct {
+		pos  token.Position
+		used bool
+	}
+	var dirs []*directive
+	byLine := map[string]*directive{}
+	key := func(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 				if strings.HasPrefix(text, "balignlint:ignore") {
-					pos := fset.Position(c.Pos())
-					ignored[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] = true
+					d := &directive{pos: fset.Position(c.Pos())}
+					dirs = append(dirs, d)
+					byLine[key(d.pos.Filename, d.pos.Line)] = d
 				}
 			}
 		}
 	}
-	if len(ignored) == 0 {
-		return findings
-	}
-	kept := findings[:0]
 	for _, fd := range findings {
-		same := fmt.Sprintf("%s:%d", fd.pos.Filename, fd.pos.Line)
-		above := fmt.Sprintf("%s:%d", fd.pos.Filename, fd.pos.Line-1)
-		if ignored[same] || ignored[above] {
+		same, above := byLine[key(fd.pos.Filename, fd.pos.Line)], byLine[key(fd.pos.Filename, fd.pos.Line-1)]
+		if same == nil && above == nil {
+			kept = append(kept, fd)
 			continue
 		}
-		kept = append(kept, fd)
+		for _, d := range []*directive{same, above} {
+			if d != nil {
+				d.used = true
+			}
+		}
 	}
-	return kept
+	for _, d := range dirs {
+		if !d.used {
+			stale = append(stale, finding{pos: d.pos, check: "stale-ignore",
+				msg: "balignlint:ignore suppresses no finding; delete it"})
+		}
+	}
+	return kept, stale
 }

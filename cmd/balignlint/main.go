@@ -8,7 +8,8 @@
 //     internal/align): map iteration order is deliberately randomized by
 //     the runtime, so any result that depends on it differs run to run.
 //   - time.Now inside a solver kernel: wall-clock reads make results
-//     depend on machine load rather than inputs.
+//     depend on machine load rather than inputs. The kernels cancel
+//     through a context.Context instead.
 //   - the global math/rand source anywhere in the repository: the
 //     top-level rand functions are seeded per-process, so they cannot
 //     reproduce; every RNG here must be rand.New(rand.NewSource(seed)).
@@ -27,7 +28,9 @@
 // A finding is suppressed by a //balignlint:ignore comment on the same
 // line or the line directly above; the convention is to follow the
 // directive with the reason the site is deterministic anyway (e.g. the
-// map range feeds a totally ordered sort).
+// map range feeds a totally ordered sort). In a whole-module run the
+// stale-ignore rule flags every directive that suppresses no finding,
+// so a directive cannot outlive the site it excused.
 //
 // The reporting shape follows go/analysis (file:line:col: check: msg,
 // non-zero exit on findings), but the implementation is plain go/parser
@@ -104,7 +107,7 @@ func run(args []string, out, errw io.Writer) int {
 
 	fset := token.NewFileSet()
 	var findings []finding
-	var prod, internal []*ast.File
+	var all, prod, internal []*ast.File
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil || strings.HasPrefix(rel, "..") {
@@ -137,14 +140,21 @@ func run(args []string, out, errw io.Writer) int {
 			findings = append(findings, mr...)
 		}
 
-		findings = suppress(fset, pkg.all(), findings)
+		all = append(all, pkg.all()...)
 		prod = append(prod, pkg.files...)
 		if strings.HasPrefix(rel, "internal/") && rel != testSupportDir {
 			internal = append(internal, pkg.files...)
 		}
 	}
-	if len(fl.Args()) == 0 {
-		findings = append(findings, suppress(fset, prod, checkTestOnly(fset, prod, internal))...)
+	whole := len(fl.Args()) == 0
+	if whole {
+		findings = append(findings, checkTestOnly(fset, prod, internal)...)
+	}
+	findings, stale := suppress(fset, all, findings)
+	if whole {
+		// Only a whole-module run applies every check, so only it can
+		// tell that a directive suppresses nothing.
+		findings = append(findings, stale...)
 	}
 
 	sort.Slice(findings, func(i, j int) bool {

@@ -118,12 +118,16 @@ var c = rand.Intn(3)`
 	if len(found) != 3 {
 		t.Fatalf("pre-suppression: %d findings, want 3", len(found))
 	}
-	kept := suppress(fset, []*ast.File{f}, found)
+	kept, stale := suppress(fset, []*ast.File{f}, found)
 	if len(kept) != 1 {
 		t.Fatalf("post-suppression: %d findings, want 1", len(kept))
 	}
 	if kept[0].pos.Line != 10 {
 		t.Errorf("kept finding at line %d, want 10", kept[0].pos.Line)
+	}
+	// The directive too far away suppresses nothing, so it is stale.
+	if len(stale) != 1 || stale[0].check != "stale-ignore" || stale[0].pos.Line != 8 {
+		t.Fatalf("stale directives = %+v, want one stale-ignore at line 8", stale)
 	}
 }
 
@@ -183,29 +187,12 @@ var _ = TestOnly() + (&T{}).Probe()
 
 // TestRepoIsClean runs the full linter over the module, mirroring the
 // CI vet-static step: the repository must lint clean, with every
-// legitimate nondeterminism site carrying an ignore directive.
+// legitimate nondeterminism site carrying an ignore directive, and,
+// through the stale-ignore rule, every directive suppressing a finding.
 func TestRepoIsClean(t *testing.T) {
 	var out, errw strings.Builder
 	if code := run(nil, &out, &errw); code != 0 {
 		t.Fatalf("balignlint exit %d on own repo\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
-	}
-}
-
-// TestDirectiveIsLoadBearing checks that the annotated time.Now site in
-// the solver budget would be flagged without its ignore directive: the
-// check fires, and only suppression keeps the repo clean.
-func TestDirectiveIsLoadBearing(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "../../internal/tsp/budget.go", nil, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := checkTimeNow(fset, f)
-	if len(found) != 1 {
-		t.Fatalf("checkTimeNow on budget.go: %d findings, want 1", len(found))
-	}
-	if kept := suppress(fset, []*ast.File{f}, found); len(kept) != 0 {
-		t.Fatalf("directive failed to suppress: %d findings survive", len(kept))
 	}
 }
 

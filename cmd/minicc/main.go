@@ -118,7 +118,6 @@ func moduleStats(mod *ir.Module) (blocks, instrs int) {
 
 // bindInputs adapts -data/-n to the entry function's signature.
 func bindInputs(mod *ir.Module, data string, scalarN int64) ([]interp.Input, error) {
-	entry := mod.Funcs[mod.EntryFunc]
 	var arr []int64
 	if data != "" {
 		for _, part := range strings.Split(data, ",") {
@@ -133,13 +132,5 @@ func bindInputs(mod *ir.Module, data string, scalarN int64) ([]interp.Input, err
 	if n < 0 {
 		n = int64(len(arr))
 	}
-	switch {
-	case len(entry.Params) == 0:
-		return nil, nil
-	case len(entry.Params) == 1 && entry.Params[0] == ir.ParamScalar:
-		return []interp.Input{interp.ScalarInput(n)}, nil
-	case len(entry.Params) == 2 && entry.Params[0] == ir.ParamArray && entry.Params[1] == ir.ParamScalar:
-		return []interp.Input{interp.ArrayInput(arr), interp.ScalarInput(n)}, nil
-	}
-	return nil, fmt.Errorf("entry %s must have signature (), (n) or (input[], n)", entry.Name)
+	return interp.EntryInputs(mod, arr, n)
 }

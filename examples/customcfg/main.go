@@ -85,8 +85,8 @@ func main() {
 	}))
 	fmt.Println()
 
-	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.NewTSP(1)} {
-		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
+	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.TSP{}} {
+		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{Seed: 1}).Layout
 		cp := layout.ModulePenalty(mod, l, prof, model)
 		fmt.Printf("%-9s penalty %8d cycles, order %v\n", a.Name(), cp, l.Funcs[0].Order)
 	}

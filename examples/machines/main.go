@@ -37,7 +37,7 @@ func main() {
 	for _, model := range machine.Models() {
 		orig := align.Run(context.Background(), align.Original{}, mod, prof, model, align.RunOptions{}).Penalty
 		greedy := align.Run(context.Background(), align.PettisHansen{}, mod, prof, model, align.RunOptions{}).Penalty
-		tspCP := align.Run(context.Background(), align.NewTSP(1), mod, prof, model, align.RunOptions{}).Penalty
+		tspCP := align.Run(context.Background(), align.TSP{}, mod, prof, model, align.RunOptions{Seed: 1}).Penalty
 		fmt.Printf("%-12s %14d %14d %14d %9.1f%% %9.1f%%\n",
 			model.Name, orig, greedy, tspCP,
 			100*(1-float64(greedy)/float64(orig)),

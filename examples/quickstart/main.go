@@ -76,8 +76,8 @@ func main() {
 
 	// 3. Align: original vs greedy (Pettis-Hansen) vs TSP-based.
 	model := machine.Alpha21164()
-	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.NewTSP(1)} {
-		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
+	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.TSP{}} {
+		l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{Seed: 1}).Layout
 		cp := layout.ModulePenalty(mod, l, prof, model)
 
 		// 4. Simulate execution under the layout (pipeline + I-cache).
@@ -90,7 +90,7 @@ func main() {
 	}
 
 	// 5. Show the reordering the TSP aligner chose for the hot function.
-	l := align.Run(context.Background(), align.NewTSP(1), mod, prof, model, align.RunOptions{}).Layout
+	l := align.Run(context.Background(), align.TSP{}, mod, prof, model, align.RunOptions{Seed: 1}).Layout
 	fi := mod.FuncIndex("countPrimes")
 	fmt.Printf("\ncountPrimes block order: %v\n", l.Funcs[fi].Order)
 	fmt.Println("(block 0 is the entry; compare with the original 0,1,2,... order)")

@@ -80,8 +80,8 @@ func main() {
 		log.Fatal(err)
 	}
 	model := machine.Alpha21164()
-	aligner := align.NewTSP(1)
-	lay := align.Run(context.Background(), aligner, mod, loaded, model, align.RunOptions{}).Layout
+	aligner := align.TSP{}
+	lay := align.Run(context.Background(), aligner, mod, loaded, model, align.RunOptions{Seed: 1}).Layout
 
 	before := align.Run(context.Background(), align.Original{}, mod, loaded, model, align.RunOptions{}).Penalty
 	after := layout.ModulePenalty(mod, lay, loaded, model)

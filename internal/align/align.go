@@ -48,11 +48,13 @@ type Func struct {
 	IR    *ir.Func
 	Prof  *interp.FuncProfile
 	Model machine.Model
-	// Pool, Budget and Obs are the run's (see RunOptions); Pool is
-	// never nil.
-	Pool   *work.Pool
-	Budget tsp.Budget
-	Obs    *obs.Span
+	// Seed, Parallelism, MaxKicks, Pool and Obs are the run's (see
+	// RunOptions); Pool is never nil.
+	Seed        int64
+	Parallelism int
+	MaxKicks    int64
+	Pool        *work.Pool
+	Obs         *obs.Span
 
 	mat *tsp.SparseMatrix
 }
@@ -77,7 +79,7 @@ type FuncResult struct {
 	// exactly or it has one block.
 	Exact bool
 	// Truncated reports that the aligner was cut short by its context
-	// or budget; Order is still valid.
+	// or MaxKicks; Order is still valid.
 	Truncated bool
 	// Kicks totals the tsp solve's kick rounds.
 	Kicks int64
@@ -86,17 +88,27 @@ type FuncResult struct {
 	Bound FuncBoundResult
 }
 
-// RunOptions configures Run.
+// RunOptions configures Run. Aligners are stateless values: everything
+// one run varies rides here.
 type RunOptions struct {
+	// Seed seeds the randomized aligner (tsp): function i solves with
+	// Seed+i. The zero seed is valid and deterministic.
+	Seed int64
+	// Parallelism is each tsp solve's tsp.SolveOptions.Parallelism. It
+	// composes with the per-function fan-out: both layers draw workers
+	// from Pool. Results are bit-identical at every setting.
+	Parallelism int
 	// Pool runs the per-function tasks, and tsp's nested multi-start
 	// runs; nil means work.Shared(). Functions are independent and
 	// results are written by index, so every pool gives the same result.
 	Pool *work.Pool
-	// Budget bounds each function's tsp solve and its bound.
-	Budget tsp.Budget
+	// MaxKicks caps each function's tsp solve
+	// (tsp.SolveOptions.MaxKicks); 0 means unlimited.
+	MaxKicks int64
 	// Bound, when non-nil, also bounds each function with Held-Karp on
-	// the same matrix its aligner used. Run sets the options' Context,
-	// Budget and Obs.
+	// the same matrix its aligner used. Run sets the options' Context
+	// and Obs. A function the aligner solved exactly (FuncResult.Exact)
+	// is bounded by its optimum without solving it again.
 	Bound *tsp.HeldKarpOptions
 	// Obs, when non-nil, is the parent span of every function's
 	// "align.build_matrix", "align.func" and "align.hk" spans.
@@ -133,13 +145,17 @@ func Run(ctx context.Context, a Aligner, mod *ir.Module, prof *interp.Profile, m
 	res := &Result{Layout: &layout.Layout{Funcs: make([]*layout.FuncLayout, n)}, Funcs: make([]FuncResult, n)}
 	pool.Each(n, func(fi int) {
 		f, fp := mod.Funcs[fi], prof.Funcs[fi]
-		fn := &Func{Index: fi, IR: f, Prof: fp, Model: m, Pool: pool, Budget: o.Budget, Obs: o.Obs}
+		fn := &Func{Index: fi, IR: f, Prof: fp, Model: m, Seed: o.Seed, Parallelism: o.Parallelism,
+			MaxKicks: o.MaxKicks, Pool: pool, Obs: o.Obs}
 		r := a.AlignFunc(ctx, fn)
 		fl := layout.Finalize(f, fp, r.Order, m)
 		r.Cost = layout.Penalty(f, fl, fp, m)
-		if o.Bound != nil {
+		switch {
+		case o.Bound != nil && r.Exact:
+			r.Bound = ExactBound(f, r.Cost, o.Obs)
+		case o.Bound != nil:
 			ho := *o.Bound
-			ho.Context, ho.Budget, ho.Obs = ctx, o.Budget, o.Obs
+			ho.Context, ho.Obs = ctx, o.Obs
 			r.Bound = FuncHeldKarpBound(f, fn.Matrix(), ho)
 		}
 		res.Layout.Funcs[fi] = fl

@@ -52,9 +52,9 @@ func TestMatrixWalkCostEqualsLayoutPenalty(t *testing.T) {
 func TestAlignersProduceValidLayouts(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	aligners := []Aligner{Original{}, PettisHansen{}, &CalderGrunwald{}, NewTSP(1)}
+	aligners := []Aligner{Original{}, PettisHansen{}, &CalderGrunwald{}, TSP{}}
 	for _, a := range aligners {
-		l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
+		l := Run(context.Background(), a, mod, prof, m, RunOptions{Seed: 1}).Layout
 		if err := l.Validate(mod); err != nil {
 			t.Errorf("%s: invalid layout: %v", a.Name(), err)
 		}
@@ -67,7 +67,7 @@ func TestAlignerImprovementOrdering(t *testing.T) {
 	orig := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
 	greedy := Run(context.Background(), PettisHansen{}, mod, prof, m, RunOptions{}).Penalty
 	cg := Run(context.Background(), &CalderGrunwald{}, mod, prof, m, RunOptions{}).Penalty
-	tspPen := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
+	tspPen := Run(context.Background(), TSP{}, mod, prof, m, RunOptions{Seed: 1}).Penalty
 	if greedy > orig {
 		t.Errorf("greedy penalty %d worse than original %d", greedy, orig)
 	}
@@ -93,8 +93,8 @@ func TestAlignerImprovementOrdering(t *testing.T) {
 func TestTSPMatchesExactOnSmallFunctions(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	a := NewTSP(1)
-	l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
+	a := TSP{}
+	l := Run(context.Background(), a, mod, prof, m, RunOptions{Seed: 1}).Layout
 	for fi, f := range mod.Funcs {
 		n := len(f.Blocks)
 		if n < 2 || n > 12 {
@@ -122,7 +122,7 @@ func TestBoundsSandwich(t *testing.T) {
 			ap += tsp.AssignmentBound(BuildSparseMatrix(f, prof.Funcs[fi], m, nil))
 		}
 	}
-	tspPen := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
+	tspPen := Run(context.Background(), TSP{}, mod, prof, m, RunOptions{Seed: 1}).Penalty
 	origPen := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
 	if ap > tspPen {
 		t.Errorf("AP bound %d exceeds TSP penalty %d", ap, tspPen)
@@ -158,8 +158,8 @@ func TestGreedyHandlesZeroProfile(t *testing.T) {
 	}
 	prof := interp.NewProfile(mod)
 	m := machine.Alpha21164()
-	for _, a := range []Aligner{PettisHansen{}, &CalderGrunwald{}, NewTSP(1)} {
-		l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
+	for _, a := range []Aligner{PettisHansen{}, &CalderGrunwald{}, TSP{}} {
+		l := Run(context.Background(), a, mod, prof, m, RunOptions{Seed: 1}).Layout
 		if err := l.Validate(mod); err != nil {
 			t.Errorf("%s on zero profile: %v", a.Name(), err)
 		}
@@ -237,11 +237,11 @@ func TestDeterministicAlignment(t *testing.T) {
 	for _, mk := range []func() Aligner{
 		func() Aligner { return PettisHansen{} },
 		func() Aligner { return &CalderGrunwald{} },
-		func() Aligner { return NewTSP(7) },
+		func() Aligner { return TSP{} },
 	} {
 		a1, a2 := mk(), mk()
-		l1 := Run(context.Background(), a1, mod, prof, m, RunOptions{}).Layout
-		l2 := Run(context.Background(), a2, mod, prof, m, RunOptions{}).Layout
+		l1 := Run(context.Background(), a1, mod, prof, m, RunOptions{Seed: 7}).Layout
+		l2 := Run(context.Background(), a2, mod, prof, m, RunOptions{Seed: 7}).Layout
 		for fi := range l1.Funcs {
 			for k := range l1.Funcs[fi].Order {
 				if l1.Funcs[fi].Order[k] != l2.Funcs[fi].Order[k] {
@@ -254,7 +254,7 @@ func TestDeterministicAlignment(t *testing.T) {
 
 func TestAlignerNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, a := range []Aligner{Original{}, PettisHansen{}, &CalderGrunwald{}, NewTSP(0)} {
+	for _, a := range []Aligner{Original{}, PettisHansen{}, &CalderGrunwald{}, TSP{}} {
 		n := a.Name()
 		if n == "" || names[n] {
 			t.Errorf("aligner name %q empty or duplicated", n)
@@ -270,7 +270,7 @@ func TestDeepPipeIncreasesAlignmentBenefit(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	benefit := func(m machine.Model) layout.Cost {
 		orig := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
-		tspPen := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
+		tspPen := Run(context.Background(), TSP{}, mod, prof, m, RunOptions{Seed: 1}).Penalty
 		return orig - tspPen
 	}
 	shallow := benefit(machine.ShallowPipe())
@@ -288,7 +288,7 @@ func TestDeepPipeIncreasesAlignmentBenefit(t *testing.T) {
 func TestParallelAlignmentIdentical(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	l1 := Run(context.Background(), NewTSP(5), mod, prof, m, RunOptions{Pool: work.NewPool(1)}).Layout
+	l1 := Run(context.Background(), TSP{}, mod, prof, m, RunOptions{Seed: 5, Pool: work.NewPool(1)}).Layout
 	for name, c := range map[string]struct {
 		workers, runs int
 	}{
@@ -296,9 +296,7 @@ func TestParallelAlignmentIdentical(t *testing.T) {
 		"runs":  {1, 4},
 		"both":  {4, 4},
 	} {
-		a := NewTSP(5)
-		a.Parallelism = c.runs
-		l2 := Run(context.Background(), a, mod, prof, m, RunOptions{Pool: work.NewPool(c.workers)}).Layout
+		l2 := Run(context.Background(), TSP{}, mod, prof, m, RunOptions{Seed: 5, Parallelism: c.runs, Pool: work.NewPool(c.workers)}).Layout
 		for fi := range l1.Funcs {
 			for k := range l1.Funcs[fi].Order {
 				if l1.Funcs[fi].Order[k] != l2.Funcs[fi].Order[k] {

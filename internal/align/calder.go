@@ -19,25 +19,21 @@ import (
 // (their heuristic exhaustively reorders the blocks touched by the
 // hottest edges; bounded exhaustive chain ordering is the analogous
 // search at chain granularity).
-type CalderGrunwald struct {
-	// MaxExhaustiveChains bounds the factorial search over non-entry
-	// chain orders; above it the greedy attraction order is kept.
-	// Zero selects the default of 6 (720 permutations).
-	MaxExhaustiveChains int
-}
+type CalderGrunwald struct{}
+
+// cgMaxChains bounds the factorial search over non-entry chain orders
+// (6! = 720 permutations); above it the greedy attraction order is
+// kept.
+const cgMaxChains = 6
 
 // Name implements Aligner.
-func (*CalderGrunwald) Name() string { return "calder-grunwald" }
+func (CalderGrunwald) Name() string { return "calder-grunwald" }
 
 // AlignFunc implements Aligner.
-func (cg *CalderGrunwald) AlignFunc(_ context.Context, fn *Func) FuncResult {
-	maxChains := cg.MaxExhaustiveChains
-	if maxChains <= 0 {
-		maxChains = 6
-	}
+func (CalderGrunwald) AlignFunc(_ context.Context, fn *Func) FuncResult {
 	f, fp, m := fn.IR, fn.Prof, fn.Model
 	order := chainAndOrder(f, fp, savingsWeights(f, fp, m))
-	return FuncResult{Order: cg.improveChainOrder(f, fp, m, order, maxChains)}
+	return FuncResult{Order: improveChainOrder(f, fp, m, order)}
 }
 
 // savingsWeights weights each candidate edge (b, s) by the penalty saved
@@ -77,7 +73,7 @@ func savingsWeights(f *ir.Func, fp *interp.FuncProfile, m machine.Model) []cfgEd
 // are taken as maximal runs where consecutive blocks are CFG-successor
 // pairs) and exhaustively permutes the non-entry chains when few enough,
 // keeping the order with the lowest training penalty.
-func (cg *CalderGrunwald) improveChainOrder(f *ir.Func, fp *interp.FuncProfile, m machine.Model, order []int, maxChains int) []int {
+func improveChainOrder(f *ir.Func, fp *interp.FuncProfile, m machine.Model, order []int) []int {
 	isCFGSucc := func(a, b int) bool {
 		for _, s := range f.Blocks[a].Term.Succs {
 			if s == b {
@@ -97,12 +93,12 @@ func (cg *CalderGrunwald) improveChainOrder(f *ir.Func, fp *interp.FuncProfile, 
 		cur = []int{order[i]}
 	}
 	chains = append(chains, cur)
-	if len(chains)-1 > maxChains || len(chains) <= 2 {
+	if len(chains)-1 > cgMaxChains || len(chains) <= 2 {
 		return order
 	}
 	rest := chains[1:]
 	best := append([]int(nil), order...)
-	bestCost := cg.orderPenalty(f, fp, m, order)
+	bestCost := orderPenalty(f, fp, m, order)
 	perm := make([]int, len(rest))
 	for i := range perm {
 		perm[i] = i
@@ -116,7 +112,7 @@ func (cg *CalderGrunwald) improveChainOrder(f *ir.Func, fp *interp.FuncProfile, 
 			for _, pi := range perm {
 				cand = append(cand, rest[pi]...)
 			}
-			if c := cg.orderPenalty(f, fp, m, cand); c < bestCost {
+			if c := orderPenalty(f, fp, m, cand); c < bestCost {
 				bestCost = c
 				best = append(best[:0], cand...)
 			}
@@ -132,7 +128,7 @@ func (cg *CalderGrunwald) improveChainOrder(f *ir.Func, fp *interp.FuncProfile, 
 	return best
 }
 
-func (cg *CalderGrunwald) orderPenalty(f *ir.Func, fp *interp.FuncProfile, m machine.Model, order []int) layout.Cost {
+func orderPenalty(f *ir.Func, fp *interp.FuncProfile, m machine.Model, order []int) layout.Cost {
 	fl := layout.Finalize(f, fp, order, m)
 	return layout.Penalty(f, fl, fp, m)
 }

@@ -96,31 +96,19 @@ func BuildSparseMatrix(f *ir.Func, fp *interp.FuncProfile, m machine.Model, sp *
 
 // TSP is the paper's aligner: reduce each function to a DTSP and solve it
 // with the paper's multi-start iterated 3-opt protocol (exactly for small
-// functions; see tsp.Solve).
-type TSP struct {
-	// Seed seeds the solver; function i solves with Seed+i.
-	Seed int64
-	// Parallelism is each solve's tsp.SolveOptions.Parallelism. The
-	// solve's Context, Budget, Pool and Obs come from the run (see Func),
-	// so it composes with the per-function fan-out: both layers draw
-	// workers from the same pool.
-	Parallelism int
-}
-
-// NewTSP returns a TSP aligner with the given seed.
-func NewTSP(seed int64) *TSP {
-	return &TSP{Seed: seed}
-}
+// functions; see tsp.Solve). Its seed, parallelism, kick cap, pool and
+// span come from the run (see RunOptions).
+type TSP struct{}
 
 // Name implements Aligner.
-func (*TSP) Name() string { return "tsp" }
+func (TSP) Name() string { return "tsp" }
 
 // AlignFunc implements Aligner. A cancelled ctx (or an exhausted
-// fn.Budget) truncates the solve at its next kick boundary and returns
+// fn.MaxKicks) truncates the solve at its next kick boundary and returns
 // the best-so-far order.
-func (t *TSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
-	opts := tsp.SolveOptions{Seed: t.Seed, Parallelism: t.Parallelism,
-		Context: ctx, Budget: fn.Budget, Pool: fn.Pool, Obs: fn.Obs}
+func (TSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
+	opts := tsp.SolveOptions{Seed: fn.Seed, Parallelism: fn.Parallelism,
+		Context: ctx, MaxKicks: fn.MaxKicks, Pool: fn.Pool, Obs: fn.Obs}
 	r := SolveFunc(fn.IR, fn.Matrix(), opts, int64(fn.Index))
 	return FuncResult{Order: r.Order, Exact: r.Exact, Truncated: r.Truncated, Kicks: r.Kicks}
 }
@@ -143,7 +131,7 @@ type SolveResult struct {
 	MovesTried, MovesAccepted     int64
 	OrMovesTried, OrMovesAccepted int64
 	// Kicks totals the kick rounds performed; Truncated marks a solve
-	// cut short by its context or budget (see tsp.Result).
+	// cut short by its context or MaxKicks (see tsp.Result).
 	Kicks     int64
 	Truncated bool
 }
@@ -198,7 +186,7 @@ type FuncBoundResult struct {
 	// true optimum (exact DP) or trivially (single block).
 	Exact bool
 	// Truncated is true when the subgradient ascent was cut short by its
-	// context or budget; the bound is still valid, just weaker.
+	// context; the bound is still valid, just weaker.
 	Truncated bool
 	// Iterations is the number of subgradient iterates evaluated (0 for
 	// exact bounds).
@@ -211,22 +199,20 @@ type FuncBoundResult struct {
 
 // FuncHeldKarpBound computes the Held-Karp bound on f's DTSP instance mat
 // (built by BuildSparseMatrix), with its anytime diagnostics. Functions
-// small enough for exact solving are bounded by their true optimum. When
-// opts.Obs is set, the bound computation is recorded as an "align.hk"
-// span (with the subgradient trajectory nested under it).
+// small enough for exact solving are bounded by their true optimum (see
+// ExactBound). When opts.Obs is set, the bound computation is recorded as
+// an "align.hk" span (with the subgradient trajectory nested under it).
 func FuncHeldKarpBound(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.HeldKarpOptions) FuncBoundResult {
 	n := mat.Len()
+	switch {
+	case n == 1:
+		return ExactBound(f, 0, opts.Obs)
+	case n <= tsp.ExactMaxCities:
+		_, opt := tsp.SolveExact(mat)
+		return ExactBound(f, opt, opts.Obs)
+	}
 	sp := opts.Obs.Child("align.hk", obs.String("func", f.Name), obs.Int("cities", int64(n)))
 	opts.Obs = sp
-	if n == 1 {
-		sp.End(obs.Int("bound", 0), obs.Bool("exact", true), obs.Bool("converged", true))
-		return FuncBoundResult{Exact: true, Converged: true}
-	}
-	if n <= tsp.ExactMaxCities {
-		_, opt := tsp.SolveExact(mat)
-		sp.End(obs.Int("bound", opt), obs.Bool("exact", true), obs.Bool("converged", true))
-		return FuncBoundResult{Bound: opt, Exact: true, Converged: true}
-	}
 	hk := tsp.HeldKarpBound(mat, opts)
 	b := hk.Bound
 	if b < 0 {
@@ -242,4 +228,15 @@ func FuncHeldKarpBound(f *ir.Func, mat *tsp.SparseMatrix, opts tsp.HeldKarpOptio
 		obs.Int("iterations", int64(hk.Iterations)), obs.Bool("converged", hk.Converged))
 	return FuncBoundResult{Bound: c, Truncated: hk.Truncated, Iterations: hk.Iterations,
 		Converged: hk.Converged}
+}
+
+// ExactBound bounds f by its known optimum opt, for a function solved
+// exactly (SolveResult.Exact, FuncResult.Exact): the bound is opt, exact
+// and converged. It records the same "align.hk" span under sp that
+// FuncHeldKarpBound records for such a function, so a caller holding an
+// exact solve's cost need not run the exact DP again.
+func ExactBound(f *ir.Func, opt layout.Cost, sp *obs.Span) FuncBoundResult {
+	hk := sp.Child("align.hk", obs.String("func", f.Name), obs.Int("cities", int64(len(f.Blocks))))
+	hk.End(obs.Int("bound", opt), obs.Bool("exact", true), obs.Bool("converged", true))
+	return FuncBoundResult{Bound: opt, Exact: true, Converged: true}
 }

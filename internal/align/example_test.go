@@ -31,7 +31,7 @@ func main(n) {
 	}
 	m := machine.Alpha21164()
 	orig := align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Penalty
-	tsp := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Penalty
+	tsp := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Penalty
 	fmt.Printf("original %d cycles, aligned %d cycles\n", orig, tsp)
 	// Output: original 7405 cycles, aligned 1607 cycles
 }

@@ -36,29 +36,17 @@ import (
 const extSplitCap = 64
 
 // ExtTSP is the chain-merging aligner over the ExtTSP objective.
-type ExtTSP struct {
-	// Params is the objective; the zero value selects
-	// layout.DefaultExtTSPParams().
-	Params layout.ExtTSPParams
-}
+type ExtTSP struct{}
 
 // Name implements Aligner.
-func (*ExtTSP) Name() string { return "exttsp" }
-
-// params resolves the configured objective parameters.
-func (e *ExtTSP) params() layout.ExtTSPParams {
-	if e.Params == (layout.ExtTSPParams{}) {
-		return layout.DefaultExtTSPParams()
-	}
-	return e.Params
-}
+func (ExtTSP) Name() string { return "exttsp" }
 
 // AlignFunc implements Aligner. A cancelled ctx stops the merge loop at
 // its next merge boundary; the chains built so far are concatenated into
 // a valid (merely weaker) order. Under a traced run the function gets an
 // "align.func" span (tagged algorithm=exttsp) carrying the order's
 // ExtTSP score, control penalty and merge count.
-func (e *ExtTSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
+func (ExtTSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
 	f, fp := fn.IR, fn.Prof
 	n := len(f.Blocks)
 	sp := fn.Obs.Child("align.func",
@@ -68,12 +56,12 @@ func (e *ExtTSP) AlignFunc(ctx context.Context, fn *Func) FuncResult {
 		sp.End(obs.Int("cost", 0), obs.Float("score", 0))
 		return FuncResult{Order: []int{0}}
 	}
-	s := newExtSolver(f, fp, e.params())
+	s := newExtSolver(f, fp)
 	merges, truncated := s.run(ctx)
 	order := s.finalOrder()
 	if sp != nil {
 		cost := layout.Penalty(f, layout.Finalize(f, fp, order, fn.Model), fp, fn.Model)
-		sp.End(obs.Int("cost", int64(cost)), obs.Float("score", layout.ExtTSPScore(f, fp, order, e.params())),
+		sp.End(obs.Int("cost", int64(cost)), obs.Float("score", layout.ExtTSPScore(f, fp, order)),
 			obs.Int("merges", int64(merges)), obs.Bool("truncated", truncated))
 	}
 	return FuncResult{Order: order, Truncated: truncated}
@@ -101,7 +89,6 @@ type extChain struct {
 
 // extSolver is the per-function chain-merging state.
 type extSolver struct {
-	p     layout.ExtTSPParams
 	sizes []int // block byte sizes (layout.BlockBytes)
 
 	out    [][]extArc // merged out-arcs per block, sorted by target
@@ -183,10 +170,9 @@ func (h extCandHeap) valid(c extCand) bool {
 
 // newExtSolver builds the arc structure and seed chains for one
 // function.
-func newExtSolver(f *ir.Func, fp *interp.FuncProfile, p layout.ExtTSPParams) *extSolver {
+func newExtSolver(f *ir.Func, fp *interp.FuncProfile) *extSolver {
 	n := len(f.Blocks)
 	s := &extSolver{
-		p:       p,
 		sizes:   layout.BlockBytes(f),
 		out:     make([][]extArc, n),
 		inSrcs:  make([][]int, n),
@@ -480,7 +466,7 @@ func (s *extSolver) concatGain(a, b *extChain, offA, offB int) float64 {
 			srcOff, dstOff = offB, offA
 		}
 		srcEnd := srcOff + s.pos[arc.from] + s.sizes[arc.from]
-		g += layout.ArcScore(arc.w, srcEnd, dstOff+s.pos[arc.to], s.p)
+		g += layout.ArcScore(arc.w, srcEnd, dstOff+s.pos[arc.to])
 	}
 	return g
 }
@@ -507,15 +493,15 @@ func (s *extSolver) splitGain(x, y *extChain, intraX []crossArc, i int) float64 
 			srcEnd = splitAt + s.pos[arc.from] + s.sizes[arc.from]
 			dst = xOff(arc.to)
 		}
-		g += layout.ArcScore(arc.w, srcEnd, dst, s.p)
+		g += layout.ArcScore(arc.w, srcEnd, dst)
 	}
 	for _, arc := range intraX {
 		if (s.idx[arc.from] < i) == (s.idx[arc.to] < i) {
 			continue // both sides of the split: relative offset unchanged
 		}
 		oldEnd := s.pos[arc.from] + s.sizes[arc.from]
-		g += layout.ArcScore(arc.w, xOff(arc.from)+s.sizes[arc.from], xOff(arc.to), s.p) -
-			layout.ArcScore(arc.w, oldEnd, s.pos[arc.to], s.p)
+		g += layout.ArcScore(arc.w, xOff(arc.from)+s.sizes[arc.from], xOff(arc.to)) -
+			layout.ArcScore(arc.w, oldEnd, s.pos[arc.to])
 	}
 	return g
 }

@@ -20,14 +20,13 @@ import (
 func TestExtTSPValidOnBenchmarks(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	p := layout.DefaultExtTSPParams()
 	a := &ExtTSP{}
 	l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
 	if err := l.Validate(mod); err != nil {
 		t.Fatalf("invalid layout: %v", err)
 	}
-	got := layout.ModuleExtTSPScore(mod, l, prof, p)
-	orig := layout.ModuleExtTSPScore(mod, Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Layout, prof, p)
+	got := layout.ModuleExtTSPScore(mod, l, prof)
+	orig := layout.ModuleExtTSPScore(mod, Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Layout, prof)
 	if got < orig {
 		t.Errorf("exttsp score %.3f below original %.3f", got, orig)
 	}
@@ -104,7 +103,6 @@ func TestExtTSPCancelledContextStillValid(t *testing.T) {
 func TestExtTSPFuncResultScoreMatchesRecompute(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	p := layout.DefaultExtTSPParams()
 	sink := &obs.MemorySink{}
 	tr := obs.New(sink)
 	root := tr.Start("test")
@@ -120,7 +118,7 @@ func TestExtTSPFuncResultScoreMatchesRecompute(t *testing.T) {
 		}
 	}
 	for fi, f := range mod.Funcs {
-		want := layout.ExtTSPScore(f, prof.Funcs[fi], res.Funcs[fi].Order, p)
+		want := layout.ExtTSPScore(f, prof.Funcs[fi], res.Funcs[fi].Order)
 		if got, ok := scores[f.Name]; !ok || got != want {
 			t.Errorf("%s: traced score %v (present %v) != recomputed %v", f.Name, got, ok, want)
 		}

@@ -44,7 +44,7 @@ func TestQuickWalkCostEqualsPenaltyOnSynthCFGs(t *testing.T) {
 // synthetic instances.
 func TestQuickAlignersValidOnSynthCFGs(t *testing.T) {
 	m := machine.Alpha21164()
-	aligners := []Aligner{PettisHansen{}, &CalderGrunwald{}, APPatch{}, NewTSP(3)}
+	aligners := []Aligner{PettisHansen{}, &CalderGrunwald{}, APPatch{}, TSP{}}
 	f := func(blocksRaw, seedRaw uint16) bool {
 		blocks := int(blocksRaw%30) + 1
 		mod, prof, err := bench.Synthesize(bench.DefaultSynth(blocks, int64(seedRaw)+999))
@@ -53,7 +53,7 @@ func TestQuickAlignersValidOnSynthCFGs(t *testing.T) {
 		}
 		orig := Run(context.Background(), Original{}, mod, prof, m, RunOptions{}).Penalty
 		for _, a := range aligners {
-			l := Run(context.Background(), a, mod, prof, m, RunOptions{}).Layout
+			l := Run(context.Background(), a, mod, prof, m, RunOptions{Seed: 3}).Layout
 			if err := l.Validate(mod); err != nil {
 				t.Logf("%s: %v", a.Name(), err)
 				return false
@@ -86,7 +86,7 @@ func TestAPPatchOnBenchmarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	patch := layout.ModulePenalty(mod, patchL, prof, m)
-	tspCP := Run(context.Background(), NewTSP(1), mod, prof, m, RunOptions{}).Penalty
+	tspCP := Run(context.Background(), TSP{}, mod, prof, m, RunOptions{Seed: 1}).Penalty
 	if patch > orig {
 		t.Errorf("patching worse than original: %d > %d", patch, orig)
 	}

@@ -21,7 +21,7 @@ func TestRunBoundMatchesFuncBounds(t *testing.T) {
 	hk := tsp.HeldKarpOptions{Iterations: 50}
 	// A kick cap keeps tsp cheap on the larger modules; it caps the
 	// solve only, never the bound.
-	budget := tsp.Budget{MaxKicks: 100}
+	const maxKicks = 100
 	for _, b := range bench.All() {
 		mod, err := b.Compile()
 		if err != nil {
@@ -38,11 +38,11 @@ func TestRunBoundMatchesFuncBounds(t *testing.T) {
 			total += want[fi].Bound
 		}
 		for _, name := range Names() {
-			a, err := New(name, Options{Seed: 1})
+			a, err := ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := Run(context.Background(), a, mod, prof, m, RunOptions{Bound: &hk, Budget: budget})
+			res := Run(context.Background(), a, mod, prof, m, RunOptions{Seed: 1, MaxKicks: maxKicks, Bound: &hk})
 			if res.Bound != total {
 				t.Errorf("%s/%s: Run bound %d, want %d", b.Name, name, res.Bound, total)
 			}
@@ -64,7 +64,7 @@ func TestRunBoundMatchesFuncBounds(t *testing.T) {
 func TestRunBuildsEachMatrixOnce(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	for _, a := range []Aligner{NewTSP(1), APPatch{}} {
+	for _, a := range []Aligner{TSP{}, APPatch{}} {
 		sink := &obs.MemorySink{}
 		tr := obs.New(sink)
 		root := tr.Start("test")

@@ -78,7 +78,7 @@ func TestQuickSolverIdenticalOnSparseAndDenseInstances(t *testing.T) {
 			blocks = 257 + int(blocksRaw>>1)%64
 			// A kick budget keeps the large sizes quick: it stops the
 			// protocol 40 kicks into its first run.
-			opts.Budget.MaxKicks = 40
+			opts.MaxKicks = 40
 		}
 		mod, prof, err := bench.Synthesize(bench.DefaultSynth(blocks, int64(seedRaw)+501))
 		if err != nil {

@@ -200,8 +200,8 @@ func TestSemanticsPreservedUnderAnyLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := machine.Alpha21164()
-		for _, a := range []align.Aligner{align.PettisHansen{}, align.NewTSP(1)} {
-			l := align.Run(context.Background(), a, mod, prof, m, align.RunOptions{}).Layout
+		for _, a := range []align.Aligner{align.PettisHansen{}, align.TSP{}} {
+			l := align.Run(context.Background(), a, mod, prof, m, align.RunOptions{Seed: 1}).Layout
 			if err := l.Validate(mod); err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, a.Name(), err)
 			}
@@ -270,7 +270,7 @@ func TestSynthAlignmentEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		orig := align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Penalty
-		tspL := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
+		tspL := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Layout
 		if err := tspL.Validate(mod); err != nil {
 			t.Fatalf("blocks=%d: %v", blocks, err)
 		}

@@ -106,7 +106,7 @@ func TestGo95Aligns(t *testing.T) {
 	}
 	m := machine.Alpha21164()
 	orig := align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Penalty
-	tspL := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
+	tspL := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Layout
 	if err := tspL.Validate(mod); err != nil {
 		t.Fatal(err)
 	}

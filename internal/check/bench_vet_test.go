@@ -23,7 +23,7 @@ func TestVetAllBenchmarks(t *testing.T) {
 		align.PettisHansen{},
 		&align.CalderGrunwald{},
 		align.APPatch{},
-		align.NewTSP(1),
+		align.TSP{},
 	}
 	for _, b := range bench.All() {
 		b := b
@@ -40,7 +40,7 @@ func TestVetAllBenchmarks(t *testing.T) {
 				t.Fatalf("profiling run failed: %v", err)
 			}
 			for _, a := range aligners {
-				l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
+				l := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{Seed: 1}).Layout
 				r := check.Module(mod)
 				r.Merge(check.Flow(mod, prof))
 				r.Merge(check.Layouts(mod, prof, l, model))

@@ -103,6 +103,12 @@ func (s *Suite) instance(benchName string, f *ir.Func, fp *interp.FuncProfile, s
 	opts, hk := tsp.SolveOptions{Seed: s.Seed, Obs: s.Obs}, s.HKOpts
 	hk.Obs = s.Obs
 	res := align.SolveFunc(f, mat, opts, seedOffset)
+	var hkb align.FuncBoundResult
+	if res.Exact {
+		hkb = align.ExactBound(f, res.Cost, s.Obs)
+	} else {
+		hkb = align.FuncHeldKarpBound(f, mat, hk)
+	}
 	return InstanceStats{
 		Bench:      benchName,
 		Func:       f.Name,
@@ -111,7 +117,7 @@ func (s *Suite) instance(benchName string, f *ir.Func, fp *interp.FuncProfile, s
 		Exact:      res.Exact,
 		Runs:       res.Runs,
 		RunsAtBest: res.RunsAtBest,
-		HKBound:    align.FuncHeldKarpBound(f, mat, hk).Bound,
+		HKBound:    hkb.Bound,
 		APBound:    tsp.AssignmentBound(mat),
 	}
 }

@@ -33,11 +33,6 @@ type Suite struct {
 	Cache pipe.CacheConfig
 	// Seed drives every randomized component deterministically.
 	Seed int64
-	// Parallelism is the per-run parallelism of each TSP solve (see
-	// tsp.SolveOptions.Parallelism). Results are bit-identical at every
-	// setting; per-function parallelism is always on and both layers
-	// share one worker pool.
-	Parallelism int
 	// Algorithms names the aligners every experiment compares, resolved
 	// through the align registry. Nil keeps the paper's trio — original,
 	// greedy (Pettis-Hansen) and tsp — so the pinned experiment goldens
@@ -179,11 +174,6 @@ func (s *Suite) TraceOf(b *bench.Benchmark, ds *bench.DataSet) (*pipe.Trace, err
 	return tr, nil
 }
 
-// alignOptions is the construction recipe every suite aligner shares.
-func (s *Suite) alignOptions() align.Options {
-	return align.Options{Seed: s.Seed, Parallelism: s.Parallelism}
-}
-
 // Aligners returns the aligners every experiment compares — the
 // Algorithms list resolved through the registry (default: original,
 // greedy, tsp, in that order). An unknown name panics: the list is
@@ -195,7 +185,7 @@ func (s *Suite) Aligners() []align.Aligner {
 	}
 	out := make([]align.Aligner, 0, len(names))
 	for _, name := range names {
-		a, err := align.New(name, s.alignOptions())
+		a, err := align.ByName(name)
 		if err != nil {
 			panic("core: " + err.Error())
 		}
@@ -241,11 +231,11 @@ func (s *Suite) LayoutFor(ctx context.Context, b *bench.Benchmark, ds *bench.Dat
 	if err != nil {
 		return nil, err
 	}
-	a, err := align.New(name, s.alignOptions())
+	a, err := align.ByName(name)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	o := align.RunOptions{Obs: s.Obs}
+	o := align.RunOptions{Seed: s.Seed, Obs: s.Obs}
 	if name == "tsp" {
 		o.Bound = &s.HKOpts
 	}

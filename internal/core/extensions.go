@@ -45,8 +45,8 @@ func (s *Suite) ExtCacheAware(extra Cost) ([]CacheAwareRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			plainL := align.Run(context.Background(), align.NewTSP(s.Seed), mod, prof, s.Model, align.RunOptions{}).Layout
-			awareL := align.Run(context.Background(), align.NewTSP(s.Seed), mod, prof, awareModel, align.RunOptions{}).Layout
+			plainL := align.Run(context.Background(), align.TSP{}, mod, prof, s.Model, align.RunOptions{Seed: s.Seed}).Layout
+			awareL := align.Run(context.Background(), align.TSP{}, mod, prof, awareModel, align.RunOptions{Seed: s.Seed}).Layout
 			plainSim, err := s.SimulateCycles(b, ds, mod, plainL)
 			if err != nil {
 				return nil, err
@@ -164,7 +164,7 @@ func (s *Suite) ExtOptimize() ([]OptimizeRow, error) {
 				return 0, 0, err
 			}
 			orig := layout.ModulePenalty(m, layout.Identity(m, prof, s.Model), prof, s.Model)
-			tspCP := align.Run(context.Background(), align.NewTSP(s.Seed), m, prof, s.Model, align.RunOptions{}).Penalty
+			tspCP := align.Run(context.Background(), align.TSP{}, m, prof, s.Model, align.RunOptions{Seed: s.Seed}).Penalty
 			norm := 1.0
 			if orig > 0 {
 				norm = float64(tspCP) / float64(orig)
@@ -223,7 +223,7 @@ func (s *Suite) ExtUnionTraining() ([]UnionRow, error) {
 				return nil, err
 			}
 		}
-		unionLayout := align.Run(context.Background(), align.NewTSP(s.Seed), mod, union, s.Model, align.RunOptions{}).Layout
+		unionLayout := align.Run(context.Background(), align.TSP{}, mod, union, s.Model, align.RunOptions{Seed: s.Seed}).Layout
 		for i := range b.DataSets {
 			test := &b.DataSets[i]
 			train := &b.DataSets[(i+1)%len(b.DataSets)]

@@ -39,7 +39,6 @@ var ExtTSPAligners = []string{"original", "greedy", "calder-grunwald", "ap-patch
 // does the I-cache locality it buys instead win on simulated execution
 // time?
 func (s *Suite) ExtTSPMatrix() ([]ExtTSPRow, error) {
-	params := layout.DefaultExtTSPParams()
 	var rows []ExtTSPRow
 	for _, b := range s.benchmarks {
 		mod, err := s.Module(b)
@@ -72,7 +71,7 @@ func (s *Suite) ExtTSPMatrix() ([]ExtTSPRow, error) {
 					Aligner:    name,
 					CP:         cp,
 					CPNorm:     norm(cp, origCP),
-					Score:      layout.ModuleExtTSPScore(mod, l, prof, params),
+					Score:      layout.ModuleExtTSPScore(mod, l, prof),
 					Cycles:     sim.Cycles,
 					CyclesNorm: norm(sim.Cycles, origCycles),
 					Misses:     sim.CacheMisses,

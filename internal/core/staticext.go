@@ -44,7 +44,7 @@ func (s *Suite) ExtStaticProfile() ([]StaticProfileRow, error) {
 			return nil, err
 		}
 		est, _ := staticprof.Estimate(mod)
-		staticL := align.Run(context.Background(), align.NewTSP(s.Seed), mod, est, s.Model, align.RunOptions{}).Layout
+		staticL := align.Run(context.Background(), align.TSP{}, mod, est, s.Model, align.RunOptions{Seed: s.Seed}).Layout
 		for i := range b.DataSets {
 			ds := &b.DataSets[i]
 			prof, _, err := s.ProfileOf(b, ds)

@@ -54,12 +54,12 @@ func TestStressLargeModule(t *testing.T) {
 	// The tsp run fans out over four workers and also bounds every
 	// function; one worker must give the same layout and bound.
 	hk := tsp.HeldKarpOptions{Iterations: 400}
-	run := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{Pool: work.NewPool(4), Bound: &hk})
+	run := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1, Pool: work.NewPool(4), Bound: &hk})
 	l := run.Layout
 	if err := l.Validate(mod); err != nil {
 		t.Fatal(err)
 	}
-	seq := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{Pool: work.NewPool(1), Bound: &hk})
+	seq := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1, Pool: work.NewPool(1), Bound: &hk})
 	if seq.Bound != run.Bound {
 		t.Errorf("bound on one worker %d != on four %d", seq.Bound, run.Bound)
 	}

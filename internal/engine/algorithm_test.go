@@ -22,11 +22,11 @@ func TestEngineAlgorithmSelection(t *testing.T) {
 	model := machine.Alpha21164()
 	e := New(Options{})
 	for _, name := range align.Names() {
-		a, err := align.New(name, align.Options{Seed: 5})
+		a, err := align.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{}).Layout
+		direct := align.Run(context.Background(), a, mod, prof, model, align.RunOptions{Seed: 5}).Layout
 		res, err := e.Align(context.Background(), Request{
 			Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 5, Algorithm: name,
 		})

@@ -59,7 +59,7 @@ func (req Request) Key() Key {
 		m.CondFallthroughCorrect, m.CondTakenCorrect, m.CondMispredict,
 		m.MultiCorrectFallthrough, m.MultiCorrectTaken, m.MultiMispredict,
 		m.RetCost, m.CallCost,
-		req.Seed, req.Budget.MaxKicks, int64(req.HKIterations), bound,
+		req.Seed, req.MaxKicks, int64(req.HKIterations), bound,
 	} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(c))
 	}

@@ -162,12 +162,11 @@ type Request struct {
 	// align.TSP aligner does). The zero seed is valid and deterministic.
 	Seed int64
 
-	// Budget bounds the per-function solves and bound computations. The
-	// deadline also cooperates with the ctx passed to Align. Budgets are
-	// part of the cache key only through the kick cap, never the
-	// wall-clock deadline: two requests that differ only in deadline are
-	// the same computation.
-	Budget tsp.Budget
+	// MaxKicks caps each per-function tsp solve (0 means unlimited); it
+	// is part of the cache key. The wall-clock limit is the ctx passed to
+	// Align, never part of the key: two requests that differ only in
+	// deadline are the same computation.
+	MaxKicks int64
 
 	// Bound additionally computes the per-function Held-Karp lower
 	// bounds, each a cold ascent of HKIterations subgradient iterates
@@ -319,7 +318,8 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	if req.Algorithm == "" {
 		req.Algorithm = "tsp"
 	}
-	if _, err := align.New(req.Algorithm, align.Options{}); err != nil {
+	a, err := align.ByName(req.Algorithm)
+	if err != nil {
 		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownAlgorithm, req.Algorithm, align.Names())
 	}
 	if ctx == nil {
@@ -354,7 +354,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 			// directly with the expired context, which truncates at the
 			// first budget check and yields a valid best-effort layout.
 			e.met.cacheMisses.Inc()
-			res, err := e.recoverSolve(ctx, req)
+			res, err := e.recoverSolve(ctx, a, req)
 			e.finishSolve(res, err)
 			e.met.observe(start, req.StaticProfile, "miss", req.Algorithm)
 			return res, err
@@ -381,7 +381,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.met.cacheMisses.Inc()
 	e.met.inFlight.Add(1)
 
-	res, err := e.recoverSolve(ctx, req)
+	res, err := e.recoverSolve(ctx, a, req)
 
 	e.met.inFlight.Add(-1)
 	e.finishSolve(res, err)
@@ -401,13 +401,13 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 // one raised by Load, or by a per-function task and re-raised here by
 // work.Pool. A leader that unwound instead would leave its in-flight
 // entry unsettled, and every identical request would wait on it.
-func (e *Engine) recoverSolve(ctx context.Context, req Request) (res *Result, err error) {
+func (e *Engine) recoverSolve(ctx context.Context, a align.Aligner, req Request) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("%w: panic: %v", ErrInternal, p)
 		}
 	}()
-	return e.solve(ctx, req)
+	return e.solve(ctx, a, req)
 }
 
 // finishSolve records one completed solve's outcome counters.
@@ -461,9 +461,9 @@ func load(req *Request) (*ir.Module, *interp.Profile, error) {
 }
 
 // solve loads the request's module and profile, then lays out and
-// (optionally) bounds every function with one align.Run on the shared
-// worker pool.
-func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
+// (optionally) bounds every function with a in one align.Run on the
+// shared worker pool.
+func (e *Engine) solve(ctx context.Context, a align.Aligner, req Request) (*Result, error) {
 	mod, prof, err := load(&req)
 	if err != nil {
 		return nil, err
@@ -472,13 +472,9 @@ func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
 	if par == 0 {
 		par = e.parallelism
 	}
-	a, err := align.New(req.Algorithm, align.Options{Seed: req.Seed, Parallelism: par})
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownAlgorithm, req.Algorithm, align.Names())
-	}
 	// At most Workers per-function tasks run at once across all
 	// requests, and nested solver runs draw from the same pool.
-	ro := align.RunOptions{Pool: e.pool, Budget: req.Budget, Obs: req.Obs}
+	ro := align.RunOptions{Seed: req.Seed, Parallelism: par, Pool: e.pool, MaxKicks: req.MaxKicks, Obs: req.Obs}
 	if req.Bound {
 		// The Held-Karp bound is on the control penalty of ANY layout of
 		// the function, so it is meaningful (and identical up to ascent

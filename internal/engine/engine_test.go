@@ -63,7 +63,7 @@ func TestEngineMatchesAligner(t *testing.T) {
 	mod, prof := branchy(t)
 	model := machine.Alpha21164()
 
-	direct := align.Run(context.Background(), align.NewTSP(3), mod, prof, model, align.RunOptions{}).Layout
+	direct := align.Run(context.Background(), align.TSP{}, mod, prof, model, align.RunOptions{Seed: 3}).Layout
 
 	e := New(Options{})
 	res, err := e.Align(context.Background(), Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 3})
@@ -124,8 +124,9 @@ func TestEngineDeadlineExcludedFromKey(t *testing.T) {
 	if _, err := e.Align(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	req.Budget = tsp.Budget{Deadline: time.Now().Add(time.Hour)}
-	res, err := e.Align(context.Background(), req)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	res, err := e.Align(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +138,10 @@ func TestEngineDeadlineExcludedFromKey(t *testing.T) {
 func TestEngineTruncatedNotCached(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
-	req := Request{
-		Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1,
-		Budget: tsp.Budget{Deadline: time.Now().Add(-time.Second)},
-	}
-	res, err := e.Align(context.Background(), req)
+	req := Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: machine.Alpha21164(), Seed: 1}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := e.Align(expired, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +151,8 @@ func TestEngineTruncatedNotCached(t *testing.T) {
 	if err := res.Layout.Validate(mod); err != nil {
 		t.Fatalf("truncated layout invalid: %v", err)
 	}
-	// Re-issuing with a live deadline must re-solve (truncated results
+	// Re-issuing with a live context must re-solve (truncated results
 	// are never cached) and come back untruncated.
-	req.Budget = tsp.Budget{}
 	full, err := e.Align(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +298,7 @@ func TestEngineConcurrentMixed(t *testing.T) {
 				Seed: int64(i % 6), Bound: i%3 == 0, HKIterations: 100,
 			}
 			if i%4 == 0 {
-				req.Budget = tsp.Budget{MaxKicks: 3}
+				req.MaxKicks = 3
 			}
 			res, err := e.Align(context.Background(), req)
 			if err != nil {

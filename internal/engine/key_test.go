@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
@@ -29,7 +28,7 @@ func TestRequestKey(t *testing.T) {
 		"model cost":     func(r *Request) { r.Model.CondMispredict++ },
 		"algorithm":      func(r *Request) { r.Algorithm = "exttsp" },
 		"seed":           func(r *Request) { r.Seed = 2 },
-		"max kicks":      func(r *Request) { r.Budget.MaxKicks = 5 },
+		"max kicks":      func(r *Request) { r.MaxKicks = 5 },
 		"bound":          func(r *Request) { r.Bound = true },
 		"hk iterations":  func(r *Request) { r.HKIterations = 10 },
 		"bytes to model": func(r *Request) { r.Inputs, r.Model.Name = []byte("a"), "b"+r.Model.Name },
@@ -43,7 +42,6 @@ func TestRequestKey(t *testing.T) {
 	}
 
 	same := map[string]func(*Request){
-		"deadline":        func(r *Request) { r.Budget.Deadline = time.Now().Add(time.Hour) },
 		"parallelism":     func(r *Request) { r.Parallelism = 4 },
 		"telemetry":       func(r *Request) { r.Obs = obs.New(&obs.MemorySink{}).Start("root") },
 		"load":            func(r *Request) { r.Load = loaded(nil, nil) },

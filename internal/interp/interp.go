@@ -27,6 +27,23 @@ func ScalarInput(v int64) Input { return Input{Scalar: v} }
 // all arrays are).
 func ArrayInput(a []int64) Input { return Input{IsArray: true, Array: a} }
 
+// EntryInputs binds a program's training input to its entry function's
+// signature: () takes nothing, (n) takes the scalar n, and (input[], n)
+// takes data and n. Any other signature is an error. The commands each
+// parse their own data and choose n; this is their one signature check.
+func EntryInputs(mod *ir.Module, data []int64, n int64) ([]Input, error) {
+	entry := mod.Funcs[mod.EntryFunc]
+	switch {
+	case len(entry.Params) == 0:
+		return nil, nil
+	case len(entry.Params) == 1 && entry.Params[0] == ir.ParamScalar:
+		return []Input{ScalarInput(n)}, nil
+	case len(entry.Params) == 2 && entry.Params[0] == ir.ParamArray && entry.Params[1] == ir.ParamScalar:
+		return []Input{ArrayInput(data), ScalarInput(n)}, nil
+	}
+	return nil, fmt.Errorf("entry %s must have signature (), (n) or (input[], n)", entry.Name)
+}
+
 // Options configures a run.
 type Options struct {
 	// MaxSteps bounds the number of executed IR steps: instructions plus

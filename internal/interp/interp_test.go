@@ -627,3 +627,37 @@ func main(n) {
 		t.Errorf("Ret = %d, want 18", res.Ret)
 	}
 }
+
+// TestEntryInputs binds data and n to each accepted entry signature and
+// rejects any other.
+func TestEntryInputs(t *testing.T) {
+	data := []int64{4, 5, 6}
+	cases := []struct {
+		name, src string
+		want      []Input
+	}{
+		{"()", "func main() { return 1; }", nil},
+		{"(n)", "func main(n) { return n; }", []Input{ScalarInput(2)}},
+		{"(input[], n)", "func main(a[], n) { return a[0] + n; }", []Input{ArrayInput(data), ScalarInput(2)}},
+	}
+	for _, c := range cases {
+		got, err := EntryInputs(compile(t, c.src), data, 2)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if len(got) != len(c.want) {
+			t.Errorf("%s: %d inputs, want %d", c.name, len(got), len(c.want))
+			continue
+		}
+		for i := range got {
+			if got[i].IsArray != c.want[i].IsArray || got[i].Scalar != c.want[i].Scalar || !slices.Equal(got[i].Array, c.want[i].Array) {
+				t.Errorf("%s: input %d = %+v, want %+v", c.name, i, got[i], c.want[i])
+			}
+		}
+	}
+	_, err := EntryInputs(compile(t, "func main(n, m) { return n + m; }"), data, 2)
+	if err == nil || err.Error() != "entry main must have signature (), (n) or (input[], n)" {
+		t.Errorf("(n, m): err = %v, want the signature error", err)
+	}
+}

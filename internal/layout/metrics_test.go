@@ -35,7 +35,7 @@ func TestAlignmentRaisesFallthroughRate(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
 	orig := layout.ModuleMetrics(mod, layout.Identity(mod, prof, m), prof)
-	aligned := layout.ModuleMetrics(mod, align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout, prof)
+	aligned := layout.ModuleMetrics(mod, align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Layout, prof)
 	if aligned.FallthroughRate() <= orig.FallthroughRate() {
 		t.Errorf("TSP fall-through rate %.3f not above original %.3f",
 			aligned.FallthroughRate(), orig.FallthroughRate())

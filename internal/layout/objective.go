@@ -77,35 +77,24 @@ func succRow(f *ir.Func, fp *interp.FuncProfile, pred []int, b int, m machine.Mo
 	return 0, arcs, 0
 }
 
-// ExtTSPParams parameterizes the ExtTSP objective. All windows are in
-// bytes; the zero value is invalid — use DefaultExtTSPParams.
-type ExtTSPParams struct {
-	// FallthroughWeight scores an arc whose target is laid out exactly
-	// at the end of its source (distance zero).
-	FallthroughWeight float64
-	// ForwardWeight and ForwardWindow score an arc jumping forward by
-	// 0 < d < ForwardWindow bytes as ForwardWeight·(1 − d/ForwardWindow).
-	ForwardWeight float64
-	ForwardWindow int
-	// BackwardWeight and BackwardWindow score an arc jumping backward by
-	// 0 < d < BackwardWindow bytes analogously.
-	BackwardWeight float64
-	BackwardWindow int
-}
-
-// DefaultExtTSPParams returns the constants of arXiv:1809.04676 §3 (the
-// values BOLT ships): fall-throughs at weight 1, short jumps at 0.1
-// with linear decay over a 1024-byte forward and 640-byte backward
-// window.
-func DefaultExtTSPParams() ExtTSPParams {
-	return ExtTSPParams{
-		FallthroughWeight: 1.0,
-		ForwardWeight:     0.1,
-		ForwardWindow:     1024,
-		BackwardWeight:    0.1,
-		BackwardWindow:    640,
-	}
-}
+// The ExtTSP objective's weights and windows are the constants of
+// arXiv:1809.04676 §3 (the values BOLT ships): fall-throughs at weight
+// 1, short jumps at 0.1 with linear decay over a 1024-byte forward and
+// 640-byte backward window. All windows are in bytes.
+const (
+	// extFallthroughWeight scores an arc whose target is laid out
+	// exactly at the end of its source (distance zero).
+	extFallthroughWeight = 1.0
+	// extForwardWeight and extForwardWindow score an arc jumping
+	// forward by 0 < d < extForwardWindow bytes as
+	// extForwardWeight·(1 − d/extForwardWindow).
+	extForwardWeight = 0.1
+	extForwardWindow = 1024
+	// extBackwardWeight and extBackwardWindow score an arc jumping
+	// backward by 0 < d < extBackwardWindow bytes analogously.
+	extBackwardWeight = 0.1
+	extBackwardWindow = 640
+)
 
 // BlockBytes returns each block's byte size as the ExtTSP objective
 // models it: the instruction count plus the terminator slot, times
@@ -130,33 +119,33 @@ func BlockBytes(f *ir.Func) []int {
 // source ends at byte srcEnd and whose target starts at byte dst. It is
 // exported for the chain-merging aligner, whose gain computations score
 // individual arcs under candidate chain offsets.
-func ArcScore(w int64, srcEnd, dst int, p ExtTSPParams) float64 {
+func ArcScore(w int64, srcEnd, dst int) float64 {
 	switch {
 	case dst == srcEnd:
-		return float64(w) * p.FallthroughWeight
+		return float64(w) * extFallthroughWeight
 	case dst > srcEnd:
 		d := dst - srcEnd
-		if d >= p.ForwardWindow {
+		if d >= extForwardWindow {
 			return 0
 		}
-		return float64(w) * p.ForwardWeight * (1 - float64(d)/float64(p.ForwardWindow))
+		return float64(w) * extForwardWeight * (1 - float64(d)/extForwardWindow)
 	default:
 		d := srcEnd - dst
-		if d >= p.BackwardWindow {
+		if d >= extBackwardWindow {
 			return 0
 		}
-		return float64(w) * p.BackwardWeight * (1 - float64(d)/float64(p.BackwardWindow))
+		return float64(w) * extBackwardWeight * (1 - float64(d)/extBackwardWindow)
 	}
 }
 
 // ExtTSPScore evaluates the ExtTSP objective of a block order: the sum
-// over CFG arcs of weight·kernel(distance), where the kernel pays
-// FallthroughWeight for zero-distance arcs and decays the short-jump
+// over CFG arcs of weight·kernel(distance), where the kernel pays full
+// weight for zero-distance arcs and decays the short-jump
 // weights linearly over their windows (ArcScore). Higher is better —
 // unlike control penalty, this is a maximization objective. order must
 // be a permutation of f's blocks; arcs are summed in block/successor
 // index order, so the result is bit-deterministic.
-func ExtTSPScore(f *ir.Func, fp *interp.FuncProfile, order []int, p ExtTSPParams) float64 {
+func ExtTSPScore(f *ir.Func, fp *interp.FuncProfile, order []int) float64 {
 	sizes := BlockBytes(f)
 	pos := make([]int, len(f.Blocks))
 	off := 0
@@ -172,17 +161,17 @@ func ExtTSPScore(f *ir.Func, fp *interp.FuncProfile, order []int, p ExtTSPParams
 			if w == 0 {
 				continue
 			}
-			total += ArcScore(w, srcEnd, pos[blk.Term.Succs[si]], p)
+			total += ArcScore(w, srcEnd, pos[blk.Term.Succs[si]])
 		}
 	}
 	return total
 }
 
 // ModuleExtTSPScore sums ExtTSPScore over all functions of a layout.
-func ModuleExtTSPScore(mod *ir.Module, l *Layout, prof *interp.Profile, p ExtTSPParams) float64 {
+func ModuleExtTSPScore(mod *ir.Module, l *Layout, prof *interp.Profile) float64 {
 	var total float64
 	for fi, f := range mod.Funcs {
-		total += ExtTSPScore(f, prof.Funcs[fi], l.Funcs[fi].Order, p)
+		total += ExtTSPScore(f, prof.Funcs[fi], l.Funcs[fi].Order)
 	}
 	return total
 }

@@ -17,9 +17,11 @@ import (
 // objective used to cross-check ExtTSPScore: it walks the layout order
 // (not the block index space), recomputes byte addresses from scratch,
 // and spells the kernel out as literal arithmetic instead of calling
-// ArcScore. Any bug shared with the production path would have to be
+// ArcScore, with the weights and windows of arXiv:1809.04676 §3 written
+// out again. Any bug shared with the production path would have to be
 // introduced twice, in different shapes.
-func refExtTSPScore(f *ir.Func, fp *interp.FuncProfile, order []int, p layout.ExtTSPParams) float64 {
+func refExtTSPScore(f *ir.Func, fp *interp.FuncProfile, order []int) float64 {
+	const fwdWindow, bwdWindow = 1024, 640
 	start := map[int]int{}
 	addr := 0
 	for _, b := range order {
@@ -45,11 +47,11 @@ func refExtTSPScore(f *ir.Func, fp *interp.FuncProfile, order []int, p layout.Ex
 			}
 			dst := start[to]
 			if dst == srcEnd {
-				total += w * p.FallthroughWeight
-			} else if dst > srcEnd && dst-srcEnd < p.ForwardWindow {
-				total += w * p.ForwardWeight * (float64(p.ForwardWindow-(dst-srcEnd)) / float64(p.ForwardWindow))
-			} else if dst < srcEnd && srcEnd-dst < p.BackwardWindow {
-				total += w * p.BackwardWeight * (float64(p.BackwardWindow-(srcEnd-dst)) / float64(p.BackwardWindow))
+				total += w
+			} else if dst > srcEnd && dst-srcEnd < fwdWindow {
+				total += w * 0.1 * (float64(fwdWindow-(dst-srcEnd)) / fwdWindow)
+			} else if dst < srcEnd && srcEnd-dst < bwdWindow {
+				total += w * 0.1 * (float64(bwdWindow-(srcEnd-dst)) / bwdWindow)
 			}
 		}
 	}
@@ -72,7 +74,6 @@ func closeEnough(a, b float64) bool {
 // order and a spread of random orders.
 func TestExtTSPScoreMatchesReferenceOnBenchmark(t *testing.T) {
 	mod, prof := compileBranchy(t)
-	p := layout.DefaultExtTSPParams()
 	rng := rand.New(rand.NewSource(11))
 	for fi, f := range mod.Funcs {
 		fp := prof.Funcs[fi]
@@ -83,8 +84,8 @@ func TestExtTSPScoreMatchesReferenceOnBenchmark(t *testing.T) {
 					order[i] = i
 				}
 			}
-			got := layout.ExtTSPScore(f, fp, order, p)
-			want := refExtTSPScore(f, fp, order, p)
+			got := layout.ExtTSPScore(f, fp, order)
+			want := refExtTSPScore(f, fp, order)
 			if !closeEnough(got, want) {
 				t.Fatalf("func %d trial %d: ExtTSPScore=%g, reference=%g", fi, trial, got, want)
 			}
@@ -96,7 +97,6 @@ func TestExtTSPScoreMatchesReferenceOnBenchmark(t *testing.T) {
 // random CFGs of varying shape, random valid orders, production scorer
 // == naive reference.
 func TestQuickExtTSPScoreMatchesReference(t *testing.T) {
-	p := layout.DefaultExtTSPParams()
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		blocks := 2 + rng.Intn(30)
@@ -108,8 +108,8 @@ func TestQuickExtTSPScoreMatchesReference(t *testing.T) {
 		for fi, f := range mod.Funcs {
 			fp := prof.Funcs[fi]
 			order := randomOrder(len(f.Blocks), rng)
-			got := layout.ExtTSPScore(f, fp, order, p)
-			want := refExtTSPScore(f, fp, order, p)
+			got := layout.ExtTSPScore(f, fp, order)
+			want := refExtTSPScore(f, fp, order)
 			if !closeEnough(got, want) {
 				t.Logf("seed %d func %d: ExtTSPScore=%g, reference=%g", seed, fi, got, want)
 				return false
@@ -126,7 +126,6 @@ func TestQuickExtTSPScoreMatchesReference(t *testing.T) {
 // function scores zero (a return block has no scored arcs), and a
 // two-block fall-through scores exactly weight·FallthroughWeight.
 func TestExtTSPScoreEdgeCases(t *testing.T) {
-	p := layout.DefaultExtTSPParams()
 
 	mod, prof, _, err := testutil.CompileAndProfile(
 		`func main(n) { return n; }`, []interp.Input{interp.ScalarInput(5)})
@@ -137,7 +136,7 @@ func TestExtTSPScoreEdgeCases(t *testing.T) {
 	if len(f.Blocks) != 1 {
 		t.Fatalf("expected single-block function, got %d blocks", len(f.Blocks))
 	}
-	if got := layout.ExtTSPScore(f, prof.Funcs[mod.EntryFunc], []int{0}, p); got != 0 {
+	if got := layout.ExtTSPScore(f, prof.Funcs[mod.EntryFunc], []int{0}); got != 0 {
 		t.Errorf("single-block score = %g, want 0", got)
 	}
 
@@ -161,11 +160,11 @@ func main(n) {
 	for i := range order {
 		order[i] = i
 	}
-	got := layout.ExtTSPScore(f, fp, order, p)
+	got := layout.ExtTSPScore(f, fp, order)
 	if got <= 0 {
 		t.Errorf("loop identity score = %g, want > 0", got)
 	}
-	if want := refExtTSPScore(f, fp, order, p); !closeEnough(got, want) {
+	if want := refExtTSPScore(f, fp, order); !closeEnough(got, want) {
 		t.Errorf("loop identity score = %g, reference = %g", got, want)
 	}
 }

@@ -58,8 +58,8 @@ func TestRunProducesConsistentStats(t *testing.T) {
 func TestAlignablePenaltyMatchesLayoutPenalty(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
-	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.NewTSP(1)} {
-		l := align.Run(context.Background(), a, mod, prof, m, align.RunOptions{}).Layout
+	for _, a := range []align.Aligner{align.Original{}, align.PettisHansen{}, align.TSP{}} {
+		l := align.Run(context.Background(), a, mod, prof, m, align.RunOptions{Seed: 1}).Layout
 		stats, _, err := Run(mod, l, inputs, DefaultConfig(), interp.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestBetterLayoutsRunFaster(t *testing.T) {
 	cfg := DefaultConfig()
 	orig := Replay(tr, mod, align.Run(context.Background(), align.Original{}, mod, prof, m, align.RunOptions{}).Layout, cfg)
 	greedy := Replay(tr, mod, align.Run(context.Background(), align.PettisHansen{}, mod, prof, m, align.RunOptions{}).Layout, cfg)
-	tspStats := Replay(tr, mod, align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout, cfg)
+	tspStats := Replay(tr, mod, align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Layout, cfg)
 	if greedy.Cycles > orig.Cycles {
 		t.Errorf("greedy cycles %d worse than original %d", greedy.Cycles, orig.Cycles)
 	}

@@ -17,7 +17,7 @@ import (
 func TestSelfCheckCleanRun(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
-	l := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
+	l := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Layout
 
 	cfg := DefaultConfig()
 	plain, _, err := Run(mod, l, inputs, cfg, interp.Options{})
@@ -40,7 +40,7 @@ func TestSelfCheckCleanRun(t *testing.T) {
 func TestSelfCheckCatchesCorruptLayout(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
-	l := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
+	l := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Layout
 
 	// Find a function with enough blocks to corrupt.
 	fi := -1
@@ -113,7 +113,7 @@ func TestSelfCheckCatchesTamperedProfile(t *testing.T) {
 func TestSelfCheckOrOptLayouts(t *testing.T) {
 	mod, prof, inputs := setup(t)
 	m := machine.Alpha21164()
-	l := align.Run(context.Background(), align.NewTSP(1), mod, prof, m, align.RunOptions{}).Layout
+	l := align.Run(context.Background(), align.TSP{}, mod, prof, m, align.RunOptions{Seed: 1}).Layout
 
 	cfg := DefaultConfig()
 	plain, _, err := Run(mod, l, inputs, cfg, interp.Options{})

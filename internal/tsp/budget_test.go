@@ -6,10 +6,13 @@ import (
 	"time"
 )
 
-// unlimited returns a budget that cannot trip within a test run, used to
-// pin that the budget plumbing itself changes nothing.
-func unlimited() Budget {
-	return Budget{Deadline: time.Now().Add(24 * time.Hour), MaxKicks: 1 << 40}
+// unlimited returns a live context with a deadline and a kick cap,
+// neither of which can trip within a test run, used to pin that the
+// cancellation and budget plumbing itself changes nothing.
+func unlimited(t *testing.T) (context.Context, int64) {
+	ctx, cancel := context.WithTimeout(context.Background(), 24*time.Hour)
+	t.Cleanup(cancel)
+	return ctx, 1 << 40
 }
 
 // TestSolveBudgetPlumbingBitIdentical pins the anytime refactor's core
@@ -23,8 +26,7 @@ func TestSolveBudgetPlumbingBitIdentical(t *testing.T) {
 		plain := Solve(m, opt)
 
 		budgeted := opt
-		budgeted.Context = context.Background()
-		budgeted.Budget = unlimited()
+		budgeted.Context, budgeted.MaxKicks = unlimited(t)
 		got := Solve(m, budgeted)
 
 		if got.Truncated {
@@ -64,9 +66,9 @@ func TestSolveCancelledContextReturnsValidTour(t *testing.T) {
 
 func TestSolveExpiredDeadlineReturnsValidTour(t *testing.T) {
 	m := randMatrix(25, 500, 11)
-	opt := SolveOptions{Seed: 1}
-	opt.Budget = Budget{Deadline: time.Now().Add(-time.Second)}
-	res := Solve(m, opt)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res := Solve(m, SolveOptions{Seed: 1, Context: ctx})
 	if !res.Truncated {
 		t.Fatal("expired deadline not marked truncated")
 	}
@@ -77,9 +79,7 @@ func TestSolveExpiredDeadlineReturnsValidTour(t *testing.T) {
 
 func TestSolveMaxKicksCapsWork(t *testing.T) {
 	m := randMatrix(30, 1000, 5)
-	opt := SolveOptions{Seed: 1}
-	opt.Budget = Budget{MaxKicks: 7}
-	res := Solve(m, opt)
+	res := Solve(m, SolveOptions{Seed: 1, MaxKicks: 7})
 	if res.Kicks > 7 {
 		t.Fatalf("performed %d kicks, budget was 7", res.Kicks)
 	}
@@ -113,8 +113,8 @@ func TestSolveExactPathIgnoresBudget(t *testing.T) {
 func TestHeldKarpBoundPlumbingBitIdentical(t *testing.T) {
 	m := randMatrix(20, 500, 13)
 	plain := HeldKarpBound(m, HeldKarpOptions{Iterations: 200}).Bound
-	opt := HeldKarpOptions{Iterations: 200, Context: context.Background(), Budget: unlimited()}
-	got := HeldKarpBound(m, opt)
+	ctx, _ := unlimited(t)
+	got := HeldKarpBound(m, HeldKarpOptions{Iterations: 200, Context: ctx})
 	if got.Truncated {
 		t.Fatal("unlimited budget marked truncated")
 	}

@@ -28,9 +28,6 @@ type HeldKarpOptions struct {
 	// iterate always runs, so a cancelled call still returns a real
 	// (if weak) bound.
 	Context context.Context
-	// Budget bounds the ascent by its wall-clock deadline. The zero
-	// Budget is unlimited.
-	Budget Budget
 }
 
 // BoundResult reports the outcome of a Held-Karp bound computation.
@@ -40,8 +37,8 @@ type BoundResult struct {
 	Bound float64
 	// Iterations is the number of subgradient iterates evaluated.
 	Iterations int
-	// Truncated is true when the ascent was cut short by its context or
-	// budget before the iteration schedule completed.
+	// Truncated is true when the ascent was cut short by its context
+	// before the iteration schedule completed.
 	Truncated bool
 	// Converged is true when the 1-tree became a tour, making the bound
 	// provably exact for the relaxed instance.
@@ -123,12 +120,11 @@ func ascend(sp *obs.Span, pi []float64, deg []int, oneTree func() float64, opt H
 	alpha := hkInitialAlpha
 	best := math.Inf(-1)
 	res := BoundResult{}
-	cc := newCancelCheck(opt.Context, opt.Budget)
 	for it := 0; it < iters; it++ {
-		// Iterate-boundary budget check. The first iterate always runs
-		// (it is cheap and guarantees a real bound); later iterates stop
-		// as soon as the budget trips — best is already valid.
-		if res.Iterations > 0 && cc.cancelled() {
+		// Iterate-boundary cancellation check. The first iterate always
+		// runs (it is cheap and guarantees a real bound); later iterates
+		// stop as soon as the context is done — best is already valid.
+		if res.Iterations > 0 && cancelled(opt.Context) {
 			res.Truncated = true
 			break
 		}

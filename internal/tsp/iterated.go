@@ -188,10 +188,13 @@ type SolveOptions struct {
 	// permutation, never an error. A nil Context never cancels, and the
 	// cancellation checks never touch the random stream, so an
 	// uncancelled solve is bit-identical to one without any context.
+	// The context is the solver's one wall-clock signal.
 	Context context.Context
-	// Budget bounds the solve's work (wall-clock deadline, total kick
-	// rounds). The zero Budget is unlimited. See Budget.
-	Budget Budget
+	// MaxKicks caps the total double-bridge kick rounds across all
+	// local-search runs of the solve; 0 means unlimited. The cap is
+	// partitioned over the run plan deterministically, so a capped
+	// solve is still a function of Seed and MaxKicks alone.
+	MaxKicks int64
 }
 
 // Result reports the outcome of Solve.
@@ -222,9 +225,8 @@ type Result struct {
 	// runs (0 for exact solves).
 	Kicks int64
 	// Truncated is true when the solve was cut short — the context was
-	// cancelled or the budget (deadline, max kicks) ran out before the
-	// protocol completed. The returned tour is still the valid
-	// best-so-far incumbent.
+	// cancelled or MaxKicks ran out before the protocol completed. The
+	// returned tour is still the valid best-so-far incumbent.
 	Truncated bool
 }
 
@@ -298,9 +300,9 @@ type runOutcome struct {
 // therefore bit-identical across Parallelism settings, GOMAXPROCS
 // values and goroutine schedules; only wall-clock time and the
 // interleaving of telemetry events vary. The one exception is
-// time-based truncation (Context, Budget.Deadline), which by nature
-// depends on when each run observes the cutoff; Budget.MaxKicks
-// truncation is partitioned deterministically and stays bit-identical.
+// cancellation through Context, which by nature depends on when each
+// run observes it; MaxKicks truncation is partitioned deterministically
+// and stays bit-identical.
 func Solve(m *SparseMatrix, opt SolveOptions) Result {
 	n := m.Len()
 	sp := opt.Obs.Child("tsp.solve", obs.Int("cities", int64(n)), obs.Int("exceptions", int64(m.Exceptions())))
@@ -347,12 +349,12 @@ func localSearch(m *SparseMatrix, opt SolveOptions, sp *obs.Span) Result {
 	// have consulted the budget again).
 	planned := len(kinds)
 	quotaTrunc := false
-	maxKicks := opt.Budget.MaxKicks
+	maxKicks := opt.MaxKicks
 	if maxKicks > 0 && maxKicks < int64(planned)*int64(iters) {
 		quotaTrunc = true
 		planned = int((maxKicks + int64(iters) - 1) / int64(iters))
 	}
-	sb := &solveBudget{check: newCancelCheck(opt.Context, opt.Budget)}
+	sb := &solveBudget{ctx: opt.Context}
 
 	outcomes := make([]runOutcome, planned)
 	var wsPool sync.Pool // *solveWorkspace, all bound to (m, nb)

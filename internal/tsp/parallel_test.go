@@ -18,8 +18,8 @@ import (
 // solveAt runs the paper protocol at the given parallelism. Every
 // instance here has more than ExactMaxCities cities, so it takes the
 // multi-start local search.
-func solveAt(m *SparseMatrix, seed int64, par int, budget Budget) Result {
-	return Solve(m, SolveOptions{Seed: seed, Parallelism: par, Budget: budget})
+func solveAt(m *SparseMatrix, seed int64, par int, maxKicks int64) Result {
+	return Solve(m, SolveOptions{Seed: seed, Parallelism: par, MaxKicks: maxKicks})
 }
 
 // resultsEqual compares everything but wall-clock: tour, cost and all
@@ -37,9 +37,9 @@ func TestSolveParallelismBitIdentical(t *testing.T) {
 				m = randSparse(n, 1000, 0.15, int64(n))
 				name = "sparse"
 			}
-			seq := solveAt(m, 7, 1, Budget{})
+			seq := solveAt(m, 7, 1, 0)
 			for _, par := range []int{2, 8} {
-				got := solveAt(m, 7, par, Budget{})
+				got := solveAt(m, 7, par, 0)
 				if !resultsEqual(seq, got) {
 					t.Errorf("n=%d %s: Parallelism=%d diverged from sequential:\n seq: %+v\n got: %+v",
 						n, name, par, seq, got)
@@ -60,7 +60,7 @@ func TestSolveParallelKickBudgetBitIdentical(t *testing.T) {
 	total := runs * iters
 	budgets := []int64{1, 3, iters - 1, iters, iters + 1, 3*iters + 5, total - 1, total, total + 10}
 	for _, k := range budgets {
-		seq := solveAt(m, 11, 1, Budget{MaxKicks: k})
+		seq := solveAt(m, 11, 1, k)
 		wantTrunc := k < total
 		if seq.Truncated != wantTrunc {
 			t.Errorf("MaxKicks=%d: sequential Truncated=%v, want %v (exact-budget finishes are not truncated)",
@@ -70,7 +70,7 @@ func TestSolveParallelKickBudgetBitIdentical(t *testing.T) {
 			t.Errorf("MaxKicks=%d: spent %d kicks", k, seq.Kicks)
 		}
 		for _, par := range []int{2, 8} {
-			got := solveAt(m, 11, par, Budget{MaxKicks: k})
+			got := solveAt(m, 11, par, k)
 			if !resultsEqual(seq, got) {
 				t.Errorf("MaxKicks=%d Parallelism=%d diverged:\n seq: %+v\n got: %+v", k, par, seq, got)
 			}
@@ -95,14 +95,14 @@ func TestSolveParallelQuick(t *testing.T) {
 		// A third of the time, no budget; otherwise a budget drawn up to
 		// slightly past the full protocol (10 runs x 2n kicks), so
 		// exhausting and non-exhausting cases both occur.
-		var budget Budget
+		var budget int64
 		if budgetRaw%3 != 0 {
-			budget.MaxKicks = 1 + budgetRaw%int64(23*n)
+			budget = 1 + budgetRaw%int64(23*n)
 		}
 		seq := solveAt(m, solveSeed, 1, budget)
 		par := solveAt(m, solveSeed, 8, budget)
 		if !resultsEqual(seq, par) {
-			t.Logf("n=%d sparse=%v seed=%d budget=%+v\n seq: %+v\n par: %+v", n, sparse, solveSeed, budget, seq, par)
+			t.Logf("n=%d sparse=%v seed=%d budget=%d\n seq: %+v\n par: %+v", n, sparse, solveSeed, budget, seq, par)
 			return false
 		}
 		return true
@@ -127,7 +127,7 @@ func TestSolveParallelQuick(t *testing.T) {
 // the schedule-independent result.
 func TestSolveParallelOnSaturatedPool(t *testing.T) {
 	m := randMatrix(29, 1000, 5)
-	want := solveAt(m, 9, 1, Budget{})
+	want := solveAt(m, 9, 1, 0)
 	pool := work.NewPool(2)
 	results := make([]Result, 4)
 	pool.Each(len(results), func(i int) {

@@ -44,7 +44,7 @@ func TestSolvePinned(t *testing.T) {
 			sp := align.BuildSparseMatrix(mod.Funcs[0], prof.Funcs[0], machine.Alpha21164(), nil)
 			opts := tsp.SolveOptions{Seed: 1}
 			opts.Parallelism = -1 // bit-identical at every setting
-			opts.Budget.MaxKicks = tc.maxKicks
+			opts.MaxKicks = tc.maxKicks
 			res := tsp.Solve(sp, opts)
 			if h := tourHash(res.Tour); h != tc.hash || res.Cost != tc.cost {
 				t.Errorf("Solve = (hash %#x, cost %d), pinned (hash %#x, cost %d)", h, res.Cost, tc.hash, tc.cost)

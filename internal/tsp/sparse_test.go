@@ -171,7 +171,7 @@ func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 			n = 257 + int(nRaw>>1)%64
 			// A kick budget keeps the large sizes quick: it stops the
 			// protocol 40 kicks into its first run.
-			opt.Budget.MaxKicks = 40
+			opt.MaxKicks = 40
 		}
 		// Sizes up to ExactMaxCities take the exact DP, the rest local
 		// search.
