@@ -20,16 +20,25 @@ import (
 // than 4 cities are returned unchanged, consuming no random draws;
 // longer ones take three Intn draws.
 //
+// It also returns the six endpoints of the three cut edges, t[p1-1],
+// t[p1], t[p2-1], t[p2], t[p3-1] and t[p3]: the only cities whose
+// neighbors the kick changed, which ThreeOpt.SetKickedTour wakes. A tour
+// too short to cut returns its cities (repeated) in their place.
+//
 // With a non-nil m it also returns the kicked tour's cost, derived from
 // the cost of t by the kick's six-edge delta (the double bridge removes
 // the three cut edges and adds three reconnections; the closing edge is
 // untouched). Six At reads replace the O(n) CycleCost rescan the kick
-// loop would pay per kick (see ThreeOpt.SetTourCost). With a nil m cost
-// is passed through.
-func doubleBridge(dst, t Tour, rng *rand.Rand, m *SparseMatrix, cost Cost) (Tour, Cost) {
+// loop would otherwise pay per kick. With a nil m cost is passed
+// through.
+func doubleBridge(dst, t Tour, rng *rand.Rand, m *SparseMatrix, cost Cost) (Tour, Cost, [6]int) {
+	var ends [6]int
 	n := len(t)
 	if n < 4 {
-		return append(dst[:0], t...), cost
+		for i := range ends {
+			ends[i] = t[i%n]
+		}
+		return append(dst[:0], t...), cost, ends
 	}
 	// Pick 1 <= p1 < p2 < p3 < n.
 	p1 := 1 + rng.Intn(n-3)
@@ -39,11 +48,12 @@ func doubleBridge(dst, t Tour, rng *rand.Rand, m *SparseMatrix, cost Cost) (Tour
 	dst = append(dst, t[p2:p3]...)
 	dst = append(dst, t[p1:p2]...)
 	dst = append(dst, t[p3:]...)
+	ends = [6]int{t[p1-1], t[p1], t[p2-1], t[p2], t[p3-1], t[p3]}
 	if m != nil {
 		cost += m.At(t[p1-1], t[p2]) + m.At(t[p3-1], t[p1]) + m.At(t[p2-1], t[p3]) -
 			m.At(t[p1-1], t[p1]) - m.At(t[p2-1], t[p2]) - m.At(t[p3-1], t[p3])
 	}
-	return dst, cost
+	return dst, cost, ends
 }
 
 // runTelemetry carries per-run iterated-local-search diagnostics.
@@ -78,7 +88,11 @@ type solveWorkspace struct {
 // optimize the start tour to a local optimum, then repeatedly kick with a
 // double bridge, re-optimize, and keep the better of the incumbent and
 // the kicked solution. It performs iters kick-and-reoptimize rounds and
-// returns the best tour found with its cost. When sp is non-nil the
+// returns the best tour found with its cost. Each kick wakes only the six
+// endpoints of its cut edges (ThreeOpt.SetKickedTour): the incumbent is a
+// local optimum, so every other city starts the re-optimization
+// don't-look, as in Johnson and McGeoch's engineering of the
+// Martin-Otto-Felten kicks. When sp is non-nil the
 // cost-vs-iteration convergence series is recorded on it (the initial
 // local optimum plus every accepted kick), and when rb is non-nil the
 // kick loop stops at the first boundary where the run's kick quota is
@@ -113,8 +127,9 @@ func iteratedThreeOpt(m *SparseMatrix, nb *Neighbors, ws *solveWorkspace, start 
 	for i := 0; i < iters && rb.allow(); i++ {
 		rb.spend()
 		var kickCost Cost
-		ws.kick, kickCost = doubleBridge(ws.kick, ws.cur, rng, m, curCost)
-		o.SetTourCost(ws.kick, kickCost)
+		var ends [6]int
+		ws.kick, kickCost, ends = doubleBridge(ws.kick, ws.cur, rng, m, curCost)
+		o.SetKickedTour(ws.kick, kickCost, ends)
 		o.Optimize()
 		rt.kicks++
 		if o.Cost() <= curCost {

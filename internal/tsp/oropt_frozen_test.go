@@ -349,9 +349,10 @@ func TestLocalSearchMatchesFrozen(t *testing.T) {
 						t.Fatalf("%s: frozen cost %d does not match its tour", where, want.Cost())
 					}
 					var c Cost
-					kick, c = doubleBridge(kick, wt, kicks, inst.m, want.Cost())
+					var ends [6]int
+					kick, c, ends = doubleBridge(kick, wt, kicks, inst.m, want.Cost())
 					for _, o := range []*ThreeOpt{got, want, prod} {
-						o.SetTourCost(kick, c)
+						o.SetKickedTour(kick, c, ends)
 					}
 				}
 			}

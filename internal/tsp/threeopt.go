@@ -111,6 +111,7 @@ func NewThreeOpt(m *SparseMatrix, nb *Neighbors, t Tour) *ThreeOpt {
 		n:        n,
 		dontLook: make([]bool, n),
 		inQueue:  make([]bool, n),
+		tl:       &TwoLevel{},
 	}
 	o.SetTour(t)
 	return o
@@ -120,46 +121,55 @@ func NewThreeOpt(m *SparseMatrix, nb *Neighbors, t Tour) *ThreeOpt {
 // Optimize. See oropt.go for the move set and gating policy.
 func (o *ThreeOpt) SetOrOpt(on bool) { o.orOpt = on }
 
-// SetTour replaces the current tour (copying it) and resets search state.
-// The copy goes into the existing two-level structure, so after
-// construction SetTour allocates nothing — the solver's kick loop resets
-// the search once per kick.
+// SetTour replaces the current tour (copying it) and resets search
+// state: every city is queued with its don't-look bit clear. The copy
+// goes into the existing two-level structure, so after construction
+// SetTour allocates nothing — the solver resets the search once per run.
 func (o *ThreeOpt) SetTour(t Tour) {
-	o.setTour(t, CycleCost(o.m, t))
-}
-
-// SetTourCost is SetTour for callers that already know the tour's cost —
-// the kick loop derives the kicked cost from the double bridge's six-edge
-// delta, skipping SetTour's O(n) cost rescan (n At calls).
-func (o *ThreeOpt) SetTourCost(t Tour, c Cost) {
-	o.setTour(t, c)
-}
-
-func (o *ThreeOpt) setTour(t Tour, c Cost) {
-	// Check that t is a permutation with inQueue as the seen set, so the
-	// kick loop's SetTour allocates nothing; the reset below refills it.
-	if len(t) != o.n {
-		panic("tsp: ThreeOpt.SetTour: invalid tour")
-	}
-	seen := o.inQueue
-	clear(seen)
-	for _, x := range t {
-		if x < 0 || x >= o.n || seen[x] {
-			panic("tsp: ThreeOpt.SetTour: invalid tour")
-		}
-		seen[x] = true
-	}
-	if o.tl == nil {
-		o.tl = NewTwoLevel(t)
-	} else {
-		o.tl.Init(t)
-	}
-	o.c = c
+	o.checkTour(t, o.inQueue)
+	o.tl.Init(t)
+	o.c = CycleCost(o.m, t)
 	o.queue = o.queue[:0]
 	for i := 0; i < o.n; i++ {
 		o.dontLook[i] = false
 		o.inQueue[i] = true
 		o.queue = append(o.queue, i)
+	}
+}
+
+// SetKickedTour replaces the current tour with t, the double-bridge kick
+// of a local optimum, whose cost c the caller derived from the kick's
+// six-edge delta and whose cut-edge endpoints are ends (see
+// doubleBridge). Only the distinct endpoints are queued; every other city
+// starts don't-look, because its neighbors are the ones it had in the
+// local optimum. A kick-and-reoptimize round thus scans what the kick
+// disturbed instead of the whole tour. Like SetTour it copies t,
+// allocates nothing and panics unless t is a permutation.
+func (o *ThreeOpt) SetKickedTour(t Tour, c Cost, ends [6]int) {
+	// After a successful check every seen bit is set: each city is
+	// don't-look until woken below.
+	o.checkTour(t, o.dontLook)
+	o.tl.Init(t)
+	o.c = c
+	o.queue = o.queue[:0]
+	clear(o.inQueue)
+	o.wake(ends[:]...)
+}
+
+// checkTour panics unless t is a permutation of the n cities, using seen
+// (one of the optimizer's own n-entry bitmaps, which the caller then
+// refills) as the seen set so a reset allocates nothing. Every entry of
+// seen is true when it returns.
+func (o *ThreeOpt) checkTour(t Tour, seen []bool) {
+	if len(t) != o.n {
+		panic("tsp: ThreeOpt: invalid tour")
+	}
+	clear(seen)
+	for _, x := range t {
+		if x < 0 || x >= o.n || seen[x] {
+			panic("tsp: ThreeOpt: invalid tour")
+		}
+		seen[x] = true
 	}
 }
 

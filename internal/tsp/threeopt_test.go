@@ -122,7 +122,7 @@ func TestDoubleBridgePreservesPermutation(t *testing.T) {
 		n := int(nRaw%30) + 1
 		tour := IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { tour[i], tour[j] = tour[j], tour[i] })
-		kicked, _ := doubleBridge(nil, tour, rng, nil, 0)
+		kicked, _, _ := doubleBridge(nil, tour, rng, nil, 0)
 		return kicked.Valid(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -134,7 +134,7 @@ func TestDoubleBridgeSmallToursUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 1; n < 4; n++ {
 		tour := IdentityTour(n)
-		kicked, _ := doubleBridge(nil, tour, rng, nil, 0)
+		kicked, _, _ := doubleBridge(nil, tour, rng, nil, 0)
 		for i := range tour {
 			if kicked[i] != tour[i] {
 				t.Fatalf("n=%d: kick changed a tour too small to cut", n)
@@ -148,7 +148,7 @@ func TestDoubleBridgeActuallyPerturbs(t *testing.T) {
 	tour := IdentityTour(20)
 	changed := false
 	for i := 0; i < 10; i++ {
-		kicked, _ := doubleBridge(nil, tour, rng, nil, 0)
+		kicked, _, _ := doubleBridge(nil, tour, rng, nil, 0)
 		for j := range kicked {
 			if kicked[j] != tour[j] {
 				changed = true

@@ -49,17 +49,10 @@ type TwoLevel struct {
 	scratch Tour // rebuild buffer, allocated on first use
 }
 
-// NewTwoLevel builds the structure over tour t (which is copied; t is not
-// retained).
-func NewTwoLevel(t Tour) *TwoLevel {
-	tl := &TwoLevel{}
-	tl.Init(t)
-	return tl
-}
-
-// Init rebuilds the structure over tour t, reusing existing storage when
-// the city count is unchanged. The city at t[0] becomes the first city,
-// where AppendTour starts.
+// Init rebuilds the structure over tour t (which is copied; t is not
+// retained), reusing existing storage when the city count is unchanged.
+// The zero TwoLevel is ready for Init. The city at t[0] becomes the first
+// city, where AppendTour starts.
 func (tl *TwoLevel) Init(t Tour) {
 	n := len(t)
 	if n == 0 {

@@ -2,6 +2,7 @@ package tsp
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +68,19 @@ func (o *arrayThreeOpt) SetTour(t Tour) {
 		o.inQueue[i] = true
 		o.queue = append(o.queue, i)
 	}
+}
+
+// Kick loads t, a double-bridge kick of the current local optimum, and
+// wakes only the kick's cut-edge endpoints ends: the kick-local reset of
+// ThreeOpt.SetKickedTour, built from the full reset.
+func (o *arrayThreeOpt) Kick(t Tour, ends [6]int) {
+	o.SetTour(t)
+	for i := range o.dontLook {
+		o.dontLook[i] = true
+		o.inQueue[i] = false
+	}
+	o.queue = o.queue[:0]
+	o.wake(ends[:]...)
 }
 
 func (o *arrayThreeOpt) Tour() Tour { return o.t.Clone() }
@@ -198,7 +212,8 @@ func TestQuickTwoLevelMatchesSliceModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
 		model := IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { model[i], model[j] = model[j], model[i] })
-		tl := NewTwoLevel(model)
+		tl := new(TwoLevel)
+		tl.Init(model)
 		pos := make([]int, n)
 		scratch := make(Tour, n)
 		check := func() bool {
@@ -266,12 +281,18 @@ func TestQuickTwoLevelMatchesSliceModel(t *testing.T) {
 	}
 }
 
+// kickRounds is how many double-bridge kicks the kick-loop locksteps
+// below drive, enough for the don't-look state of one kick-local
+// re-optimization to carry into the next.
+const kickRounds = 24
+
 // TestQuickThreeOptMatchesArrayKernel is the phase-1 bit-identity pin:
 // on random instances, the TwoLevel-based ThreeOpt and the frozen array
 // kernel make the identical move sequence — equal tours (element-wise,
 // same rotation), equal costs, and equal tried/accepted counters — both
-// for the initial optimization and across double-bridge kick rounds
-// driven through the known-cost SetTourCost path.
+// for the initial optimization and across kickRounds double-bridge kick
+// rounds, each driven through the kick-local reset (SetKickedTour and
+// the array kernel's Kick) with the six-edge kick cost.
 func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		n := int(nRaw%60) + 4
@@ -295,16 +316,15 @@ func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 			if gs.TriedTotal() != wt || gs.AcceptedTotal() != wa {
 				return false
 			}
-			if round == 3 {
+			if round == kickRounds {
 				return true
 			}
-			var kc Cost
-			kick, kc := doubleBridge(nil, cur, rng, m, want.Cost())
+			kick, kc, ends := doubleBridge(nil, cur, rng, m, want.Cost())
 			if kc != CycleCost(m, kick) {
 				return false // the six-edge kick delta must be exact
 			}
-			got.SetTourCost(kick, kc)
-			want.SetTour(kick)
+			got.SetKickedTour(kick, kc, ends)
+			want.Kick(kick, ends)
 			got.Optimize()
 			want.Optimize()
 			cur = want.Tour()
@@ -315,26 +335,101 @@ func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 	}
 }
 
-// TestQuickSetTourCostMatchesSetTour pins that the known-cost reset path
-// is exactly SetTour minus the rescan.
-func TestQuickSetTourCostMatchesSetTour(t *testing.T) {
-	f := func(nRaw, seedRaw uint16) bool {
-		n := int(nRaw%30) + 4
+// refKickReset is the kick-local reset spelled out from the full one:
+// SetTour (which rescans the cost), then every city don't-look and only
+// the distinct endpoints queued, in ends order.
+func refKickReset(o *ThreeOpt, t Tour, ends [6]int) {
+	o.SetTour(t)
+	for i := range o.dontLook {
+		o.dontLook[i] = true
+		o.inQueue[i] = false
+	}
+	o.queue = o.queue[:0]
+	o.wake(ends[:]...)
+}
+
+// TestQuickSetKickedTourMatchesReference pins the solver's kick loop with
+// Or-opt both off and on: production SetKickedTour and Optimize against a
+// ThreeOpt reset by refKickReset and stepped through the frozen move
+// searches, over kickRounds kicks of the incumbent. Tours, costs and the
+// full MoveStats must agree after every round, and the kicked tour must
+// optimize to the same tour and cost as its reference reset.
+func TestQuickSetKickedTourMatchesReference(t *testing.T) {
+	f := func(nRaw, seedRaw uint16, orOpt bool) bool {
+		n := int(nRaw%60) + 4
 		m := randMatrix(n, 800, int64(seedRaw)+9)
+		nb := BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
-		tour := IdentityTour(n)
-		rng.Shuffle(n, func(i, j int) { tour[i], tour[j] = tour[j], tour[i] })
-		a := NewThreeOpt(m, nil, tour)
-		b := NewThreeOpt(m, nil, tour)
-		next, _ := doubleBridge(nil, tour, rng, nil, 0)
-		a.SetTour(next)
-		b.SetTourCost(next, CycleCost(m, next))
-		a.Optimize()
-		b.Optimize()
-		return a.Cost() == b.Cost() && tourEqual(a.AppendTour(nil), b.AppendTour(nil))
+		start := IdentityTour(n)
+		rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })
+
+		got := NewThreeOpt(m, nb, start)
+		want := NewThreeOpt(m, nb, start)
+		got.SetOrOpt(orOpt)
+		want.SetOrOpt(orOpt)
+		cur := start
+		curCost := CycleCost(m, start)
+		for round := 0; ; round++ {
+			got.Optimize()
+			optimizeSteps(want, frozenImproveFrom, frozenOrOptFrom)
+			gt := got.AppendTour(nil)
+			if got.Cost() != want.Cost() || !tourEqual(gt, want.AppendTour(nil)) ||
+				got.MoveStats() != want.MoveStats() || got.Cost() != CycleCost(m, gt) {
+				return false
+			}
+			if round == 0 || got.Cost() <= curCost {
+				cur, curCost = gt, got.Cost()
+			}
+			if round == kickRounds {
+				return true
+			}
+			kick, kc, ends := doubleBridge(nil, cur, rng, m, curCost)
+			got.SetKickedTour(kick, kc, ends)
+			refKickReset(want, kick, ends)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKickWakesOnlyEndpoints pins SetKickedTour's state: the queue holds
+// exactly the kick's distinct cut-edge endpoints, every other city is
+// don't-look, the endpoints are not, and Cost is the kicked tour's.
+func TestKickWakesOnlyEndpoints(t *testing.T) {
+	for _, n := range []int{4, 5, 13, 60} {
+		m := randMatrix(n, 1000, int64(n))
+		rng := rand.New(rand.NewSource(int64(n) * 3))
+		o := NewThreeOpt(m, nil, IdentityTour(n))
+		o.SetOrOpt(true)
+		for round := 0; round < 20; round++ {
+			cost := o.Optimize()
+			kick, kc, ends := doubleBridge(nil, o.AppendTour(nil), rng, m, cost)
+			o.SetKickedTour(kick, kc, ends)
+			woken := map[int]bool{}
+			var distinct []int
+			for _, c := range ends {
+				if !woken[c] {
+					woken[c] = true
+					distinct = append(distinct, c)
+				}
+			}
+			if !reflect.DeepEqual(o.queue, distinct) {
+				t.Fatalf("n=%d round %d: queue %v, want the distinct endpoints %v", n, round, o.queue, distinct)
+			}
+			for c := 0; c < n; c++ {
+				if o.dontLook[c] == woken[c] || o.inQueue[c] != woken[c] {
+					t.Fatalf("n=%d round %d: city %d don't-look %v queued %v, endpoint %v",
+						n, round, c, o.dontLook[c], o.inQueue[c], woken[c])
+				}
+			}
+			if o.Cost() != CycleCost(m, kick) {
+				t.Fatalf("n=%d round %d: Cost %d, kicked tour costs %d", n, round, o.Cost(), CycleCost(m, kick))
+			}
+			if !tourEqual(o.AppendTour(nil), kick) {
+				t.Fatalf("n=%d round %d: tour %v, kicked %v", n, round, o.AppendTour(nil), kick)
+			}
+		}
 	}
 }
 
@@ -344,7 +439,8 @@ func TestTwoLevelRebuildPreservesTour(t *testing.T) {
 	const n = 400
 	rng := rand.New(rand.NewSource(7))
 	model := IdentityTour(n)
-	tl := NewTwoLevel(model)
+	tl := new(TwoLevel)
+	tl.Init(model)
 	pos := make([]int, n)
 	for step := 0; step < 500; step++ {
 		for i, c := range model {
