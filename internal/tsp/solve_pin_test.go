@@ -25,11 +25,11 @@ func TestSolvePinned(t *testing.T) {
 		cost     tsp.Cost
 	}{
 		{12, 0, 0xc9219cb9fedbdd5, 2676828},
-		{13, 0, 0xe4aa8545f564cb39, 4015751},
-		{60, 0, 0x7c6fe90450478935, 16445556},
-		{200, 0, 0xd4dfae368da68f15, 48470113},
-		{300, 0, 0x65281e3ab12fb8b5, 61346034},
-		{300, 40, 0x5e78465c1ff6c7c9, 62671329},
+		{13, 0, 0xd95a9b59d2d2fde9, 4015751},
+		{60, 0, 0xa8715b0f56482675, 16445556},
+		{200, 0, 0xb26d479e7e7c29d5, 48543377},
+		{300, 0, 0xdb89513804231865, 61393364},
+		{300, 40, 0xf98af896d72768c1, 64051823},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprint(tc.blocks)
