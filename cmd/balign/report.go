@@ -299,14 +299,14 @@ func spliceFooter(events []obs.Event) string {
 	return ""
 }
 
-// solveMS renders one solve's recorded wall-clock ("-" for traces
-// predating the duration field). Per-function wall-clock is how solver
+// solveMS renders one solve's recorded wall-clock in milliseconds.
+// obs.Event drops a zero dur_us from the JSON, so a solve that took
+// under a microsecond decodes as 0 and renders 0.00, not as a missing
+// cell: a one-block function would otherwise flip between "-" and a
+// number from run to run. Per-function wall-clock is how solver
 // parallelism shows up in production output: -parallel lowers this
 // column while every other cell stays bit-identical.
 func solveMS(durUS int64) string {
-	if durUS <= 0 {
-		return "-"
-	}
 	return fmt.Sprintf("%.2f", float64(durUS)/1000)
 }
 

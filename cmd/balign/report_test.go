@@ -64,6 +64,24 @@ func TestRenderReportMissingBound(t *testing.T) {
 	}
 }
 
+// TestSolveMS pins the solve ms cell: a recorded 0 µs (a sub-microsecond
+// solve, whose dur_us the JSON omits) renders as 0.00 like any other
+// duration.
+func TestSolveMS(t *testing.T) {
+	for _, tc := range []struct {
+		durUS int64
+		want  string
+	}{
+		{0, "0.00"},
+		{1, "0.00"},
+		{1500, "1.50"},
+	} {
+		if got := solveMS(tc.durUS); got != tc.want {
+			t.Errorf("solveMS(%d) = %q, want %q", tc.durUS, got, tc.want)
+		}
+	}
+}
+
 // TestRenderReportRequestID pins the daemon-trace affordance: when the
 // root span carries a request_id attr (stamped by balignd's middleware),
 // the report leads with a "request id:" header matching it; CLI-recorded
