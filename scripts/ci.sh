@@ -86,18 +86,18 @@ fi
 
 echo "== solve-time gate (a served-size solve stays within 4x its recorded median)"
 # The paper's protocol, sequential, on a 200-block function: the size
-# balignd serves. results/BENCH_sparse.json records a 440.1 ms/op
-# median on a 2-vCPU VM; the 1,760 ms/op ceiling absorbs slower hosts
-# and noise, so it catches only a solve that lost a large constant
-# factor (a quadratic scan, a lost neighbor list), not a few percent.
+# balignd serves. results/BENCH_sparse.json records a 74.0 ms/op median
+# on a 2-vCPU VM; the 296 ms/op ceiling absorbs slower hosts and noise,
+# so it catches only a solve that lost a large constant factor (a kick
+# that rescans the whole tour, a lost neighbor list), not a few percent.
 # BenchmarkLargeSolve runs a few kicks on huge functions and
 # BenchmarkSolveSmall mostly the exact DP, so neither would see a
 # slower search at served sizes.
 out=$(go test -run '^$' -bench '^BenchmarkSolve$/^synth200$' -benchtime 3x -timeout 10m .)
 echo "$out"
 nsop=$(echo "$out" | awk '/BenchmarkSolve\/synth200\/sparse/ {for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)}')
-if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 1760000000) }'; then
-	echo "ci: served-size solve time regression (${nsop:-no result} ns/op, ceiling 1760000000)"
+if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 296000000) }'; then
+	echo "ci: served-size solve time regression (${nsop:-no result} ns/op, ceiling 296000000)"
 	exit 1
 fi
 
@@ -115,7 +115,7 @@ fi
 
 echo "== cold-dispatch-alloc gate (a miss solves without per-subset or per-kick garbage)"
 # A cache miss compiles nothing here (Load hands back a fixed module) but
-# builds every matrix and neighbor list, solves and bounds: ~270
+# builds every matrix and neighbor list, solves and bounds: ~260
 # allocs/op since SolveExact's DP tables became two flat arrays, SetTour
 # validates with the optimizer's own bitmap and each neighbor table
 # shares one backing array. Before, per-subset DP slices, a seen slice
@@ -130,11 +130,11 @@ fi
 
 echo "== cold-dispatch-time gate (a miss stays within 4x its recorded median)"
 # Same run as the allocation gate. results/BENCH_engine.json records a
-# 2.47 ms/op median on a 2-vCPU VM; the 10 ms/op ceiling absorbs slower
+# 1.90 ms/op median on a 2-vCPU VM; the 7.6 ms/op ceiling absorbs slower
 # hosts and noise, not a solve or bound that lost its lean kernel.
 nsop=$(echo "$out" | awk '/BenchmarkEngineDispatch\/cold/ {for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)}')
-if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 10000000) }'; then
-	echo "ci: cold engine dispatch time regression (${nsop:-no result} ns/op, ceiling 10000000)"
+if [ -z "$nsop" ] || awk -v v="$nsop" 'BEGIN { exit !(v > 7600000) }'; then
+	echo "ci: cold engine dispatch time regression (${nsop:-no result} ns/op, ceiling 7600000)"
 	exit 1
 fi
 
