@@ -156,10 +156,9 @@ func (o *ThreeOpt) SetKickedTour(t Tour, c Cost, ends [6]int) {
 	o.wake(ends[:]...)
 }
 
-// checkTour panics unless t is a permutation of the n cities, using seen
-// (one of the optimizer's own n-entry bitmaps, which the caller then
-// refills) as the seen set so a reset allocates nothing. Every entry of
-// seen is true when it returns.
+// checkTour panics unless t is a permutation of the n cities, using seen,
+// one of the optimizer's own n-entry bitmaps, as the seen set so a reset
+// allocates nothing. Every entry of seen is true when it returns.
 func (o *ThreeOpt) checkTour(t Tour, seen []bool) {
 	if len(t) != o.n {
 		panic("tsp: ThreeOpt: invalid tour")
