@@ -98,6 +98,8 @@ func TestMetricsFamilies(t *testing.T) {
 		"engine_cache_misses_total",
 		"engine_cache_evictions_total",
 		"engine_cache_entries",
+		"engine_load_cache_hits_total",
+		"engine_load_cache_entries",
 		"engine_coalesced_total",
 		"engine_solves_total",
 		"engine_truncated_total",
@@ -136,7 +138,8 @@ func TestMetricsFamilies(t *testing.T) {
 }
 
 // TestStatsMatchesMetrics is the drift pin for the two read surfaces:
-// after mixed traffic (success, cache hit, bad request, shed), every
+// after mixed traffic (success, cache hit, load-cache hit, bad request,
+// shed), every
 // number /v1/stats reports must equal what /metrics exposes, because
 // both read the same registry cells.
 func TestStatsMatchesMetrics(t *testing.T) {
@@ -149,6 +152,13 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	if _, code := postAlign(t, ts, sourceRequest(21)); code != http.StatusOK { // cache hit
 		t.Fatalf("align status %d", code)
+	}
+	// The same program at two more seeds: the first retains its load,
+	// the second reuses it.
+	for _, seed := range []int64{23, 24} {
+		if _, code := postAlign(t, ts, sourceRequest(seed)); code != http.StatusOK {
+			t.Fatalf("align status %d", code)
+		}
 	}
 	if _, code := postAlign(t, ts, alignRequest{Bench: "no-such"}); code != http.StatusBadRequest {
 		t.Fatalf("bad request status %d", code)
@@ -190,6 +200,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		{"server.truncated", st.Server.Truncated, sumSamples(samples, "balignd_align_truncated_total")},
 		{"engine.requests", st.Engine.Requests, sumSamples(samples, "engine_requests_total")},
 		{"engine.cache_hits", st.Engine.CacheHits, sumSamples(samples, "engine_cache_hits_total")},
+		{"engine.load_hits", st.Engine.LoadHits, sumSamples(samples, "engine_load_cache_hits_total")},
 		{"engine.coalesced", st.Engine.Coalesced, sumSamples(samples, "engine_coalesced_total")},
 		{"engine.solved", st.Engine.Solved, sumSamples(samples, "engine_solves_total")},
 		{"engine.truncated", st.Engine.Truncated, sumSamples(samples, "engine_truncated_total")},
@@ -201,11 +212,11 @@ func TestStatsMatchesMetrics(t *testing.T) {
 			t.Errorf("%s: stats=%d metrics=%v", c.name, c.got, c.want)
 		}
 	}
-	if st.Server.Requests != 4 || st.Server.Shed != 1 || st.Server.Errors != 1 {
+	if st.Server.Requests != 6 || st.Server.Shed != 1 || st.Server.Errors != 1 {
 		t.Errorf("unexpected traffic tallies: %+v", st.Server)
 	}
-	if st.Engine.CacheHits != 1 {
-		t.Errorf("engine cache hits %d, want 1", st.Engine.CacheHits)
+	if st.Engine.CacheHits != 1 || st.Engine.LoadHits != 1 {
+		t.Errorf("engine cache hits %d and load hits %d, want 1 each", st.Engine.CacheHits, st.Engine.LoadHits)
 	}
 }
 

@@ -17,7 +17,12 @@
 //     coalesced duplicate never compiles or profiles anything.
 //     Truncated (deadline- or budget-cut) results are never cached and
 //     never shared with concurrent duplicates, because a duplicate may
-//     carry a more generous budget and deserves the full-quality answer.
+//     carry a more generous budget and deserves the full-quality answer;
+//   - a load cache under the result cache: a miss whose Inputs the
+//     engine has already loaded twice in the same profile mode reuses
+//     that module and profile instead of calling Load again, so laying
+//     one program out under many seeds or algorithms does not profile
+//     it once per layout.
 //
 // Cancellation follows the anytime contract of the underlying solvers:
 // a cancelled context truncates each in-flight per-function solve at
@@ -105,7 +110,8 @@ type Options struct {
 	// layers together never exceed this bound.
 	Workers int
 	// CacheEntries bounds the result cache (least-recently-used
-	// eviction). 0 means 64; negative disables caching.
+	// eviction), and the keys of the load cache likewise. 0 means 64;
+	// negative disables both.
 	CacheEntries int
 	// Parallelism is the default per-run solver parallelism applied to
 	// requests that do not set their own: each per-function solve may
@@ -126,20 +132,22 @@ type Options struct {
 // the fields below, and calls Load only when it has to solve.
 type Request struct {
 	// Inputs is a canonical encoding of everything Load reads. The engine
-	// never interprets it: it hashes it, once, into the cache and
-	// single-flight key, so requests with equal Inputs (and equal mode,
-	// model, algorithm, seed, kick cap and bound settings) are one
-	// computation. Borrowed
-	// for the duration of the call.
+	// never interprets it: it hashes it, once, into the load key, from
+	// which the cache and single-flight key derives, so requests with
+	// equal Inputs (and equal mode, model, algorithm, seed, kick cap and
+	// bound settings) are one computation. Borrowed for the duration of
+	// the call.
 	Inputs []byte
 	// Load compiles the program and profiles it; it must be a pure
 	// function of Inputs. The engine calls it only on a miss, from the
-	// single-flight leader: cache hits and coalesced duplicates never
-	// compile or profile. sp is the engine.load span (nil when untraced)
-	// for Load to annotate. The returned module and profile are borrowed
-	// for the solve and must not be mutated concurrently. Load errors
-	// reach the caller and every coalesced duplicate, and are never
-	// cached.
+	// single-flight leader, and not even then when the load cache holds
+	// this Inputs' load in the request's profile mode: cache hits,
+	// coalesced duplicates and load-cache hits never compile or profile.
+	// sp is the engine.load span (nil when untraced) for Load to
+	// annotate. The returned module and profile may be kept and shared
+	// read-only by later solves of requests with the same Inputs, so
+	// neither may be mutated once returned. Load errors and panics reach
+	// the caller and every coalesced duplicate, and are never cached.
 	Load  func(sp *obs.Span) (*ir.Module, *interp.Profile, error)
 	Model machine.Model
 
@@ -231,6 +239,9 @@ type Result struct {
 type Stats struct {
 	Requests  int64 `json:"requests"`
 	CacheHits int64 `json:"cache_hits"`
+	// LoadHits counts result-cache misses whose module and profile came
+	// from the load cache, without a call to Load.
+	LoadHits  int64 `json:"load_hits"`
 	Coalesced int64 `json:"coalesced"`
 	Solved    int64 `json:"solved"`
 	Truncated int64 `json:"truncated"`
@@ -248,9 +259,10 @@ type Engine struct {
 	pool        *work.Pool
 	parallelism int
 	met         metrics
+	loads       *loadCache
 
 	mu       sync.Mutex
-	cache    *lru
+	cache    *lru[*Result]
 	inflight map[Key]*call
 }
 
@@ -278,15 +290,16 @@ func New(o Options) *Engine {
 	e := &Engine{
 		pool:        work.NewPool(o.Workers),
 		parallelism: o.Parallelism,
-		cache:       newLRU(entries),
+		loads:       newLoadCache(entries, loadBudget),
+		cache:       newLRU[*Result](entries),
 		inflight:    map[Key]*call{},
 	}
-	e.cache.onEvict = func() { e.met.evictions.Inc() }
+	e.cache.onEvict = func(*Result) { e.met.evictions.Inc() }
 	e.met = newMetrics(reg, e.pool, func() float64 {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		return float64(e.cache.len())
-	})
+	}, func() float64 { return float64(e.loads.retained()) })
 	return e
 }
 
@@ -297,6 +310,7 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Requests:     e.met.requests.Value(),
 		CacheHits:    e.met.cacheHits.Value(),
+		LoadHits:     e.met.loadHits.Value(),
 		Coalesced:    e.met.coalesced.Value(),
 		Solved:       e.met.solves.Value(),
 		Truncated:    e.met.truncated.Value(),
@@ -325,7 +339,8 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := req.Key()
+	lk := req.loadKey()
+	key := req.key(lk)
 	start := time.Now()
 	e.met.requests.Inc()
 
@@ -354,7 +369,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 			// directly with the expired context, which truncates at the
 			// first budget check and yields a valid best-effort layout.
 			e.met.cacheMisses.Inc()
-			res, err := e.recoverSolve(ctx, a, req)
+			res, err := e.recoverSolve(ctx, a, req, lk)
 			e.finishSolve(res, err)
 			e.met.observe(start, req.StaticProfile, "miss", req.Algorithm)
 			return res, err
@@ -381,7 +396,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.met.cacheMisses.Inc()
 	e.met.inFlight.Add(1)
 
-	res, err := e.recoverSolve(ctx, a, req)
+	res, err := e.recoverSolve(ctx, a, req, lk)
 
 	e.met.inFlight.Add(-1)
 	e.finishSolve(res, err)
@@ -401,13 +416,13 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 // one raised by Load, or by a per-function task and re-raised here by
 // work.Pool. A leader that unwound instead would leave its in-flight
 // entry unsettled, and every identical request would wait on it.
-func (e *Engine) recoverSolve(ctx context.Context, a align.Aligner, req Request) (res *Result, err error) {
+func (e *Engine) recoverSolve(ctx context.Context, a align.Aligner, req Request, lk Key) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("%w: panic: %v", ErrInternal, p)
 		}
 	}()
-	return e.solve(ctx, a, req)
+	return e.solve(ctx, a, req, lk)
 }
 
 // finishSolve records one completed solve's outcome counters.
@@ -422,13 +437,30 @@ func (e *Engine) finishSolve(res *Result, err error) {
 	}
 }
 
-// load runs the request's Load under an engine.load span and checks
-// what it returned. A StaticProfile request's profile is estimated here,
-// inside the span, so solve aligns against one profile source either
-// way.
-func load(req *Request) (*ir.Module, *interp.Profile, error) {
+// load returns the request's module and profile under an engine.load
+// span: the load cache's copy for load key lk when it holds one (the
+// span then says cached=true), a checked fresh load otherwise, which the
+// load cache then sees.
+func (e *Engine) load(req *Request, lk Key) (*ir.Module, *interp.Profile, error) {
 	sp := req.Obs.Child("engine.load")
 	defer sp.End()
+	if mod, prof, ok := e.loads.get(lk); ok {
+		e.met.loadHits.Inc()
+		sp.SetAttrs(obs.Bool("cached", true))
+		return mod, prof, nil
+	}
+	mod, prof, err := checkedLoad(req, sp)
+	if err == nil {
+		e.loads.add(lk, mod, prof)
+	}
+	return mod, prof, err
+}
+
+// checkedLoad runs the request's Load and checks what it returned. A
+// StaticProfile request's profile is estimated here, inside the
+// engine.load span sp, so solve aligns against one profile source
+// either way.
+func checkedLoad(req *Request, sp *obs.Span) (*ir.Module, *interp.Profile, error) {
 	mod, prof, err := req.Load(sp)
 	switch {
 	case err != nil:
@@ -460,11 +492,11 @@ func load(req *Request) (*ir.Module, *interp.Profile, error) {
 	return mod, prof, nil
 }
 
-// solve loads the request's module and profile, then lays out and
-// (optionally) bounds every function with a in one align.Run on the
-// shared worker pool.
-func (e *Engine) solve(ctx context.Context, a align.Aligner, req Request) (*Result, error) {
-	mod, prof, err := load(&req)
+// solve loads the request's module and profile (load key lk), then
+// lays out and (optionally) bounds every function with a in one
+// align.Run on the shared worker pool.
+func (e *Engine) solve(ctx context.Context, a align.Aligner, req Request, lk Key) (*Result, error) {
+	mod, prof, err := e.load(&req, lk)
 	if err != nil {
 		return nil, err
 	}

@@ -147,22 +147,119 @@ func TestEngineLoadCount(t *testing.T) {
 			t.Fatal("a failed Load was cached")
 		}
 	})
+
+	t.Run("seeds", func(t *testing.T) {
+		// Seed 1 records the load key, seed 2 loads again and the load
+		// is retained, seeds 3 and 4 reuse it.
+		load, calls := countingLoad(mod, prof, nil)
+		e := New(Options{})
+		for seed := int64(1); seed <= 4; seed++ {
+			res, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: load, Model: model, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHit || res.Coalesced {
+				t.Fatalf("seed %d: hit=%v coalesced=%v, want a solve", seed, res.CacheHit, res.Coalesced)
+			}
+		}
+		if n := calls.Load(); n != 2 {
+			t.Fatalf("Load ran %d times for seeds 1-4 of one Inputs, want 2", n)
+		}
+		if st := e.Stats(); st.LoadHits != 2 || st.Solved != 4 {
+			t.Fatalf("stats %+v, want 2 load hits and 4 solves", st)
+		}
+	})
+
+	t.Run("seen once", func(t *testing.T) {
+		load, _ := countingLoad(mod, prof, nil)
+		e := New(Options{})
+		if _, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: load, Model: model, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.loads.retained(); n != 0 {
+			t.Fatalf("%d loads retained after one sighting, want 0", n)
+		}
+		if _, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: load, Model: model, Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.loads.retained(); n != 1 {
+			t.Fatalf("%d loads retained after two sightings, want 1", n)
+		}
+	})
+
+	t.Run("failing seeds", func(t *testing.T) {
+		boom := errors.New("compile failed")
+		load, calls := countingLoad(nil, nil, boom)
+		e := New(Options{})
+		for seed := int64(1); seed <= 4; seed++ {
+			if _, err := e.Align(ctx, Request{Inputs: branchyInputs, Load: load, Model: model, Seed: seed}); !errors.Is(err, boom) {
+				t.Fatalf("seed %d: err = %v, want the Load error", seed, err)
+			}
+		}
+		if n := calls.Load(); n != 4 {
+			t.Fatalf("Load ran %d times for 4 failing requests, want 4", n)
+		}
+		if st := e.Stats(); st.LoadHits != 0 || st.Errors != 4 {
+			t.Fatalf("stats %+v, want no load hits and 4 errors", st)
+		}
+	})
+
+	t.Run("profile modes", func(t *testing.T) {
+		// One Inputs in both modes: each mode records, retains and
+		// reuses its own load, and a static request never gets the
+		// measured profile or the reverse.
+		measured, mCalls := countingLoad(mod, prof, nil)
+		static, sCalls := countingLoad(mod, nil, nil)
+		e := New(Options{})
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, st := range []bool{false, true} {
+				req := Request{Inputs: branchyInputs, Load: measured, Model: model, Seed: seed, StaticProfile: st}
+				if st {
+					req.Load = static
+				}
+				res, err := e.Align(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.ProfileEstimated != st {
+					t.Fatalf("seed %d static=%v: result ProfileEstimated=%v", seed, st, res.ProfileEstimated)
+				}
+			}
+		}
+		if m, s := mCalls.Load(), sCalls.Load(); m != 2 || s != 2 {
+			t.Fatalf("measured Load ran %d times, static %d, want 2 each", m, s)
+		}
+		if n := e.loads.retained(); n != 2 {
+			t.Fatalf("%d loads retained, want one per profile mode", n)
+		}
+	})
 }
 
 // TestEngineLoadSpan pins the engine.load span: it wraps Load on a miss,
-// under the request's span, and a hit records none.
+// under the request's span, and a hit records none. A miss served by the
+// load cache records the span with cached=true and without Load's
+// annotations.
 func TestEngineLoadSpan(t *testing.T) {
 	mod, prof := branchy(t)
 	e := New(Options{})
-	for i, want := range []int{1, 0} {
+	for i, want := range []struct {
+		seed   int64
+		spans  int
+		cached bool
+	}{
+		{seed: 1, spans: 1},               // first sighting: Load
+		{seed: 1, spans: 0},               // result-cache hit
+		{seed: 2, spans: 1},               // second sighting: Load, retained
+		{seed: 3, spans: 1, cached: true}, // load-cache hit
+	} {
 		sink := &obs.MemorySink{}
 		tr := obs.New(sink)
 		root := tr.Start("root")
 		load := func(sp *obs.Span) (*ir.Module, *interp.Profile, error) {
-			sp.SetAttrs(obs.String("input", "label"))
+			sp.SetAttrs(obs.String("input", "label"), obs.Int("steps", 1))
 			return mod, prof, nil
 		}
-		req := Request{Inputs: branchyInputs, Load: load, Model: machine.Alpha21164(), Obs: root}
+		req := Request{Inputs: branchyInputs, Load: load, Model: machine.Alpha21164(), Seed: want.seed, Obs: root}
 		if _, err := e.Align(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
@@ -172,15 +269,24 @@ func TestEngineLoadSpan(t *testing.T) {
 		}
 		got := 0
 		for _, ev := range sink.Events() {
-			if ev.Type == "span" && ev.Name == "engine.load" {
-				got++
-				if ev.Str("input") != "label" {
-					t.Errorf("engine.load attrs %v: Load's annotation missing", ev.Attrs)
-				}
+			if ev.Type != "span" || ev.Name != "engine.load" {
+				continue
+			}
+			got++
+			if ev.Parent == 0 {
+				t.Errorf("request %d: engine.load is not under the request's span", i)
+			}
+			_, cached := ev.Attrs["cached"]
+			_, steps := ev.Attrs["steps"]
+			switch {
+			case want.cached && (ev.Attrs["cached"] != true || steps || ev.Str("input") != ""):
+				t.Errorf("request %d: engine.load attrs %v, want cached=true and no Load annotation", i, ev.Attrs)
+			case !want.cached && (cached || ev.Str("input") != "label"):
+				t.Errorf("request %d: engine.load attrs %v, want Load's annotation and no cached", i, ev.Attrs)
 			}
 		}
-		if got != want {
-			t.Errorf("request %d: %d engine.load spans, want %d", i, got, want)
+		if got != want.spans {
+			t.Errorf("request %d: %d engine.load spans, want %d", i, got, want.spans)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 type metrics struct {
 	requests    *obs.Counter
 	cacheHits   *obs.Counter
+	loadHits    *obs.Counter
 	cacheMisses *obs.Counter
 	evictions   *obs.Counter
 	coalesced   *obs.Counter
@@ -37,13 +38,15 @@ const (
 )
 
 // newMetrics registers the engine's metric families in reg and wires
-// the live gauges: cache occupancy (via entries, called under the
-// engine mutex at collection time) and the worker pool's capacity,
-// active-task and queue-depth gauges plus its queue-wait histogram.
-func newMetrics(reg *obs.Registry, pool *work.Pool, entries func() float64) metrics {
+// the live gauges: result-cache occupancy (entries) and retained loads
+// (loads), both called at collection time, and the worker pool's
+// capacity, active-task and queue-depth gauges plus its queue-wait
+// histogram.
+func newMetrics(reg *obs.Registry, pool *work.Pool, entries, loads func() float64) metrics {
 	m := metrics{
 		requests:    reg.Counter("engine_requests_total", "Alignment requests accepted by the engine (after validation)."),
 		cacheHits:   reg.Counter("engine_cache_hits_total", "Requests served from the completed-result cache."),
+		loadHits:    reg.Counter("engine_load_cache_hits_total", "Result-cache misses served a retained module and profile by the load cache, skipping compile, profiling run and static estimate."),
 		cacheMisses: reg.Counter("engine_cache_misses_total", "Requests that found no completed cache entry and solved (or re-solved past an expired peer)."),
 		evictions:   reg.Counter("engine_cache_evictions_total", "Completed results evicted from the cache by LRU capacity pressure."),
 		coalesced:   reg.Counter("engine_coalesced_total", "Requests deduplicated onto an identical in-flight solve (single-flight)."),
@@ -56,6 +59,7 @@ func newMetrics(reg *obs.Registry, pool *work.Pool, entries func() float64) metr
 			solveDurMinExp, solveDurMaxExp, "profile_mode", "cache", "algorithm"),
 	}
 	reg.GaugeFunc("engine_cache_entries", "Completed results currently cached.", entries)
+	reg.GaugeFunc("engine_load_cache_entries", "Loaded modules and profiles the load cache currently retains (keys seen once excluded).", loads)
 	reg.GaugeFunc("work_pool_capacity", "Maximum concurrently executing pool tasks.",
 		func() float64 { return float64(pool.Cap()) })
 	reg.GaugeFunc("work_pool_active_tasks", "Pool tasks (per-function solves and nested solver runs) executing right now.",

@@ -32,7 +32,7 @@ func TestEngineMetricsPlane(t *testing.T) {
 	if _, err := e.Align(ctx, req2); err != nil { // miss + solve, evicts seed 1
 		t.Fatal(err)
 	}
-	if _, err := e.Align(ctx, req); err != nil { // miss again (evicted)
+	if _, err := e.Align(ctx, req); err != nil { // miss again (evicted), load-cache hit
 		t.Fatal(err)
 	}
 
@@ -46,6 +46,8 @@ func TestEngineMetricsPlane(t *testing.T) {
 		"engine_errors_total":          0,
 		"engine_in_flight":             0,
 		"engine_cache_entries":         1,
+		"engine_load_cache_hits_total": 1,
+		"engine_load_cache_entries":    1,
 	}
 	for name, v := range want {
 		if got := reg.Sum(name, nil); got != v {
@@ -61,7 +63,7 @@ func TestEngineMetricsPlane(t *testing.T) {
 
 	// Stats() must read the same cells.
 	st := e.Stats()
-	if st.Requests != 4 || st.CacheHits != 1 || st.Solved != 3 || st.Errors != 0 || st.InFlight != 0 {
+	if st.Requests != 4 || st.CacheHits != 1 || st.LoadHits != 1 || st.Solved != 3 || st.Errors != 0 || st.InFlight != 0 {
 		t.Errorf("Stats drifted from registry: %+v", st)
 	}
 

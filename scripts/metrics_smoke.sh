@@ -1,9 +1,11 @@
 #!/bin/sh
-# Metrics-plane smoke gate: boot balignd, serve one align request, and
-# verify the /metrics exposition is scrapeable and live — the core
-# families are present (HTTP requests, solve latency, engine cache,
-# worker pool), the align request counter is non-zero, and readiness
-# flips to 503 when the SIGTERM drain begins. Usage:
+# Metrics-plane smoke gate: boot balignd, serve one align request and
+# the same program at two more seeds, and verify the /metrics exposition
+# is scrapeable and live — the core families are present (HTTP
+# requests, solve latency, engine result and load caches, worker pool),
+# the align request counter and the load-cache hit counter are
+# non-zero, and readiness flips to 503 when the SIGTERM drain begins.
+# Usage:
 #
 #   scripts/metrics_smoke.sh [port]
 set -eu
@@ -45,6 +47,15 @@ if [ -z "$rid" ]; then
 fi
 echo "== request id: $rid"
 
+# Seed 2 is the program's second load, which the load cache retains;
+# seed 3 reuses it.
+echo "== aligning it at seeds 2 and 3 to light up the load cache"
+for seed in 2 3; do
+	curl -sf -o /dev/null "http://$addr/v1/align" \
+		-H 'Content-Type: application/json' \
+		-d "{\"bench\":\"compress\",\"seed\":$seed}"
+done
+
 echo "== scraping /metrics"
 scrape=$(curl -sf "http://$addr/metrics")
 
@@ -54,6 +65,8 @@ for fam in \
 	balignd_http_request_duration_seconds \
 	engine_requests_total \
 	engine_cache_misses_total \
+	engine_load_cache_hits_total \
+	engine_load_cache_entries \
 	engine_solve_duration_seconds \
 	work_pool_capacity \
 	work_pool_queue_wait_seconds; do
@@ -72,6 +85,10 @@ echo "$scrape" | grep 'balignd_http_requests_total{endpoint="/v1/align"' |
 }
 echo "$scrape" | grep -q 'engine_solve_duration_seconds_count.* [1-9]' || {
 	echo "solve latency histogram is empty" >&2
+	exit 1
+}
+echo "$scrape" | grep -q '^engine_load_cache_hits_total [1-9]' || {
+	echo "load-cache hit counter is zero or missing" >&2
 	exit 1
 }
 
