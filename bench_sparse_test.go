@@ -183,16 +183,16 @@ func BenchmarkHeldKarpBound(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeSolve runs nearest-neighbor construction plus a bounded
+// BenchmarkLargeSolve runs greedy construction plus a bounded
 // iterated-3-opt pass on multi-thousand-block synthetic CFGs — the
 // whole-solver scaling story the sparse representation exists for. No
 // dense variant: the instance alone would be gigabytes.
 //
 // A 20-kick budget stops the paper protocol 20 kicks into its first run,
-// which above 4,096 cities starts from a randomized nearest-neighbor
-// tour. The rows run the production kernel (Or-opt interleaved with
-// 3-opt); their /oropt names are kept so older snapshots stay
-// comparable.
+// which starts from a randomized greedy-edge tour over the candidate
+// lists, as at every size. The rows run the production kernel (Or-opt
+// interleaved with 3-opt); their /oropt names are kept so older
+// snapshots stay comparable.
 func BenchmarkLargeSolve(b *testing.B) {
 	m := machine.Alpha21164()
 	for _, blocks := range []int{5000, 20000} {

@@ -11,15 +11,24 @@ import (
 // deterministic; otherwise each step picks uniformly among the k cheapest
 // unvisited cities (k = 3, per the "randomized Nearest Neighbor starts" of
 // the paper's solver protocol). Ties are broken by city index.
+func NearestNeighbor(s *SparseMatrix, start int, rng *rand.Rand) Tour {
+	return walk(s, start, nil, rng)
+}
+
+// walk is the nearest-neighbor walk over chains: succ[c] is the fixed
+// successor of c, or -1 (a nil succ fixes none). A city with a fixed
+// predecessor is never a free choice, and arriving at a chain's head
+// appends the whole chain, so the walk continues from the chain's tail.
+// start must not have a fixed predecessor.
 //
-// From the current city, the candidate successors are the unvisited
-// exception columns plus the first three unvisited non-exception columns
-// (all non-exception columns cost the row default, so the three with the
+// From the current city, the candidate successors are the free exception
+// columns plus the first three free non-exception columns (all
+// non-exception columns cost the row default, so the three with the
 // smallest indices are exactly the ones a stable best-3 scan of the whole
 // row would keep). O(V+E + n·k) over the whole tour instead of Θ(n²).
-func NearestNeighbor(s *SparseMatrix, start int, rng *rand.Rand) Tour {
+func walk(s *SparseMatrix, start int, succ []int, rng *rand.Rand) Tour {
 	n := s.Len()
-	// Doubly linked list over unvisited cities in index order.
+	// Doubly linked list over free cities in index order.
 	next := make([]int, n+1) // next[n] is the head sentinel
 	prev := make([]int, n+1)
 	for i := 0; i <= n; i++ {
@@ -32,20 +41,31 @@ func NearestNeighbor(s *SparseMatrix, start int, rng *rand.Rand) Tour {
 		next[prev[c]] = next[c]
 		prev[next[c]] = prev[c]
 	}
+	for _, c := range succ {
+		if c >= 0 {
+			visit(c)
+		}
+	}
 	isExc := make([]bool, n)
 	tour := make(Tour, 0, n)
-	cur := start
-	visit(cur)
-	tour = append(tour, cur)
+	// enter appends c and the chain it heads, returning the chain's tail.
+	enter := func(c int) int {
+		visit(c)
+		tour = append(tour, c)
+		for succ != nil && succ[c] >= 0 {
+			c = succ[c]
+			tour = append(tour, c)
+		}
+		return c
+	}
+	cur := enter(start)
 	type cand struct {
 		city int
 		cost Cost
 	}
 	// Insertion into a best-3 buffer ordered by (cost, city). Candidate
 	// cities are distinct, so (cost, city) is a strict total order and
-	// the buffer holds exactly the 3 smallest candidates in sorted order
-	// — the same prefix the sort.Slice this replaced produced, without
-	// its per-step closure and interface allocations.
+	// the buffer holds exactly the 3 smallest candidates in sorted order.
 	var best [3]cand
 	nbest := 0
 	add := func(c cand) {
@@ -90,45 +110,38 @@ func NearestNeighbor(s *SparseMatrix, start int, rng *rand.Rand) Tour {
 		if rng != nil && nbest > 1 {
 			pick = rng.Intn(nbest)
 		}
-		cur = best[pick].city
-		visit(cur)
-		tour = append(tour, cur)
+		cur = enter(best[pick].city)
 	}
 	return tour
 }
 
-// GreedyEdge builds a tour by sorting all directed edges by cost and
-// accepting each edge whose head still lacks an outgoing edge, whose tail
-// still lacks an incoming edge, and which does not close a premature
-// subcycle. Remaining gaps are stitched with the forced edges. With a
-// non-nil rng the edge order is perturbed (each edge's sort key is
-// multiplied by a factor drawn from [1, 1.25)), giving the "randomized
-// Greedy starts" of the paper's solver protocol.
-//
-// The construction inherently ranks all n(n-1) directed edges (the
-// randomized variant draws an independent key per edge), so it stays
-// Θ(n² log n) even on a sparse instance; Solve therefore reserves greedy
-// starts for instances where the edge sort is affordable.
-func GreedyEdge(m *SparseMatrix, rng *rand.Rand) Tour {
+// GreedyEdge builds a tour by ranking the candidate edges of nb (the
+// Out lists local search prunes its moves to) by cost and accepting each
+// edge whose tail still lacks an outgoing edge, whose head still lacks an
+// incoming edge, and which does not close a subcycle. The chains left
+// over are joined by the nearest-neighbor walk, starting from the head of
+// the lowest-index chain. With a non-nil rng the edge order is perturbed
+// (each edge's sort key is multiplied by a factor drawn from [1, 1.25)),
+// giving the "randomized Greedy starts" of the paper's solver protocol.
+// O(nk log(nk)) time and O(nk) memory for lists of width k.
+func GreedyEdge(m *SparseMatrix, nb *Neighbors, rng *rand.Rand) Tour {
 	n := m.Len()
-	if n == 1 {
-		return Tour{0}
-	}
 	type edge struct {
-		from, to int
 		key      float64
+		from, to int32
 	}
-	edges := make([]edge, 0, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			key := float64(m.At(i, j))
+	size := 0
+	for _, out := range nb.Out {
+		size += len(out)
+	}
+	edges := make([]edge, 0, size)
+	for i, out := range nb.Out {
+		for r, j := range out {
+			key := float64(nb.OutCost[i][r])
 			if rng != nil {
 				key *= 1 + rng.Float64()*0.25
 			}
-			edges = append(edges, edge{i, j, key})
+			edges = append(edges, edge{key, int32(i), int32(j)})
 		}
 	}
 	// (key, from, to) is a strict total order, so any sort gives the
@@ -138,72 +151,39 @@ func GreedyEdge(m *SparseMatrix, rng *rand.Rand) Tour {
 			return c
 		}
 		if a.from != b.from {
-			return a.from - b.from
+			return int(a.from - b.from)
 		}
-		return a.to - b.to
+		return int(a.to - b.to)
 	})
 
 	next := make([]int, n) // chosen successor, -1 if none
 	prev := make([]int, n) // chosen predecessor, -1 if none
-	for i := range next {
-		next[i] = -1
-		prev[i] = -1
-	}
 	// chainEnd[x] is, for the head x of a chain, the tail of that chain
-	// (and vice versa); used to reject subcycles in O(1) amortized.
+	// (and vice versa); it rejects subcycles in O(1).
 	chainEnd := make([]int, n)
-	for i := range chainEnd {
-		chainEnd[i] = i
+	for i := range next {
+		next[i], prev[i], chainEnd[i] = -1, -1, i
 	}
 	accepted := 0
 	for _, e := range edges {
 		if accepted == n-1 {
 			break
 		}
-		if next[e.from] != -1 || prev[e.to] != -1 {
+		from, to := int(e.from), int(e.to)
+		if next[from] != -1 || prev[to] != -1 || chainEnd[from] == to {
 			continue
 		}
-		// Reject an edge that would close a cycle before all cities join.
-		if chainEnd[e.from] == e.to && accepted < n-1 {
-			continue
-		}
-		next[e.from] = e.to
-		prev[e.to] = e.from
-		// e.from was the tail of a chain whose head is chainEnd[e.from];
-		// e.to was the head of a chain whose tail is chainEnd[e.to]. The
-		// merged chain runs newHead..e.from->e.to..newTail.
-		newHead := chainEnd[e.from]
-		newTail := chainEnd[e.to]
+		next[from] = to
+		prev[to] = from
+		// from was the tail of a chain whose head is chainEnd[from]; to
+		// was the head of a chain whose tail is chainEnd[to]. The merged
+		// chain runs newHead..from->to..newTail.
+		newHead, newTail := chainEnd[from], chainEnd[to]
 		chainEnd[newHead] = newTail
 		chainEnd[newTail] = newHead
 		accepted++
 	}
-	// Stitch any remaining chain tails to chain heads. With the subcycle
-	// check above there is exactly one chain left when accepted == n-1;
-	// otherwise several chains remain and we connect them in index order.
-	tour := make(Tour, 0, n)
-	used := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if prev[i] != -1 || used[i] {
-			continue
-		}
-		for c := i; c != -1 && !used[c]; c = next[c] {
-			used[c] = true
-			tour = append(tour, c)
-		}
-	}
-	// Cities that ended up in a (degenerate) cycle of chosen edges would be
-	// skipped above; append them defensively. This cannot happen with the
-	// subcycle check, but the guard keeps the function total.
-	for i := 0; i < n; i++ {
-		if !used[i] {
-			for c := i; !used[c]; c = next[c] {
-				used[c] = true
-				tour = append(tour, c)
-			}
-		}
-	}
-	return tour
+	return walk(m, slices.Index(prev, -1), next, nil)
 }
 
 // IdentityTour returns the tour visiting cities in index order, i.e. the

@@ -148,21 +148,20 @@ func iteratedThreeOpt(m *SparseMatrix, nb *Neighbors, ws *solveWorkspace, start 
 	return ws.best.Clone(), bestCost, rt
 }
 
-// The paper's solver protocol: every instance past ExactMaxCities gets 10
-// iterated-3-Opt runs — 5 from randomized greedy-edge tours, 4 from
-// randomized nearest-neighbor tours and 1 from the compiler order — of
-// kicksPerCity*N double-bridge kicks each. Solve runs exactly this
-// plan; only the seed, the parallelism and the budget vary per call.
-const (
-	greedyStarts   = 5
-	nnStarts       = 4
-	identityStarts = 1
-	kicksPerCity   = 2
-	// greedyMaxCities: above this instance size greedy-edge starts are
-	// replaced by randomized nearest-neighbor starts — the Θ(n² log n)
-	// all-edges sort would dominate the whole solve on large functions.
-	greedyMaxCities = 4096
-)
+// The paper's solver protocol: every instance past ExactMaxCities gets the
+// 10 iterated-3-Opt runs of runPlan — 5 from randomized greedy-edge tours,
+// 4 from randomized nearest-neighbor tours and 1 from the compiler order —
+// of kicksPerCity*N double-bridge kicks each. Solve runs exactly this
+// plan at every size; only the seed, the parallelism and the budget vary
+// per call. Every run's seed, kick quota and merge position follow from
+// its index in runPlan, which is what makes execution order irrelevant.
+var runPlan = [...]startKind{
+	startGreedy, startGreedy, startGreedy, startGreedy, startGreedy,
+	startNN, startNN, startNN, startNN,
+	startIdentity,
+}
+
+const kicksPerCity = 2
 
 // ExactMaxCities is the exact-DP cutoff: Solve answers instances of at
 // most this many cities with SolveExact instead of local search (a
@@ -282,10 +281,9 @@ func splitmix64(x uint64) uint64 {
 // the solve seed, the run's index in the plan, and its start kind. Each
 // run owning an independent stream is what makes the solve a pure
 // function of SolveOptions.Seed regardless of execution schedule. The
-// kind participates so that a run whose construction changes (the
-// greedy-to-NN substitution above greedyMaxCities) also changes stream —
-// two different protocols never share randomness by coincidence of
-// position.
+// kind participates so that runs of different start kinds never share
+// randomness by coincidence of position; dropping it now would reseed
+// every solve.
 func runSeed(seed int64, run int, kind startKind) int64 {
 	x := splitmix64(uint64(seed))
 	x = splitmix64(x + uint64(run))
@@ -338,31 +336,13 @@ func localSearch(m *SparseMatrix, opt SolveOptions, sp *obs.Span) Result {
 	iters := kicksPerCity * n
 	nb := BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
 
-	// The run plan: the protocol's start kinds in canonical order. Every
-	// run's seed, kick quota and merge position follow from its index
-	// here, which is what makes execution order irrelevant.
-	greedy := startGreedy
-	if n > greedyMaxCities {
-		greedy = startNN
-	}
-	kinds := make([]startKind, 0, greedyStarts+nnStarts+identityStarts)
-	for i := 0; i < greedyStarts; i++ {
-		kinds = append(kinds, greedy)
-	}
-	for i := 0; i < nnStarts; i++ {
-		kinds = append(kinds, startNN)
-	}
-	for i := 0; i < identityStarts; i++ {
-		kinds = append(kinds, startIdentity)
-	}
-
 	// Deterministic MaxKicks partition, replicating sequential
 	// consumption: run i would start with i*iters kicks already spent, so
 	// it runs only if that is under the budget and gets the remainder,
 	// capped at its own iteration count. A protocol that finishes exactly
 	// at the budget is not truncated (sequential execution would never
 	// have consulted the budget again).
-	planned := len(kinds)
+	planned := len(runPlan)
 	quotaTrunc := false
 	maxKicks := opt.MaxKicks
 	if maxKicks > 0 && maxKicks < int64(planned)*int64(iters) {
@@ -382,12 +362,12 @@ func localSearch(m *SparseMatrix, opt SolveOptions, sp *obs.Span) Result {
 			// an unexecuted run contributes nothing to the merge.
 			return
 		}
-		kind := kinds[i]
+		kind := runPlan[i]
 		rng := rand.New(rand.NewSource(runSeed(opt.Seed, i, kind)))
 		var start Tour
 		switch kind {
 		case startGreedy:
-			start = GreedyEdge(m, rng)
+			start = GreedyEdge(m, nb, rng)
 		case startNN:
 			start = NearestNeighbor(m, rng.Intn(n), rng)
 		case startIdentity:

@@ -55,7 +55,7 @@ func TestSolveParallelismBitIdentical(t *testing.T) {
 func TestSolveParallelKickBudgetBitIdentical(t *testing.T) {
 	const n = 17
 	m := randMatrix(n, 500, 3)
-	runs := int64(greedyStarts + nnStarts + identityStarts)
+	runs := int64(len(runPlan))
 	iters := int64(kicksPerCity * n)
 	total := runs * iters
 	budgets := []int64{1, 3, iters - 1, iters, iters + 1, 3*iters + 5, total - 1, total, total + 10}

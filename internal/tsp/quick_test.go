@@ -70,7 +70,7 @@ func TestQuickBoundSandwich(t *testing.T) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
-		_, heur := iteratedPure(m, GreedyEdge(m, nil), 2*n, rng)
+		_, heur := iteratedPure(m, greedyTour(m, nil), 2*n, rng)
 		return heur >= opt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -86,10 +86,10 @@ func TestQuickConstructionsAreValid(t *testing.T) {
 		if !NearestNeighbor(m, rng.Intn(n), rng).Valid(n) {
 			return false
 		}
-		if !GreedyEdge(m, rng).Valid(n) {
+		if !greedyTour(m, rng).Valid(n) {
 			return false
 		}
-		return NearestNeighbor(m, 0, nil).Valid(n) && GreedyEdge(m, nil).Valid(n)
+		return NearestNeighbor(m, 0, nil).Valid(n) && greedyTour(m, nil).Valid(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func TestQuickNeighborsAndConstructionsAgreeOnSparse(t *testing.T) {
 		}
 		r1 = rand.New(rand.NewSource(int64(seedRaw) + 1))
 		r2 = rand.New(rand.NewSource(int64(seedRaw) + 1))
-		return reflect.DeepEqual(GreedyEdge(sp, r1), GreedyEdge(explicit(sp), r2))
+		return reflect.DeepEqual(greedyTour(sp, r1), greedyTour(explicit(sp), r2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

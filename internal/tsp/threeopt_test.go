@@ -103,7 +103,7 @@ func TestThreeOptNearOptimalOnRandomInstances(t *testing.T) {
 		m := randMatrix(n, 1000, seed+500)
 		_, opt := SolveExact(m)
 		rng := rand.New(rand.NewSource(seed))
-		tour, cost := iteratedPure(m, GreedyEdge(m, nil), 6*n, rng)
+		tour, cost := iteratedPure(m, greedyTour(m, nil), 6*n, rng)
 		if cost < opt {
 			t.Fatalf("seed %d: heuristic cost %d below proven optimum %d", seed, cost, opt)
 		}
