@@ -25,11 +25,11 @@ func TestSolvePinned(t *testing.T) {
 		cost     tsp.Cost
 	}{
 		{12, 0, 0xc9219cb9fedbdd5, 2676828},
-		{13, 0, 0xd95a9b59d2d2fde9, 4015751},
-		{60, 0, 0xa8715b0f56482675, 16445556},
-		{200, 0, 0xb26d479e7e7c29d5, 48543377},
-		{300, 0, 0xdb89513804231865, 61393364},
-		{300, 40, 0xf98af896d72768c1, 64051823},
+		{13, 0, 0x67ca9c6953fed489, 4015751},
+		{60, 0, 0x65aeb0cbe9a4b975, 16445556},
+		{200, 0, 0x3733a4a20e6c87d5, 48543377},
+		{300, 0, 0x3a461107a3aa831d, 61355067},
+		{300, 40, 0x135a97de816b53ad, 64820785},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprint(tc.blocks)
