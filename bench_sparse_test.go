@@ -84,11 +84,10 @@ func BenchmarkMatrixBuild(b *testing.B) {
 func BenchmarkNeighbors(b *testing.B) {
 	m := machine.Alpha21164()
 	run := func(name string, sp *tsp.SparseMatrix) {
-		forbid := sp.Forbid()
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tsp.BuildNeighbors(sp, tsp.DefaultNeighborCount, forbid)
+				tsp.BuildNeighbors(sp)
 			}
 		})
 	}

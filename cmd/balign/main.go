@@ -197,10 +197,10 @@ func run(args []string) (err error) {
 		fmt.Printf("loaded profile from %s (%d branch sites touched)\n", *profIn, prof.BranchSitesTouched(mod))
 	} else {
 		psp := root.Child("profile")
-		prof = interp.NewProfile(mod)
-		res, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31})
+		var res interp.Result
+		prof, res, err = profileProgram(mod, inputs)
 		if err != nil {
-			return fmt.Errorf("profiling run failed: %w", err)
+			return err
 		}
 		psp.End(obs.Int("steps", res.Steps), obs.Int("dyn_branches", res.DynBranches()))
 		fmt.Printf("profiled: %d IR instructions, %d dynamic branches, %d branch sites touched, ret=%d\n",

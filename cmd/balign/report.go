@@ -37,10 +37,14 @@ func runReport(args []string) int {
 		modelSel  = fs.String("model", "alpha21164", "machine model: alpha21164, shallow, deep")
 		seed      = fs.Int64("seed", 1, "solver seed")
 		algSel    = fs.String("algorithm", "tsp", "aligner for live runs: tsp, exttsp, greedy, ...")
-		hkIters   = fs.Int("hk-iters", 3000, "Held-Karp subgradient iterations")
+		hkIters   = fs.Int("hk-iters", 3000, "Held-Karp subgradient iterations (positive)")
 		parallel  = fs.Int("parallel", 0, "TSP solver parallelism for live runs: max concurrent local-search runs per function (-1 = all CPUs); bit-identical results, lower wall-clock in the solve-ms column")
 	)
 	fs.Parse(args)
+	if *hkIters <= 0 {
+		fmt.Fprintf(os.Stderr, "balign report: -hk-iters must be positive, got %d\n", *hkIters)
+		return 1
+	}
 
 	var events []obs.Event
 	if *in != "" {
@@ -86,7 +90,7 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profileProgram(mod, inputs)
+	prof, _, err := profileProgram(mod, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -112,13 +116,15 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 	return sink.Events(), nil
 }
 
-// profileProgram runs the training execution and returns the profile.
-func profileProgram(mod *ir.Module, inputs []interp.Input) (*interp.Profile, error) {
+// profileProgram runs the training execution and returns the profile
+// with the run's result.
+func profileProgram(mod *ir.Module, inputs []interp.Input) (*interp.Profile, interp.Result, error) {
 	prof := interp.NewProfile(mod)
-	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
-		return nil, fmt.Errorf("profiling run failed: %w", err)
+	res, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31})
+	if err != nil {
+		return nil, res, fmt.Errorf("profiling run failed: %w", err)
 	}
-	return prof, nil
+	return prof, res, nil
 }
 
 // reportRow is one function's joined solver + bound telemetry.

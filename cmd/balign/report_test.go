@@ -131,6 +131,16 @@ func TestReportRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunReportRejectsNonPositiveHKIters: the ascent has no default
+// iterate count, so a count below one is a usage error.
+func TestRunReportRejectsNonPositiveHKIters(t *testing.T) {
+	for _, iters := range []string{"0", "-3"} {
+		if code := runReport([]string{"-bench", "compress", "-hk-iters", iters}); code == 0 {
+			t.Errorf("report with -hk-iters %s should fail", iters)
+		}
+	}
+}
+
 // TestReportRunExtTSP: the live-run -algorithm flag reaches the
 // registry, and the algorithm column labels every row with the chain
 // merger's name.

@@ -35,10 +35,14 @@ func runVet(args []string) int {
 		modelSel  = fs.String("model", "alpha21164", "machine model: alpha21164, shallow, deep")
 		seed      = fs.Int64("seed", 1, "solver seed")
 		bounds    = fs.Bool("bounds", true, "include the AP ≤ HK ≤ tour bound-chain check")
-		hkIters   = fs.Int("hk-iters", 200, "Held-Karp subgradient iterations for -bounds")
+		hkIters   = fs.Int("hk-iters", 200, "Held-Karp subgradient iterations for -bounds (positive)")
 		verbose   = fs.Bool("v", false, "print warnings (lints) in addition to errors")
 	)
 	fs.Parse(args)
+	if *hkIters <= 0 {
+		fmt.Fprintf(os.Stderr, "balign vet: -hk-iters must be positive, got %d\n", *hkIters)
+		return 1
+	}
 
 	model, err := machine.ByName(*modelSel)
 	if err != nil {
@@ -89,9 +93,9 @@ func runVet(args []string) int {
 // lower-bound chain, tuned by bo. It reports whether no invariant was
 // broken.
 func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []align.Aligner, model machine.Model, seed int64, bounds bool, bo check.BoundsOptions, verbose bool) bool {
-	prof := interp.NewProfile(mod)
-	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
-		fmt.Fprintf(os.Stderr, "balign vet: %s: profiling run failed: %v\n", name, err)
+	prof, _, err := profileProgram(mod, inputs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "balign vet: %s: %v\n", name, err)
 		return false
 	}
 	// Module structure, dataflow lints and flow conservation are

@@ -61,4 +61,9 @@ func TestRunVetBadInput(t *testing.T) {
 	if code := runVet([]string{"-bench", "compress", "-aligner", "quantum"}); code == 0 {
 		t.Error("vet with unknown aligner should fail")
 	}
+	for _, iters := range []string{"0", "-3"} {
+		if code := runVet([]string{"-bench", "compress", "-hk-iters", iters}); code == 0 {
+			t.Errorf("vet with -hk-iters %s should fail", iters)
+		}
+	}
 }

@@ -84,7 +84,8 @@ func TestAlignLoadTimeout(t *testing.T) {
 }
 
 // TestAlignStatusForInterpErrors maps the interpreter's budget failures,
-// as buildProfile wraps them, to their status and wire kind. The step
+// as buildProfile wraps them, and every engine sentinel to its status
+// and wire kind. The step
 // budget runs here with a small MaxSteps: the daemon's 2^31 is too slow
 // to reach in a test.
 func TestAlignStatusForInterpErrors(t *testing.T) {
@@ -121,10 +122,13 @@ func TestAlignStatusForInterpErrors(t *testing.T) {
 		{"static estimate", fmt.Errorf("%w: counts too large", engine.ErrEstimateBudget), http.StatusUnprocessableEntity, "budget_exceeded"},
 		{"function blocks", fmt.Errorf("%w: main has too many", engine.ErrFuncTooLarge), http.StatusRequestEntityTooLarge, "too_large"},
 		{"engine panic", fmt.Errorf("%w: panic: boom", engine.ErrInternal), http.StatusInternalServerError, "internal"},
+		{"no module", fmt.Errorf("%w: load returned none", engine.ErrNoModule), http.StatusBadRequest, "no_module"},
+		{"no profile", fmt.Errorf("%w: load returned none", engine.ErrNoProfile), http.StatusBadRequest, "no_profile"},
+		{"profile conflict", fmt.Errorf("static excludes data: %w", engine.ErrProfileConflict), http.StatusBadRequest, "profile_conflict"},
+		{"unknown algorithm", fmt.Errorf("%w: \"nope\"", engine.ErrUnknownAlgorithm), http.StatusBadRequest, "unknown_algorithm"},
 		{"other", errors.New("parsing source: bad"), http.StatusBadRequest, "bad_request"},
 	} {
-		code := alignStatus(c.err)
-		if kind := errKind(code, c.err); code != c.code || kind != c.kind {
+		if code, kind := errorClass(c.err); code != c.code || kind != c.kind {
 			t.Errorf("%s (%v): status %d kind %q, want %d %q", c.name, c.err, code, kind, c.code, c.kind)
 		}
 	}

@@ -232,37 +232,35 @@ type errorResponse struct {
 	Kind  string `json:"kind"`
 }
 
-// errKind classifies an error into the wire discriminator.
-func errKind(code int, err error) string {
+// errorClass maps a failed /v1/align request's error to its HTTP status
+// and wire kind: a panic inside the engine is 500 internal; a program
+// whose arrays exceed the interpreter's cell budget, or with a function
+// over engine.MaxFuncBlocks blocks, is 413 too_large; one whose
+// profiling run exceeds its step budget, or whose static estimate
+// exceeds the per-function count cap, is 422 budget_exceeded; a deadline
+// consumed before the solve began (the request's own, or the profiling
+// run's) is 503 timeout; and anything else is malformed input, 400, with
+// the engine's sentinel as its kind where it names one.
+func errorClass(err error) (int, string) {
 	switch {
-	case errors.Is(err, interp.ErrCellBudget), errors.Is(err, engine.ErrFuncTooLarge):
-		return "too_large"
-	case errors.Is(err, interp.ErrStepBudget), errors.Is(err, engine.ErrEstimateBudget):
-		return "budget_exceeded"
-	case errors.Is(err, engine.ErrNoModule):
-		return "no_module"
-	case errors.Is(err, engine.ErrNoProfile):
-		return "no_profile"
-	case errors.Is(err, engine.ErrProfileConflict):
-		return "profile_conflict"
-	case errors.Is(err, engine.ErrUnknownAlgorithm):
-		return "unknown_algorithm"
 	case errors.Is(err, engine.ErrInternal):
-		return "internal"
+		return http.StatusInternalServerError, "internal"
+	case errors.Is(err, interp.ErrCellBudget), errors.Is(err, engine.ErrFuncTooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
+	case errors.Is(err, interp.ErrStepBudget), errors.Is(err, engine.ErrEstimateBudget):
+		return http.StatusUnprocessableEntity, "budget_exceeded"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return "timeout"
+		return http.StatusServiceUnavailable, "timeout"
+	case errors.Is(err, engine.ErrNoModule):
+		return http.StatusBadRequest, "no_module"
+	case errors.Is(err, engine.ErrNoProfile):
+		return http.StatusBadRequest, "no_profile"
+	case errors.Is(err, engine.ErrProfileConflict):
+		return http.StatusBadRequest, "profile_conflict"
+	case errors.Is(err, engine.ErrUnknownAlgorithm):
+		return http.StatusBadRequest, "unknown_algorithm"
 	}
-	switch code {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusTooManyRequests:
-		return "capacity"
-	case http.StatusServiceUnavailable:
-		return "timeout"
-	}
-	return "internal"
+	return http.StatusBadRequest, "bad_request"
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -345,7 +343,7 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 	var req alignRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		s.fail(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 
@@ -362,9 +360,9 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	res, httpCode, err := s.align(ctx, req)
+	res, err := s.align(ctx, req)
 	if err != nil {
-		s.fail(w, httpCode, err)
+		s.fail(w, err)
 		return
 	}
 	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -374,17 +372,18 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (s *server) fail(w http.ResponseWriter, code int, err error) {
+func (s *server) fail(w http.ResponseWriter, err error) {
 	s.alignErrors.Inc()
-	writeJSON(w, code, errorResponse{Error: err.Error(), Kind: errKind(code, err)})
+	code, kind := errorClass(err)
+	writeJSON(w, code, errorResponse{Error: err.Error(), Kind: kind})
 }
 
-// align runs the request through the engine. The int return is the HTTP
-// status to use when err != nil.
-func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, int, error) {
+// align runs the request through the engine. A failure's status and
+// wire kind follow from its error (errorClass).
+func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, error) {
 	ereq, err := engineRequest(req, s.cfg.MaxTimeout)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, err
 	}
 
 	var (
@@ -408,7 +407,7 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 
 	eres, err := s.eng.Align(ctx, ereq)
 	if err != nil {
-		return nil, alignStatus(err), err
+		return nil, err
 	}
 
 	resp := &alignResponse{
@@ -436,33 +435,11 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 		}
 		root.End(obs.Bool("truncated", eres.Truncated), obs.String("cache", cache))
 		if err := tr.Close(); err != nil {
-			return nil, http.StatusInternalServerError, err
+			return nil, fmt.Errorf("%w: closing trace: %w", engine.ErrInternal, err)
 		}
 		resp.TraceEvents = sink.Events()
 	}
-	return resp, 0, nil
-}
-
-// alignStatus is the HTTP status of a failed engine request: a program
-// whose arrays exceed the interpreter's cell budget, or with a function
-// over engine.MaxFuncBlocks blocks, is too large (413),
-// one whose profiling run exceeds its step budget, or whose static
-// estimate exceeds the per-function count cap, is unprocessable (422),
-// a deadline consumed before the solve began (the request's own,
-// or the profiling run's) is 503, a panic inside the engine is 500, and
-// anything else is malformed input.
-func alignStatus(err error) int {
-	switch {
-	case errors.Is(err, engine.ErrInternal):
-		return http.StatusInternalServerError
-	case errors.Is(err, interp.ErrCellBudget), errors.Is(err, engine.ErrFuncTooLarge):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, interp.ErrStepBudget), errors.Is(err, engine.ErrEstimateBudget):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusBadRequest
+	return resp, nil
 }
 
 // pickProfileMode validates the request's profile_mode and its

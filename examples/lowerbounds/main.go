@@ -46,7 +46,7 @@ func main() {
 		mat := align.BuildSparseMatrix(f, prof.Funcs[fi], model, nil)
 		ap := tsp.AssignmentBound(mat)
 		res := tsp.Solve(mat, tsp.SolveOptions{Seed: 1})
-		hk := tsp.HeldKarpBound(mat, tsp.HeldKarpOptions{UpperBound: res.Cost, Iterations: 2000})
+		hk := tsp.HeldKarpBound(mat, tsp.HeldKarpOptions{Iterations: 2000})
 		exact := "-"
 		if n <= tsp.ExactMaxCities {
 			_, opt := tsp.SolveExact(mat)

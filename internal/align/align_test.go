@@ -115,7 +115,7 @@ func TestTSPMatchesExactOnSmallFunctions(t *testing.T) {
 func TestBoundsSandwich(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	hk := Run(context.Background(), Original{}, mod, prof, m, RunOptions{Bound: &tsp.HeldKarpOptions{}}).Bound
+	hk := Run(context.Background(), Original{}, mod, prof, m, RunOptions{Bound: &tsp.HeldKarpOptions{Iterations: 1000}}).Bound
 	var ap layout.Cost
 	for fi, f := range mod.Funcs {
 		if len(f.Blocks) > 1 {

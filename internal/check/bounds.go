@@ -12,9 +12,9 @@ import (
 
 // BoundsOptions tunes the bound-consistency check.
 type BoundsOptions struct {
-	// HKIterations bounds the Held-Karp subgradient iterations (<= 0
-	// selects a cheap default of 200 — every iterate is a valid lower
-	// bound, so fewer iterations only loosen, never break, the chain).
+	// HKIterations is the number of Held-Karp subgradient iterations;
+	// it must be positive. Every iterate is a valid lower bound, so
+	// fewer iterations only loosen, never break, the chain.
 	HKIterations int
 }
 
@@ -58,10 +58,6 @@ func BoundChain(name string, ap, hk, tour tsp.Cost) *Report {
 // merged in plan (function-index) order, so the report is identical to
 // the sequential loop's regardless of scheduling.
 func Bounds(mod *ir.Module, prof *interp.Profile, l *layout.Layout, m machine.Model, opts BoundsOptions) *Report {
-	iters := opts.HKIterations
-	if iters <= 0 {
-		iters = 200
-	}
 	var eligible []int
 	for fi, f := range mod.Funcs {
 		if len(f.Blocks) >= minBoundBlocks {
@@ -75,7 +71,7 @@ func Bounds(mod *ir.Module, prof *interp.Profile, l *layout.Layout, m machine.Mo
 		fp := prof.Funcs[fi]
 		mat := align.BuildSparseMatrix(f, fp, m, nil)
 		ap := tsp.AssignmentBound(mat)
-		hk := align.FuncHeldKarpBound(f, mat, tsp.HeldKarpOptions{Iterations: iters}).Bound
+		hk := align.FuncHeldKarpBound(f, mat, tsp.HeldKarpOptions{Iterations: opts.HKIterations}).Bound
 		tour := tsp.CycleCost(mat, tsp.Tour(l.Funcs[fi].Order))
 		per[k] = BoundChain(f.Name, ap, hk, tour)
 	})

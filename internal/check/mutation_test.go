@@ -383,7 +383,7 @@ func TestReportAccounting(t *testing.T) {
 	r := check.Module(mod)
 	r.Merge(check.Flow(mod, prof))
 	r.Merge(check.Layouts(mod, prof, l, m))
-	r.Merge(check.Bounds(mod, prof, l, m, check.BoundsOptions{}))
+	r.Merge(check.Bounds(mod, prof, l, m, check.BoundsOptions{HKIterations: 200}))
 	if !r.OK() || r.Err() != nil {
 		t.Fatalf("healthy pipeline flagged: %v\n%s", r.Err(), r.String())
 	}

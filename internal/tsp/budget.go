@@ -66,12 +66,10 @@ type runBudget struct {
 	stopped bool
 }
 
-// spend records one consumed kick. Nil-safe, like allow.
+// spend records one consumed kick.
 func (rb *runBudget) spend() {
-	if rb != nil {
-		rb.used++
-		rb.sb.kicks.Add(1)
-	}
+	rb.used++
+	rb.sb.kicks.Add(1)
 }
 
 // allow reports whether the next kick may start. The call order matters
@@ -80,9 +78,6 @@ func (rb *runBudget) spend() {
 // quota does not observe exhaustion here (Solve derives the Truncated
 // bit from the plan partition instead).
 func (rb *runBudget) allow() bool {
-	if rb == nil {
-		return true
-	}
 	if rb.stopped {
 		return false
 	}

@@ -129,8 +129,8 @@ func TestHeldKarpBoundPlumbingBitIdentical(t *testing.T) {
 func TestHeldKarpBoundMaxIterates(t *testing.T) {
 	m := randMatrix(10, 300, 4)
 	_, opt := SolveExact(m)
-	full := HeldKarpBound(m, HeldKarpOptions{UpperBound: opt, Iterations: 200})
-	capped := HeldKarpBound(m, HeldKarpOptions{UpperBound: opt, Iterations: 3})
+	full := HeldKarpBound(m, HeldKarpOptions{Iterations: 200})
+	capped := HeldKarpBound(m, HeldKarpOptions{Iterations: 3})
 	if capped.Iterations > 3 {
 		t.Fatalf("ran %d iterates, schedule was 3", capped.Iterations)
 	}
@@ -150,7 +150,7 @@ func TestHeldKarpBoundCancelledRunsOneIterate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, opt := SolveExact(m)
-	res := HeldKarpBound(m, HeldKarpOptions{UpperBound: opt, Iterations: 200, Context: ctx})
+	res := HeldKarpBound(m, HeldKarpOptions{Iterations: 200, Context: ctx})
 	if res.Iterations != 1 {
 		t.Fatalf("cancelled ascent ran %d iterates, want exactly 1", res.Iterations)
 	}

@@ -13,7 +13,7 @@ import (
 
 // greedyTour is GreedyEdge over the candidate lists Solve builds.
 func greedyTour(m *SparseMatrix, rng *rand.Rand) Tour {
-	return GreedyEdge(m, BuildNeighbors(m, DefaultNeighborCount, m.Forbid()), rng)
+	return GreedyEdge(m, BuildNeighbors(m), rng)
 }
 
 // greedyEdgeAllPairs is the greedy construction over all n(n-1) directed
@@ -115,7 +115,7 @@ func TestSolveLargeHonorsDeadline(t *testing.T) {
 // O(n·k) bytes, well under the 400 MB an all-pairs edge list takes.
 func TestGreedyEdgeMemoryLinear(t *testing.T) {
 	m := randSparse(4096, 1000, 3.0/4096, 2)
-	nb := BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
+	nb := BuildNeighbors(m)
 	rng := rand.New(rand.NewSource(3))
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

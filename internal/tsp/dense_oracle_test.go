@@ -181,14 +181,9 @@ func nearestNeighborDense(m Costs, start int, rng *rand.Rand) Tour {
 // buildNeighborsDense is BuildNeighbors by a full scan of every row and
 // column: each row selects its k cheapest columns through a bounded
 // (cost, index)-keyed max-heap.
-func buildNeighborsDense(m Costs, k int, forbid Cost) *Neighbors {
+func buildNeighborsDense(m Costs) *Neighbors {
 	n := m.Len()
-	if k <= 0 {
-		k = DefaultNeighborCount
-	}
-	if k > n-1 {
-		k = n - 1
-	}
+	k := min(DefaultNeighborCount, n-1)
 	nb := newNeighbors(n, k)
 	heap := make([]neighborCand, 0, k)
 	for i := 0; i < n; i++ {
@@ -197,11 +192,7 @@ func buildNeighborsDense(m Costs, k int, forbid Cost) *Neighbors {
 			if j == i {
 				continue
 			}
-			c := m.At(i, j)
-			if forbid >= 0 && c >= forbid {
-				continue
-			}
-			heap = pushBounded(heap, k, neighborCand{j, c})
+			heap = pushBounded(heap, k, neighborCand{j, m.At(i, j)})
 		}
 		setCheapest(nb.Out, nb.OutCost, i, heap, k)
 
@@ -210,11 +201,7 @@ func buildNeighborsDense(m Costs, k int, forbid Cost) *Neighbors {
 			if j == i {
 				continue
 			}
-			c := m.At(j, i)
-			if forbid >= 0 && c >= forbid {
-				continue
-			}
-			heap = pushBounded(heap, k, neighborCand{j, c})
+			heap = pushBounded(heap, k, neighborCand{j, m.At(j, i)})
 		}
 		setCheapest(nb.In, nb.InCost, i, heap, k)
 	}

@@ -31,7 +31,7 @@ func ExampleHeldKarpBound() {
 		b.AddRow(50, []int{(i + 1) % 5}, []tsp.Cost{2})
 	}
 	m := b.Finish()
-	res := tsp.HeldKarpBound(m, tsp.HeldKarpOptions{UpperBound: 10})
+	res := tsp.HeldKarpBound(m, tsp.HeldKarpOptions{Iterations: 100})
 	fmt.Printf("%.0f\n", res.Bound)
 	// Output: 10
 }

@@ -10,12 +10,8 @@ import (
 // HeldKarpOptions configures the Lagrangian subgradient ascent used to
 // compute the Held-Karp lower bound.
 type HeldKarpOptions struct {
-	// Iterations of subgradient ascent; <= 0 selects a size-based default.
+	// Iterations of subgradient ascent; it must be positive.
 	Iterations int
-	// UpperBound is a known tour cost used to scale step sizes. Directed
-	// tour costs are non-negative, so zero or a negative value means
-	// unset: a quick nearest-neighbor tour is computed internally.
-	UpperBound Cost
 	// Obs, when non-nil, is the parent span the subgradient ascent
 	// records its telemetry under: a "tsp.heldkarp" child span carrying
 	// the bound trajectory ("hk_bound", one point per improving iterate)
@@ -48,23 +44,6 @@ type BoundResult struct {
 // hkInitialAlpha is the initial step-size multiplier.
 const hkInitialAlpha = 2.0
 
-// hkSchedule returns the iteration count and step-halving period of the
-// ascent, from the node count of the instance being relaxed.
-func hkSchedule(nodes, iterations int) (iters, period int) {
-	iters = iterations
-	if iters <= 0 {
-		iters = 100 + 4*nodes
-		if iters > 1000 {
-			iters = 1000
-		}
-	}
-	period = iters / 8
-	if period < 5 {
-		period = 5
-	}
-	return iters, period
-}
-
 // HeldKarpBound computes the Held-Karp lower bound on the optimal tour of
 // a directed instance by relaxing its 2-city symmetric transformation,
 // exactly as the paper does: 1-tree Lagrangian relaxation with
@@ -80,8 +59,13 @@ func hkSchedule(nodes, iterations int) (iters, period int) {
 // implicit 1-tree in O(E + n log n) instead of Θ(n²) (see sparseOneTree),
 // which is what makes the bound affordable on multi-thousand-block
 // functions. Instances under three cities have a single tour, whose cost
-// is returned as a converged bound without any ascent.
+// is returned as a converged bound without any ascent. The steps are
+// scaled from the cost of a nearest-neighbor tour. It panics unless
+// opt.Iterations is positive.
 func HeldKarpBound(c *SparseMatrix, opt HeldKarpOptions) BoundResult {
+	if opt.Iterations <= 0 {
+		panic("tsp: HeldKarpBound: Iterations must be positive")
+	}
 	n := c.Len()
 	if n < 3 {
 		var tour Cost
@@ -96,10 +80,7 @@ func HeldKarpBound(c *SparseMatrix, opt HeldKarpOptions) BoundResult {
 	// The symmetric instance carries -L on its n locked edges, so its
 	// optimum is the directed optimum shifted down by n·L.
 	shift := float64(n) * float64(ot.L)
-	dirUB := opt.UpperBound
-	if dirUB <= 0 {
-		dirUB = CycleCost(sp, NearestNeighbor(sp, 0, nil))
-	}
+	dirUB := CycleCost(sp, NearestNeighbor(sp, 0, nil))
 	hsp := opt.Obs.Child("tsp.heldkarp",
 		obs.Int("cities", int64(n)), obs.Int("nodes", int64(ot.N)), obs.Float("shift", shift))
 	return ascend(hsp, ot.pi, ot.deg, ot.run, opt, dirUB, shift)
@@ -115,7 +96,10 @@ func HeldKarpBound(c *SparseMatrix, opt HeldKarpOptions) BoundResult {
 func ascend(sp *obs.Span, pi []float64, deg []int, oneTree func() float64, opt HeldKarpOptions, dirUB Cost, shift float64) BoundResult {
 	boundSeries := sp.Series("hk_bound")
 	stepSeries := sp.Series("hk_step")
-	iters, period := hkSchedule(len(pi), opt.Iterations)
+	// The step multiplier halves every period iterates: eight times over
+	// the schedule, and never more often than every five iterates.
+	iters := opt.Iterations
+	period := max(iters/8, 5)
 	ub := float64(dirUB) - shift
 	alpha := hkInitialAlpha
 	best := math.Inf(-1)

@@ -97,19 +97,16 @@ func oneTree(m *Matrix, pi []float64, deg []int, ws *oneTreeWorkspace) float64 {
 }
 
 // heldKarpSym bounds a symmetric instance with the dense 1-tree under
-// the production ascent (no shift: the instance is relaxed as is). A
-// zero UpperBound selects a nearest-neighbor tour; negative bounds are
-// legitimate here, since a materialized 2-city transformation carries
-// negative locked edges.
+// the production ascent (no shift: the instance is relaxed as is), its
+// steps scaled from a nearest-neighbor tour as in production. Negative
+// bounds are legitimate here, since a materialized 2-city
+// transformation carries negative locked edges.
 func heldKarpSym(m *Matrix, opt HeldKarpOptions) BoundResult {
 	n := m.Len()
 	if n < 3 {
 		return BoundResult{Bound: float64(cycleCost(m, IdentityTour(n))), Converged: true}
 	}
-	ub := opt.UpperBound
-	if ub == 0 {
-		ub = cycleCost(m, NearestNeighbor(m.Sparse(), 0, nil))
-	}
+	ub := cycleCost(m, NearestNeighbor(m.Sparse(), 0, nil))
 	pi := make([]float64, n)
 	deg := make([]int, n)
 	ws := newOneTreeWorkspace(n)

@@ -29,16 +29,19 @@ func pinOf(r BoundResult) hkPin {
 	return p
 }
 
-// hkPinOptions are the pinned configurations: the size-based default
-// schedule and a short fixed schedule.
-var hkPinOptions = [...]HeldKarpOptions{
-	{},
-	{Iterations: 60},
+// hkPinOptions are the pinned configurations for an n-city instance: a
+// schedule that grows with n, 100+8n iterates up to 1000 (the size-based
+// default the ascent once chose for itself), and a short fixed one.
+func hkPinOptions(n int) [2]HeldKarpOptions {
+	return [...]HeldKarpOptions{
+		{Iterations: min(100+8*n, 1000)},
+		{Iterations: 60},
+	}
 }
 
 // hkPinRuns runs sp under every hkPinOptions entry.
-func hkPinRuns(sp *SparseMatrix) (runs [len(hkPinOptions)]hkPin) {
-	for k, opt := range hkPinOptions {
+func hkPinRuns(sp *SparseMatrix) (runs [2]hkPin) {
+	for k, opt := range hkPinOptions(sp.Len()) {
 		runs[k] = pinOf(HeldKarpBound(sp, opt))
 	}
 	return runs
@@ -93,7 +96,7 @@ var hkTrajectoryCases = []struct {
 	maxCost int64
 	excProb float64
 	seed    int64
-	runs    [len(hkPinOptions)]hkPin
+	runs    [2]hkPin
 }{
 	{3, 40, 0.5, 1, [2]hkPin{{0x402bd225b274cc10, 124, ""}, {0x402be401a6aa13e0, 60, ""}}},
 	{4, 7, 0.4, 2, [2]hkPin{{0x3ff0000000000000, 2, ""}, {0x3ff0000000000000, 2, ""}}},

@@ -9,7 +9,7 @@ func TestHeldKarpSymNeverExceedsOptimum(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := randSymMatrix(9, 200, seed)
 		_, opt := SolveExact(m.Sparse())
-		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt}).Bound
+		bound := heldKarpSym(m, HeldKarpOptions{Iterations: 150}).Bound
 		if bound > float64(opt)+1e-6 {
 			t.Fatalf("seed %d: HK bound %.3f exceeds optimum %d", seed, bound, opt)
 		}
@@ -33,7 +33,7 @@ func TestHeldKarpSymTightOnRing(t *testing.T) {
 		m.Set(i, j, 1)
 		m.Set(j, i, 1)
 	}
-	bound := heldKarpSym(m, HeldKarpOptions{}).Bound
+	bound := heldKarpSym(m, HeldKarpOptions{Iterations: 150}).Bound
 	if math.Abs(bound-float64(n)) > 1e-6 {
 		t.Fatalf("HK bound on ring = %.6f, want %d", bound, n)
 	}
@@ -46,7 +46,7 @@ func TestHeldKarpSymReasonablyTightOnRandomMetric(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		m := randSymMatrix(10, 500, seed+50)
 		_, opt := SolveExact(m.Sparse())
-		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt}).Bound
+		bound := heldKarpSym(m, HeldKarpOptions{Iterations: 150}).Bound
 		if bound < 0.8*float64(opt) {
 			t.Errorf("seed %d: HK bound %.1f is below 80%% of optimum %d", seed, bound, opt)
 		}
@@ -57,7 +57,7 @@ func TestHeldKarpDirectedBoundsDTSPOptimum(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		m := randMatrix(8, 300, seed+70)
 		_, opt := SolveExact(m)
-		bound := HeldKarpBound(m, HeldKarpOptions{UpperBound: opt}).Bound
+		bound := HeldKarpBound(m, HeldKarpOptions{Iterations: 150}).Bound
 		if bound > float64(opt)+1e-6 {
 			t.Fatalf("seed %d: directed HK bound %.3f exceeds optimum %d", seed, bound, opt)
 		}
@@ -79,7 +79,7 @@ func TestHeldKarpTinyInstances(t *testing.T) {
 		{"two/asymmetric", explicit(fromRows([][]Cost{{0, 3}, {9, 0}}).Sparse()), 12},
 		{"two/sparse", fromRows([][]Cost{{0, 3}, {9, 0}}).Sparse(), 12},
 	} {
-		got := HeldKarpBound(tc.c, HeldKarpOptions{})
+		got := HeldKarpBound(tc.c, HeldKarpOptions{Iterations: 150})
 		want := BoundResult{Bound: tc.want, Converged: true}
 		if got != want {
 			t.Errorf("%s: got %+v, want %+v", tc.name, got, want)

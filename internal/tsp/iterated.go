@@ -94,20 +94,14 @@ type solveWorkspace struct {
 // don't-look, as in Johnson and McGeoch's engineering of the
 // Martin-Otto-Felten kicks. When sp is non-nil the
 // cost-vs-iteration convergence series is recorded on it (the initial
-// local optimum plus every accepted kick), and when rb is non-nil the
-// kick loop stops at the first boundary where the run's kick quota is
-// exhausted or the context cancelled — the best tour found so far is
-// returned either way. ws may be nil (a fresh workspace is used) or
+// local optimum plus every accepted kick). The kick loop stops at the
+// first boundary where rb's kick quota is exhausted or its context
+// cancelled — the best tour found so far is returned either way. nb
+// holds m's candidate lists, and ws is the run's workspace, empty or
 // recycled from a previous run on the same instance. The run statistics
 // are returned in all cases; they cost a handful of integer updates per
 // kick, far off the 3-opt inner loop.
-func iteratedThreeOpt(m *SparseMatrix, nb *Neighbors, ws *solveWorkspace, start Tour, iters int, rng *rand.Rand, sp *obs.Span, rb *runBudget, orOpt bool) (Tour, Cost, runTelemetry) {
-	if nb == nil {
-		nb = BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
-	}
-	if ws == nil {
-		ws = &solveWorkspace{}
-	}
+func iteratedThreeOpt(m *SparseMatrix, nb *Neighbors, ws *solveWorkspace, start Tour, iters int, rng *rand.Rand, sp *obs.Span, rb *runBudget) (Tour, Cost, runTelemetry) {
 	var rt runTelemetry
 	if ws.o == nil {
 		ws.o = NewThreeOpt(m, nb, start)
@@ -115,7 +109,6 @@ func iteratedThreeOpt(m *SparseMatrix, nb *Neighbors, ws *solveWorkspace, start 
 		ws.o.SetTour(start)
 	}
 	o := ws.o
-	o.SetOrOpt(orOpt)
 	stats0 := o.MoveStats()
 	o.Optimize()
 	ws.cur = o.AppendTour(ws.cur)
@@ -334,7 +327,7 @@ func Solve(m *SparseMatrix, opt SolveOptions) Result {
 func localSearch(m *SparseMatrix, opt SolveOptions, sp *obs.Span) Result {
 	n := m.Len()
 	iters := kicksPerCity * n
-	nb := BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
+	nb := BuildNeighbors(m)
 
 	// Deterministic MaxKicks partition, replicating sequential
 	// consumption: run i would start with i*iters kicks already spent, so
@@ -388,7 +381,7 @@ func localSearch(m *SparseMatrix, opt SolveOptions, sp *obs.Span) Result {
 		if ws == nil {
 			ws = &solveWorkspace{}
 		}
-		t, c, rt := iteratedThreeOpt(m, nb, ws, start, iters, rng, rs, rb, true)
+		t, c, rt := iteratedThreeOpt(m, nb, ws, start, iters, rng, rs, rb)
 		wsPool.Put(ws)
 		rs.Count("tsp.kicks", rt.kicks)
 		rs.Count("tsp.moves_tried", rt.stats.TriedTotal())

@@ -51,8 +51,8 @@ func setCheapest(cities [][]int, costs [][]Cost, i int, cands []neighborCand, k 
 	}
 }
 
-// DefaultNeighborCount is the candidate-list width used when callers pass
-// k <= 0 to BuildNeighbors.
+// DefaultNeighborCount is the candidate-list width: BuildNeighbors keeps
+// each city's DefaultNeighborCount cheapest edges in each direction.
 const DefaultNeighborCount = 12
 
 // neighborCand is a candidate edge endpoint with its cost.
@@ -78,23 +78,17 @@ func takeCheapest(cands []neighborCand, k int) []neighborCand {
 	return cands[:k]
 }
 
-// BuildNeighbors computes the k cheapest outgoing and incoming neighbors
-// of every city, skipping edges whose cost is at least forbid (pass
-// s.Forbid(), or a negative number to keep every edge). Ties are broken
-// by city index, so the result is a pure function of the instance's
-// costs: two encodings of the same instance yield identical lists. The
-// construction runs in O((V+E)·(k+log k)) instead of Θ(n² log n): each
-// row contributes its exception columns plus the k smallest-index default
-// columns (all default columns tie on cost, and index order is exactly
-// how a cost-stable sort breaks that tie).
-func BuildNeighbors(s *SparseMatrix, k int, forbid Cost) *Neighbors {
+// BuildNeighbors computes the DefaultNeighborCount cheapest outgoing and
+// incoming neighbors of every city (all n-1 on smaller instances). Ties
+// are broken by city index, so the result is a pure function of the
+// instance's costs: two encodings of the same instance yield identical
+// lists. The construction runs in O((V+E)·(k+log k)) instead of
+// Θ(n² log n): each row contributes its exception columns plus the k
+// smallest-index default columns (all default columns tie on cost, and
+// index order is exactly how a cost-stable sort breaks that tie).
+func BuildNeighbors(s *SparseMatrix) *Neighbors {
 	n := s.Len()
-	if k <= 0 {
-		k = DefaultNeighborCount
-	}
-	if k > n-1 {
-		k = n - 1
-	}
+	k := min(DefaultNeighborCount, n-1)
 	nb := newNeighbors(n, k)
 	// Out lists: per row, the exception columns plus the k smallest-index
 	// default columns.
@@ -105,21 +99,16 @@ func BuildNeighbors(s *SparseMatrix, k int, forbid Cost) *Neighbors {
 		cols, vals := s.Row(i)
 		for kk, c := range cols {
 			isExc[c] = true
-			if forbid >= 0 && vals[kk] >= forbid {
-				continue
-			}
 			cands = append(cands, neighborCand{c, vals[kk]})
 		}
 		def := s.RowDefault(i)
-		if forbid < 0 || def < forbid {
-			taken := 0
-			for j := 0; j < n && taken < k; j++ {
-				if j == i || isExc[j] {
-					continue
-				}
-				cands = append(cands, neighborCand{j, def})
-				taken++
+		taken := 0
+		for j := 0; j < n && taken < k; j++ {
+			if j == i || isExc[j] {
+				continue
 			}
+			cands = append(cands, neighborCand{j, def})
+			taken++
 		}
 		for _, c := range cols {
 			isExc[c] = false
@@ -165,9 +154,6 @@ func BuildNeighbors(s *SparseMatrix, k int, forbid Cost) *Neighbors {
 		vals := colVals[colStart[j]:colStart[j+1]]
 		for kk, i := range rows {
 			isExc[i] = true
-			if forbid >= 0 && vals[kk] >= forbid {
-				continue
-			}
 			cands = append(cands, neighborCand{i, vals[kk]})
 		}
 		taken := 0
@@ -178,11 +164,7 @@ func BuildNeighbors(s *SparseMatrix, k int, forbid Cost) *Neighbors {
 			if i == j || isExc[i] {
 				continue
 			}
-			def := s.RowDefault(i)
-			if forbid >= 0 && def >= forbid {
-				continue
-			}
-			cands = append(cands, neighborCand{i, def})
+			cands = append(cands, neighborCand{i, s.RowDefault(i)})
 			taken++
 		}
 		for _, i := range rows {

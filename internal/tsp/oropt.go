@@ -40,10 +40,11 @@ package tsp
 //
 // Gating: Or-opt changes tours (it strictly improves a 3-opt local
 // optimum or leaves it unchanged), so unlike the phase-1 two-level swap
-// it is NOT bit-identical to the historical kernel. It is enabled by the
-// production solver (ThreeOpt.SetOrOpt; Solve always turns it on) and
-// quality-gated by quality_test.go (HK-gap mean <= 0.3%) and the
-// check/vet invariants; see DESIGN.md section 12.
+// it is NOT bit-identical to the historical kernel. ThreeOpt.Optimize
+// always runs it; there is no switch. It is quality-gated by
+// quality_test.go (HK-gap mean <= 0.3%) and the check/vet invariants.
+// The tests that pin the 3-opt family alone against the frozen array
+// kernel drive improveFrom by itself; see DESIGN.md section 12.
 
 // orCand is one insertion point for blocks starting at s: the edge
 // (c, d) with d = succ(c), everything about it that no block length

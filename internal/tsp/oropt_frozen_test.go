@@ -188,7 +188,8 @@ type kernelMove struct {
 }
 
 // optimizeSteps is ThreeOpt.Optimize with the two move searches passed
-// in, recording every accepted move in order.
+// in, recording every accepted move in order. A nil orOpt searches with
+// the 3-opt family alone.
 func optimizeSteps(o *ThreeOpt, improve, orOpt func(*ThreeOpt, int) bool) []kernelMove {
 	var moves []kernelMove
 	if o.n < 3 {
@@ -203,7 +204,7 @@ func optimizeSteps(o *ThreeOpt, improve, orOpt func(*ThreeOpt, int) bool) []kern
 		}
 		improved := improve(o, a)
 		byOr := false
-		if !improved && o.orOpt {
+		if !improved && orOpt != nil {
 			improved = orOpt(o, a)
 			byOr = improved
 		}
@@ -221,9 +222,31 @@ func optimizeSteps(o *ThreeOpt, improve, orOpt func(*ThreeOpt, int) bool) []kern
 }
 
 // forbidHi is the cost of an edge the lockstep instances treat as
-// forbidden: neighbor lists built with it as the threshold leave such
-// edges out, and can leave a city with an empty list.
+// forbidden: narrowNeighbors leaves such edges out, and can leave a city
+// with an empty list.
 const forbidHi = Cost(1) << 30
+
+// narrowNeighbors cuts every list of nb to its first k entries and before
+// its first edge costing forbid or more. The lists are sorted by cost, so
+// both cuts keep a prefix: the k-wide lists a narrower build would give,
+// and lists that skip forbidden edges, some of them short or empty.
+func narrowNeighbors(nb *Neighbors, k int, forbid Cost) *Neighbors {
+	cut := func(cities [][]int, costs [][]Cost) ([][]int, [][]Cost) {
+		cs, ws := make([][]int, len(cities)), make([][]Cost, len(costs))
+		for i, row := range costs {
+			r := 0
+			for r < len(row) && r < k && row[r] < forbid {
+				r++
+			}
+			cs[i], ws[i] = cities[i][:r], row[:r]
+		}
+		return cs, ws
+	}
+	out := &Neighbors{}
+	out.Out, out.OutCost = cut(nb.Out, nb.OutCost)
+	out.In, out.InCost = cut(nb.In, nb.InCost)
+	return out
+}
 
 // denseWithForbidden returns randMatrix(n, maxCost, seed) with about a
 // third of its edges forbidden. Every in-edge of city 0 is forbidden, so
@@ -288,13 +311,13 @@ func lockstepInstances() []lockstepInstance {
 			fd := denseWithForbidden(n, 1000, s)
 			fs := sparseWithForbidden(n, 1000, s)
 			out = append(out,
-				lockstepInstance{fmt.Sprintf("dense/n%d/s%d", n, seed), dense, BuildNeighbors(dense, 0, dense.Forbid())},
-				lockstepInstance{fmt.Sprintf("dense-k4/n%d/s%d", n, seed), dense, BuildNeighbors(dense, 4, dense.Forbid())},
-				lockstepInstance{fmt.Sprintf("ties/n%d/s%d", n, seed), ties, BuildNeighbors(ties, 0, ties.Forbid())},
-				lockstepInstance{fmt.Sprintf("sparse/n%d/s%d", n, seed), sparse, BuildNeighbors(sparse, 0, sparse.Forbid())},
-				lockstepInstance{fmt.Sprintf("sparse-ties/n%d/s%d", n, seed), sparseTies, BuildNeighbors(sparseTies, 5, sparseTies.Forbid())},
-				lockstepInstance{fmt.Sprintf("forbid-dense/n%d/s%d", n, seed), fd, BuildNeighbors(fd, 0, forbidHi)},
-				lockstepInstance{fmt.Sprintf("forbid-sparse/n%d/s%d", n, seed), fs, BuildNeighbors(fs, 0, forbidHi)},
+				lockstepInstance{fmt.Sprintf("dense/n%d/s%d", n, seed), dense, BuildNeighbors(dense)},
+				lockstepInstance{fmt.Sprintf("dense-k4/n%d/s%d", n, seed), dense, narrowNeighbors(BuildNeighbors(dense), 4, forbidHi)},
+				lockstepInstance{fmt.Sprintf("ties/n%d/s%d", n, seed), ties, BuildNeighbors(ties)},
+				lockstepInstance{fmt.Sprintf("sparse/n%d/s%d", n, seed), sparse, BuildNeighbors(sparse)},
+				lockstepInstance{fmt.Sprintf("sparse-ties/n%d/s%d", n, seed), sparseTies, narrowNeighbors(BuildNeighbors(sparseTies), 5, forbidHi)},
+				lockstepInstance{fmt.Sprintf("forbid-dense/n%d/s%d", n, seed), fd, narrowNeighbors(BuildNeighbors(fd), DefaultNeighborCount, forbidHi)},
+				lockstepInstance{fmt.Sprintf("forbid-sparse/n%d/s%d", n, seed), fs, narrowNeighbors(BuildNeighbors(fs), DefaultNeighborCount, forbidHi)},
 			)
 		}
 	}
@@ -319,15 +342,16 @@ func TestLocalSearchMatchesFrozen(t *testing.T) {
 				got := NewThreeOpt(inst.m, inst.nb, start)
 				want := NewThreeOpt(inst.m, inst.nb, start)
 				prod := NewThreeOpt(inst.m, inst.nb, start)
-				for _, o := range []*ThreeOpt{got, want, prod} {
-					o.SetOrOpt(orOpt)
+				orFrom, frozenOr, optimize := (*ThreeOpt).orOptFrom, frozenOrOptFrom, (*ThreeOpt).Optimize
+				if !orOpt {
+					orFrom, frozenOr, optimize = nil, nil, optimizePure
 				}
 				kicks := rand.New(rand.NewSource(seed + 7))
 				var kick Tour
 				for round := 0; round < 4; round++ {
 					where := fmt.Sprintf("%s or=%v seed=%d round=%d", inst.name, orOpt, seed, round)
-					gm := optimizeSteps(got, (*ThreeOpt).improveFrom, (*ThreeOpt).orOptFrom)
-					wm := optimizeSteps(want, frozenImproveFrom, frozenOrOptFrom)
+					gm := optimizeSteps(got, (*ThreeOpt).improveFrom, orFrom)
+					wm := optimizeSteps(want, frozenImproveFrom, frozenOr)
 					if len(gm) != len(wm) {
 						t.Fatalf("%s: %d accepted moves, frozen %d", where, len(gm), len(wm))
 					}
@@ -336,7 +360,7 @@ func TestLocalSearchMatchesFrozen(t *testing.T) {
 							t.Fatalf("%s: move %d = %+v, frozen %+v", where, i, gm[i], wm[i])
 						}
 					}
-					prod.Optimize()
+					optimize(prod)
 					wt := want.AppendTour(nil)
 					if !reflect.DeepEqual(prod.AppendTour(nil), wt) || prod.Cost() != want.Cost() {
 						t.Fatalf("%s: Optimize tour %v cost %d, frozen %v cost %d",
@@ -388,7 +412,7 @@ func TestSolveExactMatchesFrozen(t *testing.T) {
 // that it validates with its own queue bitmap.
 func TestSetTourPanicsOnInvalidTour(t *testing.T) {
 	m := randMatrix(5, 100, 1)
-	o := NewThreeOpt(m, nil, IdentityTour(5))
+	o := newSearch(m, IdentityTour(5))
 	for _, bad := range []Tour{
 		{0, 1, 2, 3},
 		{0, 1, 2, 3, 4, 5},

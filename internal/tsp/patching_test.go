@@ -87,7 +87,7 @@ func TestPatchingLosesOnLoopyInstances(t *testing.T) {
 		}
 		sp := m.Sparse()
 		_, patched := mustPatch(sp)
-		_, threeOpt := iteratedPure(sp, greedyTour(sp, nil), 3*n, rng)
+		_, threeOpt := iteratedRun(sp, greedyTour(sp, nil), 3*n, rng)
 		if threeOpt < patched {
 			worse++
 		}

@@ -134,9 +134,8 @@ func TestQuickNeighborsAndConstructionsAgreeOnSparse(t *testing.T) {
 		n := int(nRaw%24) + 2
 		sp := randSparse(n, 200, 0.25, int64(seedRaw)+3)
 		d := sp.Dense()
-		forbid := sp.Forbid()
-		na := BuildNeighbors(sp, 5, forbid)
-		nd := buildNeighborsDense(d, 5, forbid)
+		na := BuildNeighbors(sp)
+		nd := buildNeighborsDense(d)
 		if !reflect.DeepEqual(na, nd) {
 			return false
 		}
@@ -212,7 +211,7 @@ func TestQuickSparseHeldKarpIsValidBound(t *testing.T) {
 		if AssignmentBound(sp) > opt {
 			return false
 		}
-		b := HeldKarpBound(sp, HeldKarpOptions{UpperBound: opt, Iterations: 120}).Bound
+		b := HeldKarpBound(sp, HeldKarpOptions{Iterations: 120}).Bound
 		return b <= float64(opt)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -226,8 +225,8 @@ func TestSparseThreeOptMatchesDense(t *testing.T) {
 		sp := randSparse(n, 400, 0.2, seed+57)
 		d := explicit(sp)
 		start := IdentityTour(n)
-		oa := NewThreeOpt(sp, nil, start.Clone())
-		od := NewThreeOpt(d, nil, start.Clone())
+		oa := newSearch(sp, start.Clone())
+		od := newSearch(d, start.Clone())
 		ca, cd := oa.Optimize(), od.Optimize()
 		if ca != cd || !reflect.DeepEqual(oa.AppendTour(nil), od.AppendTour(nil)) {
 			t.Fatalf("seed %d: sparse 3-opt (%d, %v) != dense (%d, %v)", seed, ca, oa.AppendTour(nil), cd, od.AppendTour(nil))

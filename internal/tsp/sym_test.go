@@ -123,7 +123,7 @@ func TestThreeOptMatchesSymmetricModel(t *testing.T) {
 		m := randMatrix(7, 200, seed+900)
 		s := Symmetrize(m)
 
-		o := NewThreeOpt(m, nil, IdentityTour(7))
+		o := newSearch(m, IdentityTour(7))
 		cost := o.Optimize()
 		emb := s.FromDirected(o.AppendTour(nil))
 		if got := SymCycleCost(s, emb); got != cost {

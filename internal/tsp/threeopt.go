@@ -26,21 +26,15 @@ import "math/bits"
 // (Johnson-McGeoch style) and applies first-improvement moves. The tour
 // lives in a two-level doubly-linked list (TwoLevel), so applying a move
 // is an O(√n) splice instead of the Θ(n) array rebuild earlier versions
-// paid — move application no longer dominates large solves. An optional
-// second move family, Or-opt segment relocation (see oropt.go), shares
-// the same queue and don't-look bits when enabled.
+// paid — move application no longer dominates large solves. A second
+// move family, Or-opt segment relocation (see oropt.go), shares the same
+// queue and don't-look bits.
 type ThreeOpt struct {
 	m  *SparseMatrix
 	nb *Neighbors
 	n  int
 	tl *TwoLevel
 	c  Cost
-
-	// orOpt interleaves the Or-opt relocation family with the 3-opt
-	// exchanges (see SetOrOpt). Off by default: plain NewThreeOpt +
-	// Optimize is the pure 3-opt kernel, and the phase-1 equivalence
-	// tests pin it bit-identical to the historical array kernel.
-	orOpt bool
 
 	dontLook []bool
 	queue    []int
@@ -97,13 +91,10 @@ func (o *ThreeOpt) recordSplice(l int) {
 }
 
 // NewThreeOpt creates a local search over matrix m with candidate lists nb
-// (pass nil to build default lists) starting from tour t. The tour is
-// copied. nb must have been built over m: the search reads candidate
-// edge costs from nb's cost tables, not from m.
+// starting from tour t. The tour is copied. nb must have been built over
+// m (BuildNeighbors): the search reads candidate edge costs from nb's
+// cost tables, not from m.
 func NewThreeOpt(m *SparseMatrix, nb *Neighbors, t Tour) *ThreeOpt {
-	if nb == nil {
-		nb = BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
-	}
 	n := m.Len()
 	o := &ThreeOpt{
 		m:        m,
@@ -116,10 +107,6 @@ func NewThreeOpt(m *SparseMatrix, nb *Neighbors, t Tour) *ThreeOpt {
 	o.SetTour(t)
 	return o
 }
-
-// SetOrOpt enables (or disables) the Or-opt relocation family inside
-// Optimize. See oropt.go for the move set and gating policy.
-func (o *ThreeOpt) SetOrOpt(on bool) { o.orOpt = on }
 
 // SetTour replaces the current tour (copying it) and resets search
 // state: every city is queued with its don't-look bit clear. The copy
@@ -186,9 +173,11 @@ func (o *ThreeOpt) Cost() Cost { return o.c }
 func (o *ThreeOpt) MoveStats() MoveStats { return o.stats }
 
 // Optimize runs the search to a local optimum and returns the final cost.
-// With Or-opt enabled the two families share one queue: a city is marked
+// The 3-opt and Or-opt families share one queue: a city is marked
 // don't-look only when neither family improves from it, so the result is
-// locally optimal under both.
+// locally optimal under both up to the don't-look bits. A move can open
+// a move from a city already marked whose own edges it left alone; a
+// second Optimize from a full queue (SetTour) would find it.
 func (o *ThreeOpt) Optimize() Cost {
 	if o.n < 3 {
 		return o.c
@@ -200,11 +189,7 @@ func (o *ThreeOpt) Optimize() Cost {
 		if o.dontLook[a] {
 			continue
 		}
-		improved := o.improveFrom(a)
-		if !improved && o.orOpt {
-			improved = o.orOptFrom(a)
-		}
-		if !improved {
+		if !o.improveFrom(a) && !o.orOptFrom(a) {
 			o.dontLook[a] = true
 		} else if !o.inQueue[a] {
 			// Re-examine a after a successful move from it.

@@ -6,10 +6,23 @@ import (
 	"testing/quick"
 )
 
-// iteratedPure runs one iterated-3-opt run of the solver (pure 3-opt, no
-// telemetry, no budget) and returns its best tour and cost.
-func iteratedPure(m *SparseMatrix, start Tour, iters int, rng *rand.Rand) (Tour, Cost) {
-	t, c, _ := iteratedThreeOpt(m, nil, nil, start, iters, rng, nil, nil, false)
+// newSearch returns a local search over m from tour t, with m's
+// candidate lists.
+func newSearch(m *SparseMatrix, t Tour) *ThreeOpt { return NewThreeOpt(m, BuildNeighbors(m), t) }
+
+// optimizePure runs o to a pure 3-opt local optimum: Optimize without
+// the Or-opt family, for the tests that pin the segment-exchange kernel
+// on its own.
+func optimizePure(o *ThreeOpt) Cost {
+	optimizeSteps(o, (*ThreeOpt).improveFrom, nil)
+	return o.Cost()
+}
+
+// iteratedRun runs one iterated-local-search run of the solver (no
+// telemetry, no kick quota) and returns its best tour and cost.
+func iteratedRun(m *SparseMatrix, start Tour, iters int, rng *rand.Rand) (Tour, Cost) {
+	rb := &runBudget{sb: &solveBudget{}, quota: -1}
+	t, c, _ := iteratedThreeOpt(m, BuildNeighbors(m), &solveWorkspace{}, start, iters, rng, nil, rb)
 	return t, c
 }
 
@@ -18,7 +31,7 @@ func TestThreeOptNeverWorsens(t *testing.T) {
 		m := randMatrix(20, 1000, seed)
 		start := IdentityTour(20)
 		before := CycleCost(m, start)
-		o := NewThreeOpt(m, nil, start)
+		o := newSearch(m, start)
 		after := o.Optimize()
 		if after > before {
 			t.Fatalf("seed %d: 3-opt worsened tour: %d -> %d", seed, before, after)
@@ -32,7 +45,7 @@ func TestThreeOptNeverWorsens(t *testing.T) {
 func TestThreeOptIncrementalCostMatchesRecomputed(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		m := randMatrix(15, 500, seed+100)
-		o := NewThreeOpt(m, nil, IdentityTour(15))
+		o := newSearch(m, IdentityTour(15))
 		got := o.Optimize()
 		want := CycleCost(m, o.AppendTour(nil))
 		if got != want {
@@ -59,7 +72,7 @@ func TestThreeOptReachesOptimumOnRingInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	start := IdentityTour(n)
 	rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })
-	tour, cost := iteratedPure(m.Sparse(), start, 4*n, rng)
+	tour, cost := iteratedRun(m.Sparse(), start, 4*n, rng)
 	if !tour.Valid(n) {
 		t.Fatal("invalid tour")
 	}
@@ -72,7 +85,7 @@ func TestThreeOptSmallInstances(t *testing.T) {
 	// n = 1, 2, 3 must not panic and must keep valid tours.
 	for n := 1; n <= 3; n++ {
 		m := randMatrix(n, 100, int64(n))
-		o := NewThreeOpt(m, nil, IdentityTour(n))
+		o := newSearch(m, IdentityTour(n))
 		o.Optimize()
 		if !o.AppendTour(nil).Valid(n) {
 			t.Fatalf("n=%d: invalid tour after optimize", n)
@@ -89,7 +102,7 @@ func TestThreeOptFlipsTriangle(t *testing.T) {
 		{100, 1, 0},
 	})
 	// Identity (0,1,2) costs 300; reversed (0,2,1) costs 3.
-	o := NewThreeOpt(m.Sparse(), nil, IdentityTour(3))
+	o := newSearch(m.Sparse(), IdentityTour(3))
 	got := o.Optimize()
 	if got != 3 {
 		t.Fatalf("3-opt on triangle: cost %d, want 3 (tour %v)", got, o.AppendTour(nil))
@@ -103,7 +116,7 @@ func TestThreeOptNearOptimalOnRandomInstances(t *testing.T) {
 		m := randMatrix(n, 1000, seed+500)
 		_, opt := SolveExact(m)
 		rng := rand.New(rand.NewSource(seed))
-		tour, cost := iteratedPure(m, greedyTour(m, nil), 6*n, rng)
+		tour, cost := iteratedRun(m, greedyTour(m, nil), 6*n, rng)
 		if cost < opt {
 			t.Fatalf("seed %d: heuristic cost %d below proven optimum %d", seed, cost, opt)
 		}

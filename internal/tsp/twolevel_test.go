@@ -35,9 +35,6 @@ type arrayThreeOpt struct {
 }
 
 func newArrayThreeOpt(m *SparseMatrix, nb *Neighbors, t Tour) *arrayThreeOpt {
-	if nb == nil {
-		nb = BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
-	}
 	n := m.Len()
 	o := &arrayThreeOpt{
 		m:        m,
@@ -297,14 +294,14 @@ func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		n := int(nRaw%60) + 4
 		m := randMatrix(n, 1000, int64(seedRaw))
-		nb := BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
+		nb := BuildNeighbors(m)
 		rng := rand.New(rand.NewSource(int64(seedRaw) + 17))
 		start := IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })
 
 		got := NewThreeOpt(m, nb, start)
 		want := newArrayThreeOpt(m, nb, start)
-		got.Optimize()
+		optimizePure(got)
 		want.Optimize()
 		cur := want.Tour()
 		for round := 0; ; round++ {
@@ -325,7 +322,7 @@ func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 			}
 			got.SetKickedTour(kick, kc, ends)
 			want.Kick(kick, ends)
-			got.Optimize()
+			optimizePure(got)
 			want.Optimize()
 			cur = want.Tour()
 		}
@@ -349,8 +346,8 @@ func refKickReset(o *ThreeOpt, t Tour, ends [6]int) {
 }
 
 // TestQuickSetKickedTourMatchesReference pins the solver's kick loop with
-// Or-opt both off and on: production SetKickedTour and Optimize against a
-// ThreeOpt reset by refKickReset and stepped through the frozen move
+// Or-opt both off and on: production SetKickedTour and Optimize (with
+// Or-opt off, optimizePure) against a ThreeOpt reset by refKickReset and stepped through the frozen move
 // searches, over kickRounds kicks of the incumbent. Tours, costs and the
 // full MoveStats must agree after every round, and the kicked tour must
 // optimize to the same tour and cost as its reference reset.
@@ -358,20 +355,22 @@ func TestQuickSetKickedTourMatchesReference(t *testing.T) {
 	f := func(nRaw, seedRaw uint16, orOpt bool) bool {
 		n := int(nRaw%60) + 4
 		m := randMatrix(n, 800, int64(seedRaw)+9)
-		nb := BuildNeighbors(m, DefaultNeighborCount, m.Forbid())
+		nb := BuildNeighbors(m)
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
 		start := IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })
 
 		got := NewThreeOpt(m, nb, start)
 		want := NewThreeOpt(m, nb, start)
-		got.SetOrOpt(orOpt)
-		want.SetOrOpt(orOpt)
+		optimize, frozenOr := (*ThreeOpt).Optimize, frozenOrOptFrom
+		if !orOpt {
+			optimize, frozenOr = optimizePure, nil
+		}
 		cur := start
 		curCost := CycleCost(m, start)
 		for round := 0; ; round++ {
-			got.Optimize()
-			optimizeSteps(want, frozenImproveFrom, frozenOrOptFrom)
+			optimize(got)
+			optimizeSteps(want, frozenImproveFrom, frozenOr)
 			gt := got.AppendTour(nil)
 			if got.Cost() != want.Cost() || !tourEqual(gt, want.AppendTour(nil)) ||
 				got.MoveStats() != want.MoveStats() || got.Cost() != CycleCost(m, gt) {
@@ -400,8 +399,7 @@ func TestKickWakesOnlyEndpoints(t *testing.T) {
 	for _, n := range []int{4, 5, 13, 60} {
 		m := randMatrix(n, 1000, int64(n))
 		rng := rand.New(rand.NewSource(int64(n) * 3))
-		o := NewThreeOpt(m, nil, IdentityTour(n))
-		o.SetOrOpt(true)
+		o := newSearch(m, IdentityTour(n))
 		for round := 0; round < 20; round++ {
 			cost := o.Optimize()
 			kick, kc, ends := doubleBridge(nil, o.AppendTour(nil), rng, m, cost)

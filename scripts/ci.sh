@@ -1,9 +1,9 @@
 #!/bin/sh
-# Tier-1 gate (`make ci` runs this script): formatting, go vet, full
-# build, race-detector test suite, benchmark liveness with allocation
-# and time ceilings, example, metrics and trace smokes, and the
-# invariant checker over every bundled benchmark. Run from anywhere;
-# exits non-zero on the first failure.
+# Tier-1 gate (`make ci` runs this script): formatting, go vet (the
+# root and the benchmark module), full build, race-detector test suite,
+# benchmark liveness with allocation and time ceilings, example, metrics
+# and trace smokes, and the invariant checker over every bundled
+# benchmark. Run from anywhere; exits non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,6 +18,13 @@ fi
 
 echo "== go vet"
 go vet ./...
+
+echo "== go vet (benchmark module)"
+# benchmark/ is its own module (replace branchalign => ../), so the root
+# go vet and go build never compile it. Vetting it here fails the gate
+# on a root API change that breaks the end-to-end harness, instead of at
+# the next benchmark run.
+(cd benchmark && go vet ./...)
 
 echo "== go build"
 go build ./...
