@@ -59,7 +59,7 @@ func run(args []string) error {
 		addr        = fs.String("addr", "localhost:8347", "listen address")
 		workers     = fs.Int("workers", 0, "max concurrent per-function solves (0 = GOMAXPROCS)")
 		parallel    = fs.Int("parallel", 0, "default per-run solver parallelism for requests without one (-1 = all CPUs); results are bit-identical at every setting")
-		cacheSize   = fs.Int("cache", 64, "result cache entries (negative disables)")
+		cacheSize   = fs.Int("cache", 64, "result cache entries, frequency-admitted LRU (0 means 64; negative disables)")
 		maxInflight = fs.Int("max-inflight", 8, "max concurrent align requests before shedding 429s")
 		defTimeout  = fs.Duration("default-timeout", 30*time.Second, "deadline for requests without timeout_ms")
 		maxTimeout  = fs.Duration("max-timeout", 2*time.Minute, "upper clamp on per-request deadlines and on each profiling run")

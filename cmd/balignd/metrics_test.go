@@ -97,6 +97,7 @@ func TestMetricsFamilies(t *testing.T) {
 		"engine_cache_hits_total",
 		"engine_cache_misses_total",
 		"engine_cache_evictions_total",
+		"engine_cache_rejections_total",
 		"engine_cache_entries",
 		"engine_load_cache_hits_total",
 		"engine_load_cache_entries",
@@ -200,6 +201,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		{"server.truncated", st.Server.Truncated, sumSamples(samples, "balignd_align_truncated_total")},
 		{"engine.requests", st.Engine.Requests, sumSamples(samples, "engine_requests_total")},
 		{"engine.cache_hits", st.Engine.CacheHits, sumSamples(samples, "engine_cache_hits_total")},
+		{"engine.cache_rejections", st.Engine.CacheRejections, sumSamples(samples, "engine_cache_rejections_total")},
 		{"engine.load_hits", st.Engine.LoadHits, sumSamples(samples, "engine_load_cache_hits_total")},
 		{"engine.coalesced", st.Engine.Coalesced, sumSamples(samples, "engine_coalesced_total")},
 		{"engine.solved", st.Engine.Solved, sumSamples(samples, "engine_solves_total")},

@@ -94,9 +94,9 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// lru is a minimal least-recently-used map from Key to V: the engine's
-// result cache and the load cache's index. Callers serialize access;
-// lru itself is not safe for concurrent use.
+// lru is a minimal least-recently-used map from Key to V: the store of
+// the engine's result cache and the load cache's index. Callers
+// serialize access; lru itself is not safe for concurrent use.
 type lru[V any] struct {
 	max   int
 	order *list.List // front = most recent; values are *lruEntry[V]
@@ -147,6 +147,118 @@ func (c *lru[V]) put(key Key, val V) {
 			c.onEvict(e.val)
 		}
 	}
+}
+
+// resultCache is the engine's result cache: an LRU over result keys
+// with TinyLFU admission (Einziger, Friedman & Manes, ACM ToS 2017).
+// Every request's key is counted in a frequency sketch, hit or miss. A
+// new key is stored freely while the cache has room; once it is full, a
+// new key displaces the LRU victim only if the sketch estimates it
+// strictly more frequent than the victim, so under skewed traffic a
+// one-off miss no longer evicts a popular result. Callers serialize
+// access, as for lru.
+type resultCache struct {
+	*lru[*Result]
+	freq *sketch // nil when caching is disabled
+}
+
+// newResultCache returns a result cache of at most max entries; a
+// non-positive max stores nothing and keeps no sketch.
+func newResultCache(max int) *resultCache {
+	c := &resultCache{lru: newLRU[*Result](max)}
+	if max > 0 {
+		c.freq = newSketch(max)
+	}
+	return c
+}
+
+// count records one request for key in the frequency sketch.
+func (c *resultCache) count(key Key) {
+	if c.freq != nil {
+		c.freq.add(key)
+	}
+}
+
+// put stores res under key unless admission refuses it, and reports
+// whether it refused. A key already cached is always updated.
+func (c *resultCache) put(key Key, res *Result) (refused bool) {
+	if _, ok := c.byKey[key]; !ok && c.max > 0 && c.len() >= c.max {
+		victim := c.order.Back().Value.(*lruEntry[*Result]).key
+		if c.freq.estimate(key) <= c.freq.estimate(victim) {
+			return true
+		}
+	}
+	c.lru.put(key, res)
+	return false
+}
+
+// sketchRows is the depth of the frequency sketch: one row per
+// disjoint 8-byte word of a Key, so the rows are indexed by the sha256
+// digest itself and nothing new is hashed.
+const sketchRows = 4
+
+// sketchMax is the saturation value of a 4-bit sketch counter.
+const sketchMax = 15
+
+// maxSketchWidth caps a sketch row at 1 MB, the width of a 65,536-entry
+// cache, so a huge CacheEntries does not allocate its sketch up front.
+const maxSketchWidth = 1 << 20
+
+// sketch is a count-min sketch of saturating 4-bit counters (one per
+// byte) estimating how often each key was requested lately. Each row
+// is the smallest power of two at or above 16 counters per cache entry
+// wide (at most maxSketchWidth), and every counter halves after each 10
+// requests per cache entry (TinyLFU's sample size), so old popularity
+// fades.
+type sketch struct {
+	rows   [sketchRows][]uint8
+	mask   uint64
+	sample int // counted keys between halvings
+	added  int // counted keys since the last halving
+}
+
+func newSketch(entries int) *sketch {
+	width := 1
+	for width/16 < entries && width < maxSketchWidth {
+		width <<= 1
+	}
+	s := &sketch{mask: uint64(width - 1), sample: 10 * entries}
+	for i := range s.rows {
+		s.rows[i] = make([]uint8, width)
+	}
+	return s
+}
+
+// slot returns row i's counter index for key.
+func (s *sketch) slot(key *Key, i int) uint64 {
+	return binary.LittleEndian.Uint64(key[8*i:]) & s.mask
+}
+
+// add counts one request for key, halving every counter once sample
+// requests have been counted since the last halving.
+func (s *sketch) add(key Key) {
+	for i := range s.rows {
+		if c := &s.rows[i][s.slot(&key, i)]; *c < sketchMax {
+			*c++
+		}
+	}
+	if s.added++; s.added == s.sample {
+		s.added = 0
+		for _, row := range s.rows {
+			for j := range row {
+				row[j] >>= 1
+			}
+		}
+	}
+}
+
+// estimate returns key's estimated request count: its smallest counter.
+func (s *sketch) estimate(key Key) uint8 {
+	est := uint8(sketchMax)
+	for i := range s.rows {
+		est = min(est, s.rows[i][s.slot(&key, i)])
+	}
+	return est
 }
 
 // loadBudget caps the instructions (ir.Instr plus one terminator per

@@ -12,9 +12,11 @@
 //   - a keyed result cache with single-flight deduplication: requests
 //     are keyed on their own inputs, identical in-flight requests are
 //     coalesced onto one computation, and completed untruncated results
-//     are reused. Compiling and profiling is the request's lazy Load
-//     step, run only by the leader of a miss, so a cache hit or a
-//     coalesced duplicate never compiles or profiles anything.
+//     are reused. The cache admits by frequency once full, so a one-off
+//     request does not evict a popular result. Compiling and profiling
+//     is the request's lazy Load step, run only by the leader of a
+//     miss, so a cache hit or a coalesced duplicate never compiles or
+//     profiles anything.
 //     Truncated (deadline- or budget-cut) results are never cached and
 //     never shared with concurrent duplicates, because a duplicate may
 //     carry a more generous budget and deserves the full-quality answer;
@@ -109,9 +111,12 @@ type Options struct {
 	// pool feeds per-run solver parallelism (Parallelism), so the two
 	// layers together never exceed this bound.
 	Workers int
-	// CacheEntries bounds the result cache (least-recently-used
-	// eviction), and the keys of the load cache likewise. 0 means 64;
-	// negative disables both.
+	// CacheEntries bounds the result cache, and the keys of the load
+	// cache likewise. 0 means 64; negative disables both. The result
+	// cache is an LRU with frequency admission: once full, a new result
+	// displaces the least recently used one only if its key was
+	// requested more often lately, as estimated by a sketch of 64 bytes
+	// per entry that halves every 10 × CacheEntries requests.
 	CacheEntries int
 	// Parallelism is the default per-run solver parallelism applied to
 	// requests that do not set their own: each per-function solve may
@@ -239,6 +244,10 @@ type Result struct {
 type Stats struct {
 	Requests  int64 `json:"requests"`
 	CacheHits int64 `json:"cache_hits"`
+	// CacheRejections counts completed results the result cache refused
+	// to store because their key was requested no more often than the
+	// least recently used entry's.
+	CacheRejections int64 `json:"cache_rejections"`
 	// LoadHits counts result-cache misses whose module and profile came
 	// from the load cache, without a call to Load.
 	LoadHits  int64 `json:"load_hits"`
@@ -262,7 +271,7 @@ type Engine struct {
 	loads       *loadCache
 
 	mu       sync.Mutex
-	cache    *lru[*Result]
+	cache    *resultCache
 	inflight map[Key]*call
 }
 
@@ -291,7 +300,7 @@ func New(o Options) *Engine {
 		pool:        work.NewPool(o.Workers),
 		parallelism: o.Parallelism,
 		loads:       newLoadCache(entries, loadBudget),
-		cache:       newLRU[*Result](entries),
+		cache:       newResultCache(entries),
 		inflight:    map[Key]*call{},
 	}
 	e.cache.onEvict = func(*Result) { e.met.evictions.Inc() }
@@ -308,16 +317,17 @@ func New(o Options) *Engine {
 // surfaces agree by construction.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Requests:     e.met.requests.Value(),
-		CacheHits:    e.met.cacheHits.Value(),
-		LoadHits:     e.met.loadHits.Value(),
-		Coalesced:    e.met.coalesced.Value(),
-		Solved:       e.met.solves.Value(),
-		Truncated:    e.met.truncated.Value(),
-		Errors:       e.met.errors.Value(),
-		InFlight:     int64(e.met.inFlight.Value()),
-		Workers:      e.pool.Cap(),
-		InFlightRuns: e.pool.Active(),
+		Requests:        e.met.requests.Value(),
+		CacheHits:       e.met.cacheHits.Value(),
+		CacheRejections: e.met.rejections.Value(),
+		LoadHits:        e.met.loadHits.Value(),
+		Coalesced:       e.met.coalesced.Value(),
+		Solved:          e.met.solves.Value(),
+		Truncated:       e.met.truncated.Value(),
+		Errors:          e.met.errors.Value(),
+		InFlight:        int64(e.met.inFlight.Value()),
+		Workers:         e.pool.Cap(),
+		InFlightRuns:    e.pool.Active(),
 	}
 }
 
@@ -345,6 +355,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.met.requests.Inc()
 
 	e.mu.Lock()
+	e.cache.count(key)
 	for {
 		if res, ok := e.cache.get(key); ok {
 			e.mu.Unlock()
@@ -403,7 +414,9 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.mu.Lock()
 	delete(e.inflight, key)
 	if err == nil && !res.Truncated {
-		e.cache.put(key, res)
+		if refused := e.cache.put(key, res); refused {
+			e.met.rejections.Inc()
+		}
 	}
 	e.mu.Unlock()
 	e.met.observe(start, req.StaticProfile, "miss", req.Algorithm)

@@ -22,6 +22,7 @@ type metrics struct {
 	loadHits    *obs.Counter
 	cacheMisses *obs.Counter
 	evictions   *obs.Counter
+	rejections  *obs.Counter
 	coalesced   *obs.Counter
 	solves      *obs.Counter
 	truncated   *obs.Counter
@@ -48,7 +49,8 @@ func newMetrics(reg *obs.Registry, pool *work.Pool, entries, loads func() float6
 		cacheHits:   reg.Counter("engine_cache_hits_total", "Requests served from the completed-result cache."),
 		loadHits:    reg.Counter("engine_load_cache_hits_total", "Result-cache misses served a retained module and profile by the load cache, skipping compile, profiling run and static estimate."),
 		cacheMisses: reg.Counter("engine_cache_misses_total", "Requests that found no completed cache entry and solved (or re-solved past an expired peer)."),
-		evictions:   reg.Counter("engine_cache_evictions_total", "Completed results evicted from the cache by LRU capacity pressure."),
+		evictions:   reg.Counter("engine_cache_evictions_total", "Completed results evicted from the cache: least recently used victims displaced by a result admitted in their place."),
+		rejections:  reg.Counter("engine_cache_rejections_total", "Completed results refused admission to the full cache because their key was requested no more often than the least recently used entry's."),
 		coalesced:   reg.Counter("engine_coalesced_total", "Requests deduplicated onto an identical in-flight solve (single-flight)."),
 		solves:      reg.Counter("engine_solves_total", "Solves that ran to completion (including truncated ones)."),
 		truncated:   reg.Counter("engine_truncated_total", "Completed solves cut short by a deadline or work budget."),

@@ -9,10 +9,10 @@ import (
 	"branchalign/internal/obs"
 )
 
-// TestEngineMetricsPlane drives one engine through hit/miss/eviction
-// traffic against an injected registry and checks that the exposition
-// and Stats() tell the same story — the engine's counters live only in
-// the registry, so the two cannot drift.
+// TestEngineMetricsPlane drives one engine through hit, miss,
+// rejection and eviction traffic against an injected registry and
+// checks that the exposition and Stats() tell the same story — the
+// engine's counters live only in the registry, so the two cannot drift.
 func TestEngineMetricsPlane(t *testing.T) {
 	mod, prof := branchy(t)
 	model := machine.Alpha21164()
@@ -21,49 +21,50 @@ func TestEngineMetricsPlane(t *testing.T) {
 
 	ctx := context.Background()
 	req := Request{Inputs: branchyInputs, Load: loaded(mod, prof), Model: model, Seed: 1}
-	if _, err := e.Align(ctx, req); err != nil { // miss + solve
-		t.Fatal(err)
-	}
-	if _, err := e.Align(ctx, req); err != nil { // hit
-		t.Fatal(err)
-	}
 	req2 := req
 	req2.Seed = 2
-	if _, err := e.Align(ctx, req2); err != nil { // miss + solve, evicts seed 1
-		t.Fatal(err)
-	}
-	if _, err := e.Align(ctx, req); err != nil { // miss again (evicted), load-cache hit
-		t.Fatal(err)
+	for i, r := range []Request{
+		req,  // miss + solve, stored in the empty cache
+		req,  // hit: seed 1 counted twice
+		req2, // miss + solve, refused: seed 2 counted once
+		req2, // miss + solve from the load cache, refused: a tie at two
+		req2, // miss + solve from the load cache, admitted: evicts seed 1
+		req2, // hit
+	} {
+		if _, err := e.Align(ctx, r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
 	}
 
 	want := map[string]float64{
-		"engine_requests_total":        4,
-		"engine_cache_hits_total":      1,
-		"engine_cache_misses_total":    3,
-		"engine_cache_evictions_total": 2,
-		"engine_solves_total":          3,
-		"engine_truncated_total":       0,
-		"engine_errors_total":          0,
-		"engine_in_flight":             0,
-		"engine_cache_entries":         1,
-		"engine_load_cache_hits_total": 1,
-		"engine_load_cache_entries":    1,
+		"engine_requests_total":         6,
+		"engine_cache_hits_total":       2,
+		"engine_cache_misses_total":     4,
+		"engine_cache_evictions_total":  1,
+		"engine_cache_rejections_total": 2,
+		"engine_solves_total":           4,
+		"engine_truncated_total":        0,
+		"engine_errors_total":           0,
+		"engine_in_flight":              0,
+		"engine_cache_entries":          1,
+		"engine_load_cache_hits_total":  2,
+		"engine_load_cache_entries":     1,
 	}
 	for name, v := range want {
 		if got := reg.Sum(name, nil); got != v {
 			t.Errorf("%s = %v, want %v", name, got, v)
 		}
 	}
-	if got := reg.Sum("engine_solve_duration_seconds", map[string]string{"cache": "hit"}); got != 1 {
-		t.Errorf("solve_duration{cache=hit} count %v, want 1", got)
+	if got := reg.Sum("engine_solve_duration_seconds", map[string]string{"cache": "hit"}); got != 2 {
+		t.Errorf("solve_duration{cache=hit} count %v, want 2", got)
 	}
-	if got := reg.Sum("engine_solve_duration_seconds", map[string]string{"cache": "miss", "profile_mode": "measured"}); got != 3 {
-		t.Errorf("solve_duration{cache=miss} count %v, want 3", got)
+	if got := reg.Sum("engine_solve_duration_seconds", map[string]string{"cache": "miss", "profile_mode": "measured"}); got != 4 {
+		t.Errorf("solve_duration{cache=miss} count %v, want 4", got)
 	}
 
 	// Stats() must read the same cells.
 	st := e.Stats()
-	if st.Requests != 4 || st.CacheHits != 1 || st.LoadHits != 1 || st.Solved != 3 || st.Errors != 0 || st.InFlight != 0 {
+	if st.Requests != 6 || st.CacheHits != 2 || st.CacheRejections != 2 || st.LoadHits != 2 || st.Solved != 4 || st.Errors != 0 || st.InFlight != 0 {
 		t.Errorf("Stats drifted from registry: %+v", st)
 	}
 
@@ -84,7 +85,7 @@ func TestEngineMetricsPlane(t *testing.T) {
 			t.Errorf("exposition missing %q", fam)
 		}
 	}
-	if !strings.Contains(out, `engine_solve_duration_seconds_bucket{profile_mode="measured",cache="miss",algorithm="tsp",le="+Inf"} 3`) {
+	if !strings.Contains(out, `engine_solve_duration_seconds_bucket{profile_mode="measured",cache="miss",algorithm="tsp",le="+Inf"} 4`) {
 		t.Errorf("missing labeled +Inf bucket in:\n%s", out)
 	}
 }

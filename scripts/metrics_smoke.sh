@@ -65,6 +65,7 @@ for fam in \
 	balignd_http_request_duration_seconds \
 	engine_requests_total \
 	engine_cache_misses_total \
+	engine_cache_rejections_total \
 	engine_load_cache_hits_total \
 	engine_load_cache_entries \
 	engine_solve_duration_seconds \
